@@ -34,7 +34,6 @@ from .model import (
     episode_env_rng,
     episode_policy_rng,
     run_episode,
-    sample_outcome,
 )
 from .oracle import (
     Infeasible,
@@ -46,30 +45,17 @@ from .oracle import (
     wald_interval,
 )
 from .policies import (
-    ArmStats,
     DeltaOutOfRange,
-    ExplorationIncomplete,
     LyOffPolicy,
     LyOnPolicy,
     LyParams,
-    NoSamples,
     PolicySpec,
-    QueueState,
     StaticPolicy,
     StationaryPolicy,
     confidence_radius,
     denominator_floor,
-    empirical_rates,
     exploration_schedule,
-    gamma_index,
-    gamma_index_value,
-    lyoff_select,
-    lyon_select,
     param_schedule,
-    psi_offline,
-    queue_update,
-    stationary_select,
-    ucb_bwi_select,
 )
 
 __version__ = "0.1.0"

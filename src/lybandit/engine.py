@@ -7,15 +7,16 @@ episode's trajectory depends only on its own streams, running episodes in
 lockstep (one shared epoch counter, vectorized across runs) produces results
 bitwise identical to the sequential per-episode runner; tests assert this.
 
-Epoch arithmetic deliberately mirrors the expressions in
-:mod:`lybandit.policies` so the equality holds at the floating-point level:
-all per-arm math is elementwise and the single transcendental per epoch,
-ln(completed epochs), is evaluated once as a Python scalar on both paths.
+The engine does not know any policy rule.  It builds the rule from the
+:class:`~lybandit.policies.PolicySpec` and drives its vector form
+(:class:`~lybandit.policies.VectorPolicy`), the same code the sequential
+runner calls through the m = 1 ``select`` / ``observe``; the engine itself
+refills the random streams, draws outcomes and keeps the per-arm tallies and
+episode totals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,11 @@ from .model import (
     episode_env_rng,
     episode_policy_rng,
 )
-from .policies import PolicySpec, _gamma_matrix, denominator_floor
+from .policies import PolicySpec
 
 __all__ = ["BatchResult", "simulate_batch"]
 
 _BLOCK = 1024
-_LCB_TOL = 1e-9
 
 
 @dataclass
@@ -121,118 +121,55 @@ def simulate_batch(
         raise ValueError("runs must be at least 1")
     if cap is None:
         cap = default_cap(instance, budget)
-    k_arms = instance.n_arms
     m = runs
-    c = instance.c
-    ex, er, ey = instance.true_means()
-
-    kind = spec.type
-    if kind in ("lyoff", "lyon", "ucb_bwi"):
-        params = spec.ly_params(budget, c, bounds)
-        v = params.v
-        cd = c - params.delta
-        explore_total = k_arms * params.exploration_pulls if kind != "lyoff" else 0
-        denom_floor = denominator_floor(budget)
-        r_rates = er / ex
-        y_rates = ey / ex
-    elif kind == "stationary":
-        p = np.asarray(spec.p, dtype=np.float64) if spec.p is not None else p_default
-        if p is None:
-            raise ValueError("stationary policy needs p or an oracle default")
-        cum_p = np.cumsum(p)
-    elif kind != "static":
-        raise ValueError(f"unknown policy type: {kind!r}")
-
-    track_queue = kind in ("lyoff", "lyon")
-    need_stats = kind in ("lyon", "ucb_bwi")
+    rule = spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
+    rule.start(m, instance if track_lcb else None)
     outcomes = _Outcomes(instance)
 
     env_gens = [episode_env_rng(master_seed, run_start + e) for e in range(m)]
     env_buf = np.empty((m, _BLOCK, 3))
-    if kind == "stationary":
+    pol_gens = []
+    if rule.uses_stream:
         pol_gens = [episode_policy_rng(master_seed, run_start + e) for e in range(m)]
         pol_buf = np.empty((m, _BLOCK))
 
     active = np.ones(m, dtype=bool)
+    rows = np.arange(m)
     n_pulls = np.zeros(m, dtype=np.int64)
     total_cost = np.zeros(m)
     total_reward = np.zeros(m)
     total_penalty = np.zeros(m)
-    pulls = np.zeros((m, k_arms))
-    cost_arm = np.zeros((m, k_arms))
-    sum_r = np.zeros((m, k_arms)) if need_stats else None
-    sum_y = np.zeros((m, k_arms)) if need_stats else None
-    q = np.zeros(m)
+    pulls = np.zeros((m, instance.n_arms))
+    cost_arm = np.zeros((m, instance.n_arms))
     q_max = np.zeros(m)
-    lcb_ok = np.ones(m, dtype=bool) if track_lcb else None
-    arm_range = np.arange(k_arms)
+    u = None
 
     for epoch in range(cap):
         off = epoch % _BLOCK
         if off == 0:
-            for e in range(m):
-                if active[e]:
-                    env_buf[e] = env_gens[e].random((_BLOCK, 3))
-            if kind == "stationary":
-                for e in range(m):
-                    if active[e]:
-                        pol_buf[e] = pol_gens[e].random(_BLOCK)
+            for e in np.flatnonzero(active):
+                env_buf[e] = env_gens[e].random((_BLOCK, 3))
+                if pol_gens:
+                    pol_buf[e] = pol_gens[e].random(_BLOCK)
+        if pol_gens:
+            u = pol_buf[:, off]
 
-        # --- selection (before observing this epoch's outcome) ---
-        if kind == "static":
-            arms = np.full(m, spec.arm, dtype=np.int64)
-        elif kind == "stationary":
-            arms = np.minimum(
-                np.searchsorted(cum_p, pol_buf[:, off], side="right"), k_arms - 1
-            )
-        elif kind == "lyoff":
-            psi = -v * r_rates[None, :] + q[:, None] * y_rates[None, :]
-            arms = np.argmin(psi, axis=1)
-        else:  # lyon / ucb_bwi
-            if epoch < explore_total:
-                arms = np.full(m, epoch % k_arms, dtype=np.int64)
-            else:
-                q_col = q[:, None] if kind == "lyon" else 0.0
-                # episodes that ended mid-exploration carry zero pull counts;
-                # the floor only touches those dead rows (live rows finished
-                # exploration, so every arm has at least one pull)
-                gamma = _gamma_matrix(
-                    np.maximum(pulls, 1.0),
-                    cost_arm,
-                    sum_r,
-                    sum_y,
-                    q_col,
-                    math.log(epoch),
-                    v,
-                    params.alpha,
-                    denom_floor,
-                    params.index_variant,
-                )
-                arms = np.argmin(gamma, axis=1)
-                if track_lcb:
-                    psi_true = -v * r_rates[None, :] + q_col * y_rates[None, :]
-                    ok = (gamma <= psi_true + _LCB_TOL).all(axis=1)
-                    lcb_ok &= ok | ~active
+        # selection sees only outcomes of earlier epochs
+        arms = rule.select_batch(epoch, pulls, cost_arm, active, u)
+        x, r, y = outcomes.draw(arms, env_buf[:, off, :])
+        # finished episodes observe zero outcomes, which change no state
+        x = np.where(active, x, 0.0)
+        r = np.where(active, r, 0.0)
+        y = np.where(active, y, 0.0)
+        rule.observe_batch(arms, x, r, y)
 
-        # --- outcome and state update ---
-        u = env_buf[:, off, :]
-        x, r, y = outcomes.draw(arms, u)
-
-        chosen = (arms[:, None] == arm_range[None, :]) & active[:, None]
-        pulls += chosen
-        cost_arm += chosen * x[:, None]
-        if need_stats:
-            sum_r += chosen * r[:, None]
-            sum_y += chosen * y[:, None]
-
-        total_cost += np.where(active, x, 0.0)
-        total_reward += np.where(active, r, 0.0)
-        total_penalty += np.where(active, y, 0.0)
+        pulls[rows, arms] += active
+        cost_arm[rows, arms] += x
+        total_cost += x
+        total_reward += r
+        total_penalty += y
         n_pulls += active
-
-        if track_queue:
-            q = np.where(active, np.maximum(0.0, q + y - cd * x), q)
-            q_max = np.maximum(q_max, q)
+        np.maximum(q_max, rule.q, out=q_max)
 
         active &= ~(total_cost > budget)
         if not active.any():
@@ -245,8 +182,8 @@ def simulate_batch(
         total_penalty=total_penalty,
         pulls_per_arm=pulls,
         cost_per_arm=cost_arm,
-        q_final=q.copy(),
+        q_final=rule.q.copy(),
         q_max=q_max,
         capped=active.copy(),
-        lcb_ok=lcb_ok,
+        lcb_ok=rule.lcb_ok,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,17 +41,20 @@ class ZeroCost(ValueError):
     """Allocation requested for an episode that consumed no budget."""
 
 
-def pseudo_regret(result: EpisodeResult, r_star: float, budget: float) -> float:
+def pseudo_regret(result: EpisodeResult | BatchResult, r_star: float, budget: float):
     """Benchmark reward r* B minus the realized total reward.
 
     Can be negative for lucky runs; the mean over runs is the reported
-    statistic.
+    statistic.  On a :class:`BatchResult` it is computed per episode.
     """
     return r_star * budget - result.total_reward
 
 
-def violation(result: EpisodeResult, c: float, budget: float) -> float:
-    """Realized penalty per unit budget minus the admissible level c."""
+def violation(result: EpisodeResult | BatchResult, c: float, budget: float):
+    """Realized penalty per unit budget minus the admissible level c.
+
+    On a :class:`BatchResult` it is computed per episode.
+    """
     return result.total_penalty / budget - c
 
 
@@ -83,6 +86,8 @@ class RunConfig:
         names = [p.name for p in self.policies]
         if len(set(names)) != len(names):
             raise ValueError("policy names must be unique")
+        for spec in self.policies:
+            spec.check_arms(self.instance.n_arms)
 
 
 @dataclass(frozen=True)
@@ -135,8 +140,8 @@ def _aggregate_cell(
 ) -> CellStats:
     runs = batch.runs
     reward_rate = batch.total_reward / budget
-    viol = batch.total_penalty / budget - c
-    regret = r_star * budget - batch.total_reward
+    viol = violation(batch, c, budget)
+    regret = pseudo_regret(batch, r_star, budget)
 
     consumed = batch.total_cost > 0.0
     if consumed.any():
@@ -174,22 +179,11 @@ def _aggregate_cell(
 def _concat(parts: list[BatchResult]) -> BatchResult:
     if len(parts) == 1:
         return parts[0]
-    return BatchResult(
-        n_pulls=np.concatenate([p.n_pulls for p in parts]),
-        total_cost=np.concatenate([p.total_cost for p in parts]),
-        total_reward=np.concatenate([p.total_reward for p in parts]),
-        total_penalty=np.concatenate([p.total_penalty for p in parts]),
-        pulls_per_arm=np.concatenate([p.pulls_per_arm for p in parts]),
-        cost_per_arm=np.concatenate([p.cost_per_arm for p in parts]),
-        q_final=np.concatenate([p.q_final for p in parts]),
-        q_max=np.concatenate([p.q_max for p in parts]),
-        capped=np.concatenate([p.capped for p in parts]),
-        lcb_ok=(
-            np.concatenate([p.lcb_ok for p in parts])
-            if parts[0].lcb_ok is not None
-            else None
-        ),
-    )
+    columns = {}
+    for f in fields(BatchResult):
+        values = [getattr(p, f.name) for p in parts]
+        columns[f.name] = None if values[0] is None else np.concatenate(values)
+    return BatchResult(**columns)
 
 
 def simulate_cell(

@@ -28,14 +28,25 @@ __all__ = [
     "episode_env_rng",
     "episode_policy_rng",
     "run_episode",
-    "sample_outcome",
 ]
 
 KIND_BERNOULLI = "independent-bernoulli"
 KIND_SCALED_UNIFORM = "independent-scaled-uniform"
 KIND_JOINT_TABLE = "joint-discrete-table"
 
-_ATOM_PROB_TOL = 1e-12
+_SIMPLEX_TOL = 1e-12
+
+
+def check_simplex(p, tol: float = _SIMPLEX_TOL) -> np.ndarray:
+    """Validate and return ``p`` as a probability vector summing to 1 within ``tol``."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size < 1:
+        raise ValueError("p must be a one-dimensional probability vector")
+    if not np.all(p >= 0.0):
+        raise ValueError("probabilities must be nonnegative")
+    if not abs(float(p.sum()) - 1.0) <= tol:
+        raise ValueError(f"probabilities must sum to 1, got {float(p.sum())!r}")
+    return p
 
 
 class SlaterViolation(ValueError):
@@ -95,11 +106,7 @@ class ArmSpec:
         elif self.kind == KIND_JOINT_TABLE:
             if not self.atoms:
                 raise ValueError("joint-discrete-table arm needs at least one atom")
-            probs = np.array([a[0] for a in self.atoms], dtype=float)
-            if np.any(probs < 0.0):
-                raise ValueError("atom probabilities must be nonnegative")
-            if abs(probs.sum() - 1.0) > _ATOM_PROB_TOL:
-                raise ValueError(f"atom probabilities must sum to 1, got {probs.sum()!r}")
+            probs = check_simplex([a[0] for a in self.atoms])
             for _, x, r, y in self.atoms:
                 if not (0.0 <= x <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= y <= 1.0):
                     raise ValueError("atom values must lie in [0, 1]")
@@ -140,52 +147,28 @@ class ArmSpec:
 
     def sample(self, rng: np.random.Generator) -> Outcome:
         """Draw one outcome; consumes exactly three uniforms from ``rng``."""
-        u = rng.random(3)
-        if self.kind == KIND_BERNOULLI:
-            return Outcome(
-                float(u[0] < self.x_mean),
-                float(u[1] < self.r_mean),
-                float(u[2] < self.y_mean),
-            )
-        if self.kind == KIND_SCALED_UNIFORM:
-            lo, hi = self._uniform_bounds()
-            v = lo + (hi - lo) * u
-            return Outcome(float(v[0]), float(v[1]), float(v[2]))
-        idx = min(int(np.searchsorted(self._cum, u[0], side="right")), len(self.atoms) - 1)
-        _, x, r, y = self.atoms[idx]
-        return Outcome(x, r, y)
-
-    def sample_block(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vector form of :meth:`sample`: n outcomes from the same stream.
-
-        Consumes the identical uniforms as n successive ``sample`` calls.
-        """
-        u = rng.random((n, 3))
-        return self.transform(u)
+        x, r, y = self.transform(rng.random((1, 3)))
+        return Outcome(float(x[0]), float(r[0]), float(y[0]))
 
     def transform(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Map an (n, 3) uniform block to (x, r, y) sample arrays."""
         if self.kind == KIND_BERNOULLI:
-            return (
-                (u[:, 0] < self.x_mean).astype(np.float64),
-                (u[:, 1] < self.r_mean).astype(np.float64),
-                (u[:, 2] < self.y_mean).astype(np.float64),
-            )
-        if self.kind == KIND_SCALED_UNIFORM:
+            v = (u < np.array(self.means)).astype(np.float64)
+        elif self.kind == KIND_SCALED_UNIFORM:
             lo, hi = self._uniform_bounds()
             v = lo + (hi - lo) * u
-            return v[:, 0], v[:, 1], v[:, 2]
-        idx = np.minimum(
-            np.searchsorted(self._cum, u[:, 0], side="right"), len(self.atoms) - 1
-        )
-        table = np.array([a[1:] for a in self.atoms])
-        picked = table[idx]
-        return picked[:, 0], picked[:, 1], picked[:, 2]
+        else:
+            table = np.array([a[1:] for a in self.atoms])
+            v = table[categorical(self._cum, u[:, 0])]
+        return v[:, 0], v[:, 1], v[:, 2]
 
 
-def sample_outcome(arm: ArmSpec, rng: np.random.Generator) -> Outcome:
-    """Draw one (cost, reward, penalty) outcome from the arm's law."""
-    return arm.sample(rng)
+def categorical(cum: np.ndarray, u):
+    """Index drawn by uniform(s) ``u`` from cumulative probabilities ``cum``.
+
+    The last index absorbs any rounding gap between ``cum[-1]`` and 1.
+    """
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
 @dataclass(frozen=True)
@@ -377,19 +360,9 @@ def run_episode(
         if q > q_max:
             q_max = q
         if total_cost > budget:
-            return EpisodeResult(
-                n_pulls=n,
-                total_cost=total_cost,
-                total_reward=total_reward,
-                total_penalty=total_penalty,
-                pulls_per_arm=pulls,
-                cost_per_arm=cost_arm,
-                q_final=policy.queue,
-                q_max=q_max,
-                capped=False,
-            )
+            break
 
-    partial = EpisodeResult(
+    result = EpisodeResult(
         n_pulls=n,
         total_cost=total_cost,
         total_reward=total_reward,
@@ -398,8 +371,10 @@ def run_episode(
         cost_per_arm=cost_arm,
         q_final=policy.queue,
         q_max=q_max,
-        capped=True,
+        capped=not total_cost > budget,
     )
-    raise EpisodeOverrun(
-        f"budget not depleted after {cap} epochs (total cost {total_cost})", partial
-    )
+    if result.capped:
+        raise EpisodeOverrun(
+            f"budget not depleted after {cap} epochs (total cost {total_cost})", result
+        )
+    return result

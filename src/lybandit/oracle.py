@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Instance
+from .model import Instance, check_simplex
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -33,23 +33,10 @@ __all__ = [
 
 # absolute tolerance on the penalty-rate constraint y(p) <= c
 FEASIBILITY_TOL = 1e-9
-_SIMPLEX_TOL = 1e-12
 
 
 class Infeasible(ValueError):
     """No arm mixture satisfies the penalty-rate constraint."""
-
-
-def check_simplex(p) -> np.ndarray:
-    """Validate and return ``p`` as a probability vector."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("p must be a one-dimensional probability vector")
-    if np.any(p < 0.0):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(float(p.sum()) - 1.0) > _SIMPLEX_TOL:
-        raise ValueError(f"probabilities must sum to 1, got {float(p.sum())!r}")
-    return p
 
 
 def _mixture_rates(p: np.ndarray, instance: Instance) -> tuple[float, float]:

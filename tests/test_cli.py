@@ -192,6 +192,15 @@ class TestSchemaValidation:
         )
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "field", [{"v0": 0}, {"alpha": -1}, {"delta0": -1}, {"index_variant": "nope"}]
+    )
+    def test_bad_policy_parameter(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, policies=[{"name": "on", "type": "lyon", **field}])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_full_policy_fields_accepted(self, tmp_path):
         cfg = write_config(
             tmp_path,

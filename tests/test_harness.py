@@ -120,6 +120,20 @@ class TestRunBatch:
                 0,
             )  # duplicate names
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(type="stationary", p=(0.2, 0.2)),  # sums to 0.4
+            dict(type="stationary", p=(0.3,)),  # one entry for two arms
+            dict(type="stationary", p=(1.5, -0.5)),  # negative entry
+            dict(type="static", arm=5),  # no such arm
+            dict(type="static", arm=-1),
+        ],
+    )
+    def test_bad_policy_spec_rejected(self, two_arm_instance, fields):
+        with pytest.raises(ValueError):
+            RunConfig(two_arm_instance, (PolicySpec("s", **fields),), (10.0,), 1, 0)
+
     def test_stationary_allocation_is_cost_weighted(self, two_arm_instance):
         config = RunConfig(
             instance=two_arm_instance,

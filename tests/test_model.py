@@ -20,7 +20,6 @@ from lybandit import (
     episode_env_rng,
     episode_policy_rng,
     run_episode,
-    sample_outcome,
 )
 
 
@@ -34,19 +33,19 @@ class TestArmSampling:
         zeros = ArmSpec.bernoulli(0.0, 0.0, 0.0)
         r = rng()
         for _ in range(50):
-            assert sample_outcome(ones, r) == (1.0, 1.0, 1.0)
-            assert sample_outcome(zeros, r) == (0.0, 0.0, 0.0)
+            assert ones.sample(r) == (1.0, 1.0, 1.0)
+            assert zeros.sample(r) == (0.0, 0.0, 0.0)
 
     def test_bernoulli_law_of_large_numbers(self):
         arm = ArmSpec.bernoulli(0.4, 0.8, 0.6)
-        x, r_, y = arm.sample_block(rng(7), 1_000_000)
+        x, r_, y = arm.transform(rng(7).random((1_000_000, 3)))
         assert abs(x.mean() - 0.4) < 0.005
         assert abs(r_.mean() - 0.8) < 0.005
         assert abs(y.mean() - 0.6) < 0.005
 
     def test_block_matches_scalar_stream(self):
         arm = ArmSpec.scaled_uniform(0.3, 0.7, 0.5)
-        xs, rs, ys = arm.sample_block(rng(3), 500)
+        xs, rs, ys = arm.transform(rng(3).random((500, 3)))
         r2 = rng(3)
         for i in range(500):
             o = arm.sample(r2)
@@ -55,7 +54,7 @@ class TestArmSampling:
     def test_scaled_uniform_support_and_mean(self):
         for m in (0.0, 0.2, 0.5, 0.7, 1.0):
             arm = ArmSpec.scaled_uniform(m, m, m)
-            x, _, _ = arm.sample_block(rng(int(m * 10)), 200_000)
+            x, _, _ = arm.transform(rng(int(m * 10)).random((200_000, 3)))
             lo, hi = max(0.0, 2 * m - 1), min(1.0, 2 * m)
             assert x.min() >= lo and x.max() <= hi
             assert abs(x.mean() - m) < 0.005
@@ -65,7 +64,7 @@ class TestArmSampling:
         assert arm.means == pytest.approx((0.25 * 0.1 + 0.75 * 0.9,
                                            0.25 * 1.0 + 0.75 * 0.2,
                                            0.75 * 0.5))
-        x, r_, y = arm.sample_block(rng(11), 200_000)
+        x, r_, y = arm.transform(rng(11).random((200_000, 3)))
         frac_first = np.mean(x == 0.1)
         assert abs(frac_first - 0.25) < 0.01
         assert set(np.unique(r_)) <= {1.0, 0.2}

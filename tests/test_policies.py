@@ -7,75 +7,86 @@ import pytest
 
 from lybandit import (
     ArmSpec,
-    ArmStats,
     DeltaOutOfRange,
-    ExplorationIncomplete,
     Instance,
     LyOffPolicy,
     LyOnPolicy,
     LyParams,
-    NoSamples,
     Outcome,
     PolicySpec,
-    QueueState,
+    StationaryPolicy,
     confidence_radius,
-    empirical_rates,
     exploration_schedule,
-    gamma_index,
-    gamma_index_value,
-    lyoff_select,
-    lyon_select,
     param_schedule,
-    psi_offline,
-    queue_update,
-    stationary_select,
-    ucb_bwi_select,
 )
 from lybandit.model import episode_env_rng
+from lybandit.policies import _empirical_rates, _gamma_matrix
+
+LIVE = np.ones(1, dtype=bool)
+
+
+def lyoff(instance, q0=0.0, v=10.0, delta=0.0):
+    return LyOffPolicy(instance, v=v, delta=delta, q0=q0)
+
+
+def lyon_select(stats, q, n, v, queue_enabled=True):
+    """Arm the online rule picks at m = 1 after n completed pulls.
+
+    ``stats`` lists per-arm (pulls, cost sum, reward sum, penalty sum); the
+    budget is large enough that the cost floor is 1e-6.
+    """
+    t, sum_x, sum_r, sum_y = (np.array([[s[i] for s in stats]]) for i in range(4))
+    pol = LyOnPolicy(len(stats), 0.8, LyParams(v=v), 1e6, queue_enabled=queue_enabled)
+    pol.sum_r[:], pol.sum_y[:], pol.q[:] = sum_r, sum_y, q
+    return int(pol.select_batch(n, t, sum_x, LIVE, None)[0])
 
 
 class TestQueue:
-    def test_update_examples(self):
-        s = QueueState(0.0, c=0.8, delta=0.0)
-        assert queue_update(s, Outcome(1.0, 0.0, 0.0)).q == 0.0
+    def test_update_examples(self, two_arm_instance):
+        pol = lyoff(two_arm_instance, q0=0.0)
+        pol.observe(0, Outcome(1.0, 0.0, 0.0))
+        assert pol.queue == 0.0
 
-        s = QueueState(0.3, c=0.8, delta=0.0)
-        assert queue_update(s, Outcome(0.0, 0.0, 1.0)).q == pytest.approx(1.3)
+        pol = lyoff(two_arm_instance, q0=0.3)
+        pol.observe(0, Outcome(0.0, 0.0, 1.0))
+        assert pol.queue == pytest.approx(1.3)
 
-        s = QueueState(0.1, c=0.8, delta=0.1)
-        assert queue_update(s, Outcome(1.0, 0.0, 0.0)).q == 0.0
+        pol = lyoff(two_arm_instance, q0=0.1, delta=0.1)
+        pol.observe(0, Outcome(1.0, 0.0, 0.0))
+        assert pol.queue == 0.0
 
-    def test_validation(self):
+    def test_validation(self, two_arm_instance):
         with pytest.raises(ValueError):
-            QueueState(-0.1, c=0.8, delta=0.0)
+            lyoff(two_arm_instance, q0=-0.1)
         with pytest.raises(ValueError):
-            QueueState(0.0, c=0.8, delta=0.8)
+            lyoff(two_arm_instance, delta=0.8)
 
     def test_fuzz_matches_raw_recursion(self):
         rng = np.random.default_rng(17)
-        state = QueueState(0.0, c=0.7, delta=0.05)
+        inst = Instance([ArmSpec.bernoulli(0.5, 0.5, 0.1)], c=0.7)
+        pol = lyoff(inst, delta=0.05)
         q_raw = 0.0
         cd = 0.7 - 0.05
         for x, y in rng.random((10_000, 2)):
-            state = queue_update(state, Outcome(x, 0.0, y))
+            pol.observe(0, Outcome(x, 0.0, y))
             q_raw = max(0.0, q_raw + y - cd * x)
-            assert state.q == q_raw
-            assert state.q >= 0.0
+            assert pol.queue == q_raw
+            assert pol.queue >= 0.0
 
 
 class TestOfflineScores:
     def test_psi_examples(self, two_arm_instance):
-        assert psi_offline(0, 5.0, 10.0, two_arm_instance) == pytest.approx(-12.5)
-        assert psi_offline(1, 5.0, 10.0, two_arm_instance) == pytest.approx(-7.5)
+        scores = lyoff(two_arm_instance, q0=5.0, v=10.0).scores()
+        assert scores[0, 0] == pytest.approx(-12.5)
+        assert scores[0, 1] == pytest.approx(-7.5)
 
     def test_select_examples(self, two_arm_instance):
-        params = LyParams(v=10.0)
-        assert lyoff_select(QueueState(5.0, 0.8, 0.0), params, two_arm_instance) == 0
-        assert lyoff_select(QueueState(0.0, 0.8, 0.0), params, two_arm_instance) == 0
+        assert lyoff(two_arm_instance, q0=5.0, v=10.0).select() == 0
+        assert lyoff(two_arm_instance, q0=0.0, v=10.0).select() == 0
 
     def test_tie_break_lowest_index(self):
         inst = Instance([ArmSpec.bernoulli(0.5, 0.4, 0.2)] * 3, c=0.9)
-        assert lyoff_select(QueueState(2.0, 0.9, 0.0), LyParams(v=3.0), inst) == 0
+        assert lyoff(inst, q0=2.0, v=3.0).select() == 0
 
     def test_zero_queue_reduces_to_best_rate(self):
         rng = np.random.default_rng(4)
@@ -86,15 +97,22 @@ class TestOfflineScores:
             inst = Instance(
                 [ArmSpec.bernoulli(ex[i], er[i], 0.1) for i in range(k)], c=0.9
             )
-            pick = lyoff_select(QueueState(0.0, 0.9, 0.0), LyParams(v=2.0), inst)
-            assert pick == int(np.argmax(er / ex))
+            assert lyoff(inst, q0=0.0, v=2.0).select() == int(np.argmax(er / ex))
 
     def test_scale_invariance_of_argmin(self, two_arm_instance):
         lam = 3.7
-        base = [psi_offline(k, 5.0, 10.0, two_arm_instance) for k in range(2)]
-        scaled = [psi_offline(k, lam * 5.0, lam * 10.0, two_arm_instance) for k in range(2)]
+        base = lyoff(two_arm_instance, q0=5.0, v=10.0).scores()[0]
+        scaled = lyoff(two_arm_instance, q0=lam * 5.0, v=lam * 10.0).scores()[0]
         assert np.argmin(base) == np.argmin(scaled)
-        assert scaled == pytest.approx([lam * v for v in base])
+        assert list(scaled) == pytest.approx([lam * v for v in base])
+
+    def test_rows_are_independent(self, two_arm_instance):
+        pol = lyoff(two_arm_instance, v=10.0)
+        pol.start(3)
+        pol.q[:] = [0.0, 0.3, 0.1]
+        pol.observe_batch(np.zeros(3, dtype=np.int64), np.array([1.0, 0.0, 0.0]),
+                          np.zeros(3), np.array([0.0, 1.0, 0.0]))
+        assert list(pol.q) == [0.0, pytest.approx(1.3), 0.1]
 
 
 class TestConfidenceRadius:
@@ -112,7 +130,7 @@ class TestConfidenceRadius:
             assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_errors(self):
-        with pytest.raises(NoSamples):
+        with pytest.raises(ValueError):
             confidence_radius(0, 5, 2.0)
         with pytest.raises(ValueError):
             confidence_radius(1, 0.5, 2.0)
@@ -120,48 +138,49 @@ class TestConfidenceRadius:
 
 class TestEmpiricalRates:
     def test_basic(self):
-        stats = ArmStats(t=10, sum_x=5.0, sum_r=6.0, sum_y=3.0)
-        assert empirical_rates(stats) == pytest.approx((0.5, 1.2, 0.6))
+        assert _empirical_rates(10, 5.0, 6.0, 3.0, 1e-6) == pytest.approx((0.5, 1.2, 0.6))
 
     def test_floor_engages(self):
-        stats = ArmStats(t=4, sum_x=0.0, sum_r=2.0, sum_y=1.0)
-        x_hat, r_hat, y_hat = empirical_rates(stats, floor=0.01)
+        x_hat, r_hat, y_hat = _empirical_rates(4, 0.0, 2.0, 1.0, 0.01)
         assert x_hat == 0.01
         assert math.isfinite(r_hat) and math.isfinite(y_hat)
         assert r_hat == pytest.approx(0.5 / 0.01)
 
     def test_single_unit_sample(self):
-        stats = ArmStats(t=1, sum_x=1.0, sum_r=1.0, sum_y=1.0)
-        assert empirical_rates(stats) == (1.0, 1.0, 1.0)
-
-    def test_no_samples(self):
-        with pytest.raises(NoSamples):
-            empirical_rates(ArmStats())
+        assert _empirical_rates(1, 1.0, 1.0, 1.0, 1e-6) == (1.0, 1.0, 1.0)
 
     def test_update_accumulates(self):
-        stats = ArmStats()
-        stats.update(Outcome(0.5, 1.0, 0.0))
-        stats.update(Outcome(0.5, 0.2, 0.6))
-        assert stats.t == 2
-        assert stats.sum_x == 1.0
-        assert stats.sum_r == pytest.approx(1.2)
+        # at m = 1 the pull and cost tallies are the scalar runner's own
+        pol = LyOnPolicy(2, 0.8, LyParams(v=1.0), budget=100.0)
+        pol.observe(0, Outcome(0.5, 1.0, 0.0))
+        pol.observe(0, Outcome(0.5, 0.2, 0.6))
+        assert pol._pulls[0, 0] == 2
+        assert pol._cost[0, 0] == 1.0
+        assert pol.sum_r[0, 0] == pytest.approx(1.2)
+        assert pol.sum_r[0, 1] == 0.0
+
+
+def index_value(x_hat, r_hat, y_hat, q, v, rad, variant="lcb-both"):
+    """The index at one pull with the given rates and radius (alpha = 1/2)."""
+    return _gamma_matrix(1.0, x_hat, r_hat * x_hat, y_hat * x_hat, q, rad**2, v,
+                         0.5, 1e-6, variant)
 
 
 class TestGammaIndex:
     def test_value_examples(self):
-        got = gamma_index_value(0.5, 1.2, 0.6, q=2.0, v=10.0, rad=0.1)
+        # ten pulls with sums (5, 6, 3) and radius sqrt(2 * 2 * 0.025 / 10) = 0.1
+        got = _gamma_matrix(10.0, 5.0, 6.0, 3.0, 2.0, 0.025, 10.0, 2.0, 1e-6, "lcb-both")
         assert got == pytest.approx(-15.84)
-        got = gamma_index_value(0.5, 1.2, 0.6, q=2.0, v=10.0, rad=0.1,
-                                variant="literal-paper")
+        got = _gamma_matrix(10.0, 5.0, 6.0, 3.0, 2.0, 0.025, 10.0, 2.0, 1e-6,
+                            "literal-paper")
         assert got == pytest.approx(-14.56)
 
     def test_zero_radius_equals_psi_hat(self):
-        stats = ArmStats(t=1, sum_x=0.5, sum_r=0.6, sum_y=0.3)
-        queue = QueueState(2.0, c=0.8, delta=0.0)
         # decision epoch 2 uses the radius at epoch 1, which is zero
         for variant in ("lcb-both", "literal-paper"):
-            params = LyParams(v=10.0, index_variant=variant)
-            assert gamma_index(stats, queue, 2, params) == pytest.approx(-10.8)
+            got = _gamma_matrix(1.0, 0.5, 0.6, 0.3, 2.0, math.log(2 - 1), 10.0, 2.0,
+                                1e-6, variant)
+            assert got == pytest.approx(-10.8)
 
     def test_variant_ordering(self):
         rng = np.random.default_rng(6)
@@ -172,8 +191,8 @@ class TestGammaIndex:
             v = rng.uniform(0.1, 50.0)
             q = rng.uniform(0.0, 30.0)
             rad = rng.uniform(0.0, 2.0)
-            lcb = gamma_index_value(x_hat, r_hat, y_hat, q, v, rad)
-            lit = gamma_index_value(x_hat, r_hat, y_hat, q, v, rad, "literal-paper")
+            lcb = index_value(x_hat, r_hat, y_hat, q, v, rad)
+            lit = index_value(x_hat, r_hat, y_hat, q, v, rad, "literal-paper")
             if q > 0.0 and rad > 0.0:
                 assert lit >= lcb
             if q == 0.0 or rad == 0.0:
@@ -181,44 +200,36 @@ class TestGammaIndex:
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            gamma_index_value(0.5, 1.0, 1.0, 1.0, 1.0, 0.1, "nope")
+            LyParams(v=1.0, index_variant="nope")
 
 
 class TestLyonSelect:
     def test_tie_breaks_to_lowest_index(self):
-        stats = [ArmStats(t=3, sum_x=1.5, sum_r=1.0, sum_y=0.5) for _ in range(2)]
-        queue = QueueState(0.0, c=0.8, delta=0.0)
-        assert lyon_select(stats, queue, 7, LyParams(v=5.0)) == 0
+        stats = [(3, 1.5, 1.0, 0.5)] * 2
+        assert lyon_select(stats, 0.0, 6, v=5.0) == 0
 
     def test_penalty_term_flips_choice_at_large_queue(self):
-        high = ArmStats(t=10_000, sum_x=4000.0, sum_r=8000.0, sum_y=6000.0)
-        low = ArmStats(t=10_000, sum_x=6000.0, sum_r=6000.0, sum_y=3000.0)
-        params = LyParams(v=10.0)
-        n = 20_001
-        assert lyon_select([high, low], QueueState(0.0, 0.8, 0.0), n, params) == 0
-        assert lyon_select([high, low], QueueState(1000.0, 0.8, 0.0), n, params) == 1
-
-    def test_exploration_incomplete(self):
-        stats = [ArmStats(t=1, sum_x=0.5, sum_r=0.5, sum_y=0.1), ArmStats()]
-        with pytest.raises(ExplorationIncomplete):
-            lyon_select(stats, QueueState(0.0, 0.8, 0.0), 3, LyParams(v=1.0))
+        high = (10_000, 4000.0, 8000.0, 6000.0)
+        low = (10_000, 6000.0, 6000.0, 3000.0)
+        n = 20_000
+        assert lyon_select([high, low], 0.0, n, v=10.0) == 0
+        assert lyon_select([high, low], 1000.0, n, v=10.0) == 1
 
     def test_ucb_reduction_matches_zero_queue(self):
         rng = np.random.default_rng(44)
-        params = LyParams(v=7.0)
         for _ in range(50):
             stats = [
-                ArmStats(
-                    t=int(rng.integers(1, 30)),
-                    sum_x=float(rng.uniform(0.1, 10.0)),
-                    sum_r=float(rng.uniform(0.0, 10.0)),
-                    sum_y=float(rng.uniform(0.0, 10.0)),
+                (
+                    int(rng.integers(1, 30)),
+                    float(rng.uniform(0.1, 10.0)),
+                    float(rng.uniform(0.0, 10.0)),
+                    float(rng.uniform(0.0, 10.0)),
                 )
                 for _ in range(3)
             ]
-            n = int(rng.integers(5, 200))
-            assert ucb_bwi_select(stats, n, params) == lyon_select(
-                stats, QueueState(0.0, 0.8, 0.0), n, params
+            n = int(rng.integers(5, 200)) - 1
+            assert lyon_select(stats, 0.0, n, v=7.0, queue_enabled=False) == lyon_select(
+                stats, 0.0, n, v=7.0
             )
 
 
@@ -227,17 +238,13 @@ class TestSchedules:
         params = LyParams(v=1.0, alpha=2.0)
         # budget chosen so ln(2B / mu_min) = 1; count is then ceil(beta0)
         budget = math.e * two_arm_bounds.mu_min / 2.0
-        count = exploration_schedule(budget, two_arm_bounds, params, "theoretical")
+        count = exploration_schedule(budget, two_arm_bounds, params)
         assert count == 77_161  # beta0 = 32*2*(1+1.5)^2 / (0.4^2 * 0.18^2) ~ 77160.5
 
     def test_exploration_clamped_to_one(self, two_arm_bounds):
         params = LyParams(v=1.0, alpha=2.0)
         budget = two_arm_bounds.mu_min / 2.0  # ln(1) = 0
-        assert exploration_schedule(budget, two_arm_bounds, params, "theoretical") == 1
-
-    def test_exploration_fixed_passthrough(self, two_arm_bounds):
-        params = LyParams(v=1.0, exploration_pulls=9)
-        assert exploration_schedule(123.0, two_arm_bounds, params, "fixed") == 9
+        assert exploration_schedule(budget, two_arm_bounds, params) == 1
 
     def test_offline_schedule(self):
         v, delta = param_schedule(10_000.0, 1.0, 0.5, "lyoff", c=0.8)
@@ -262,22 +269,17 @@ class TestSchedules:
 
 class TestStationarySelect:
     def test_point_mass(self):
-        rng = np.random.default_rng(1)
-        assert all(stationary_select([1.0, 0.0], rng) == 0 for _ in range(100))
+        pol = StationaryPolicy([1.0, 0.0], np.random.default_rng(1))
+        assert all(pol.select() == 0 for _ in range(100))
 
     def test_frequencies(self, two_arm_oracle):
-        # block draw + searchsorted consumes the stream exactly like repeated
-        # scalar selection, so this is the same categorical sampler
-        rng = np.random.default_rng(8)
-        u = rng.random(1_000_000)
-        arms = np.minimum(np.searchsorted(np.cumsum([0.5, 0.5]), u, side="right"), 1)
-        assert abs((arms == 0).mean() - 0.5) < 0.003
-        rng = np.random.default_rng(9)
-        u = rng.random(1_000_000)
-        arms = np.minimum(
-            np.searchsorted(np.cumsum(two_arm_oracle.p_star), u, side="right"), 1
-        )
-        assert abs((arms == 0).mean() - 9 / 23) < 0.003
+        # one batch row per draw: the rule maps each policy uniform to an arm
+        for seed, p, share in ((8, [0.5, 0.5], 0.5), (9, two_arm_oracle.p_star, 9 / 23)):
+            u = np.random.default_rng(seed).random(1_000_000)
+            pol = StationaryPolicy(p, None)
+            pol.start(u.size)
+            arms = pol.select_batch(0, None, None, np.ones(u.size, dtype=bool), u)
+            assert abs((arms == 0).mean() - share) < 0.003
 
 
 class TestPolicyObjects:
