@@ -19,26 +19,31 @@ Config document::
       "seed": 12345
     }
 
-Policy types: stationary (optional "p", default is the oracle mixture),
-lyoff, lyon, ucb_bwi, and static:<k> with a 1-based arm index.  Arm ids in
-all output (alloc columns, oracle support) are 1-based.
+Arm means lie in [0, 1], with x_mean in (0, 1].  Policy types: stationary
+(optional "p", default is the oracle mixture), lyoff, lyon, ucb_bwi, and
+static:<k> with a 1-based arm index.  Omitted policy fields take the
+PolicySpec defaults.  Arm ids in all output (alloc columns, oracle support)
+are 1-based.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
-import os
+import numbers
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .harness import AggregateResult, CellStats, RunConfig, run_batch, sweep_scaling
+from .harness import AggregateResult, RunConfig, run_batch, sweep_scaling
 from .model import (
     KIND_BERNOULLI,
     KIND_SCALED_UNIFORM,
     ArmSpec,
     Instance,
     SlaterViolation,
+    _is_real,
 )
 from .oracle import Infeasible, OracleSolution, solve_lfp
 from .policies import DeltaOutOfRange, PolicySpec
@@ -61,17 +66,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _need(doc: dict, key: str, where: str):
+def _need(doc, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     if key not in doc:
         raise ConfigError(f"missing {key!r} in {where}")
     return doc[key]
-
-
-def _mean(doc: dict, key: str, where: str) -> float:
-    value = _need(doc, key, where)
-    if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
-        raise ConfigError(f"{where}.{key} must be a number in [0, 1]")
-    return float(value)
 
 
 def _parse_instance(doc: dict) -> Instance:
@@ -82,55 +82,45 @@ def _parse_instance(doc: dict) -> Instance:
     arms = []
     for i, arm in enumerate(arms_doc):
         where = f"instance.arms[{i}]"
+        means = [_need(arm, key, where) for key in ("x_mean", "r_mean", "y_mean")]
         kind = arm.get("kind", KIND_BERNOULLI)
         if kind not in _ARM_KINDS:
             raise ConfigError(
                 f"{where}.kind must be one of {_ARM_KINDS} "
                 "(joint tables are library-only)"
             )
-        arms.append(
-            ArmSpec(
-                kind,
-                _mean(arm, "x_mean", where),
-                _mean(arm, "r_mean", where),
-                _mean(arm, "y_mean", where),
-            )
-        )
+        try:
+            arms.append(ArmSpec(kind, *means))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        if arms[-1].x_mean == 0.0:  # never depletes a budget: library-only, with a cap
+            raise ConfigError(f"{where}.x_mean must lie in (0, 1]")
     c = _need(inst, "c", "instance")
-    if not isinstance(c, (int, float)) or not 0.0 < float(c) <= 1.0:
+    if not _is_real(c) or not 0.0 < c <= 1.0:
         raise ConfigError("instance.c must be a number in (0, 1]")
     return Instance(arms, float(c))
 
 
-def _parse_policy(doc: dict, index: int) -> PolicySpec:
+# optional policy fields, passed to PolicySpec as given; it owns their
+# defaults and checks
+_POLICY_FIELDS = ("p", "v0", "delta0", "alpha", "index_variant", "exploration", "schedule")
+
+
+def _parse_policy(doc, index: int) -> PolicySpec:
     where = f"policies[{index}]"
     ptype = _need(doc, "type", where)
     arm = None
     if isinstance(ptype, str) and ptype.startswith("static:"):
         try:
-            arm_id = int(ptype.split(":", 1)[1])
+            arm = int(ptype.split(":", 1)[1]) - 1
         except ValueError:
             raise ConfigError(f"{where}.type static arm must be an integer") from None
-        ptype, arm = "static", arm_id - 1
-
-    p = doc.get("p")
-    if p is not None and not isinstance(p, list):
-        raise ConfigError(f"{where}.p must be a list of probabilities")
-    exploration = doc.get("exploration", 1)
-    if isinstance(exploration, bool) or not isinstance(exploration, (int, str)):
-        raise ConfigError(f"{where}.exploration must be an integer or 'theoretical'")
     try:
         return PolicySpec(
-            name=str(doc.get("name", doc["type"])),
-            type=ptype,
+            name=str(doc.get("name", ptype)),
+            type="static" if arm is not None else ptype,
             arm=arm,
-            p=None if p is None else tuple(float(v) for v in p),
-            v0=float(doc.get("v0", 1.0)),
-            delta0=float(doc.get("delta0", 0.5)),
-            alpha=float(doc.get("alpha", 2.0)),
-            index_variant=str(doc.get("index_variant", "lcb-both")),
-            exploration=exploration,
-            schedule=str(doc.get("schedule", "sqrt")),
+            **{key: doc[key] for key in _POLICY_FIELDS if key in doc},
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -148,22 +138,14 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
-    try:
-        instance = _parse_instance(doc)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
+    instance = _parse_instance(doc)
     policies_doc = doc.get("policies", [])
     if not isinstance(policies_doc, list):
         raise ConfigError("policies must be a list")
     policies = tuple(_parse_policy(p, i) for i, p in enumerate(policies_doc))
 
     budgets = doc.get("budgets", [])
-    if not isinstance(budgets, list) or not all(
-        isinstance(b, (int, float)) and not isinstance(b, bool) for b in budgets
-    ):
+    if not isinstance(budgets, list) or not all(_is_real(b) for b in budgets):
         raise ConfigError("budgets must be a list of numbers")
     runs = doc.get("runs", 1)
     if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
@@ -184,64 +166,63 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _fmt(value: float) -> str:
+def _fmt(value) -> str:
+    if isinstance(value, numbers.Integral):
+        return str(value)
     return format(float(value), ".9g")
 
 
+# CellStats fields of a results row, between the budget and the allocation
+_STAT_COLUMNS = (
+    "runs",
+    "mean_reward_rate",
+    "se_reward_rate",
+    "mean_violation",
+    "se_violation",
+    "mean_regret",
+    "se_regret",
+    "mean_n_pulls",
+    "cap_hits",
+)
+
+
 def results_header(n_arms: int) -> str:
-    alloc = ",".join(f"alloc_{k + 1}" for k in range(n_arms))
-    return (
-        "policy,B,runs,mean_reward_rate,se_reward_rate,mean_violation,"
-        "se_violation,mean_regret,se_regret,mean_n_pulls,cap_hits," + alloc
-    )
+    alloc = [f"alloc_{k + 1}" for k in range(n_arms)]
+    return ",".join(["policy", "B", *_STAT_COLUMNS, *alloc])
 
 
-def _results_row(cell: CellStats) -> str:
-    fields = [
-        cell.policy,
-        _fmt(cell.budget),
-        str(cell.runs),
-        _fmt(cell.mean_reward_rate),
-        _fmt(cell.se_reward_rate),
-        _fmt(cell.mean_violation),
-        _fmt(cell.se_violation),
-        _fmt(cell.mean_regret),
-        _fmt(cell.se_regret),
-        _fmt(cell.mean_n_pulls),
-        str(cell.cap_hits),
-    ]
-    fields.extend(_fmt(a) for a in cell.alloc_cost)
-    return ",".join(fields)
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    # csv quoting keeps a policy name with a comma, quote or newline in one field
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_results_csv(result: AggregateResult, n_arms: int, path: str | Path) -> None:
     """Write the aggregate table; bytes are deterministic given the seed."""
-    lines = [results_header(n_arms)]
-    lines.extend(_results_row(cell) for cell in result.cells)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = (
+        [c.policy, _fmt(c.budget)]
+        + [_fmt(getattr(c, name)) for name in _STAT_COLUMNS]
+        + [_fmt(a) for a in c.alloc_cost]
+        for c in result.cells
+    )
+    _write_csv(path, results_header(n_arms).split(","), rows)
 
 
 def write_scaling_csv(result: AggregateResult, path: str | Path) -> list[str]:
     """Write per-policy normalized regret/violation columns; returns summaries."""
-    lines = ["policy,B,mean_regret,regret_norm,violation_norm,loglog_slope"]
+    rows = []
     summaries = []
     for spec_name in dict.fromkeys(c.policy for c in result.cells):
         report = sweep_scaling(result.series(spec_name))
         for i, b in enumerate(report.budgets):
-            lines.append(
-                ",".join(
-                    [
-                        report.policy,
-                        _fmt(b),
-                        _fmt(report.mean_regret[i]),
-                        _fmt(report.regret_norm[i]),
-                        _fmt(report.violation_norm[i]),
-                        _fmt(report.loglog_slope),
-                    ]
-                )
-            )
+            values = (b, report.mean_regret[i], report.regret_norm[i],
+                      report.violation_norm[i], report.loglog_slope)
+            rows.append([report.policy, *map(_fmt, values)])
         summaries.append(f"{report.policy}: log-log regret slope {report.loglog_slope:.4f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ["policy", "B", "mean_regret", "regret_norm", "violation_norm", "loglog_slope"]
+    _write_csv(path, header, rows)
     return summaries
 
 
@@ -262,15 +243,7 @@ def _cells_json(result: AggregateResult) -> dict:
             {
                 "policy": c.policy,
                 "B": c.budget,
-                "runs": c.runs,
-                "mean_reward_rate": c.mean_reward_rate,
-                "se_reward_rate": c.se_reward_rate,
-                "mean_violation": c.mean_violation,
-                "se_violation": c.se_violation,
-                "mean_regret": c.mean_regret,
-                "se_regret": c.se_regret,
-                "mean_n_pulls": c.mean_n_pulls,
-                "cap_hits": c.cap_hits,
+                **{name: getattr(c, name) for name in _STAT_COLUMNS},
                 "alloc_cost": [float(a) for a in c.alloc_cost],
                 "alloc_pulls": [float(a) for a in c.alloc_pulls],
             }
@@ -293,59 +266,28 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _run_config(args) -> RunConfig:
+def cmd_run(args) -> int:
+    """``run``, and ``sweep`` (``args.command``), which adds the scaling report."""
     config = load_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, master_seed=args.seed)
-    return config
-
-
-def cmd_run(args) -> int:
-    config = _run_config(args)
-    result = run_batch(config, threads=args.threads)
-    write_results_csv(result, config.instance.n_arms, args.out)
-    if args.json:
-        print(json.dumps(_cells_json(result)))
-    else:
-        print(f"wrote {len(result.cells)} rows to {args.out}")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    config = _run_config(args)
-    if len(config.budgets) < 3:
+    sweep = args.command == "sweep"
+    if sweep and len(config.budgets) < 3:
         raise ConfigError("need >=3 budgets")
     result = run_batch(config, threads=args.threads)
     write_results_csv(result, config.instance.n_arms, args.out)
-    scaling_path = args.scaling_out or _default_scaling_path(args.out)
-    summaries = write_scaling_csv(result, scaling_path)
-    if args.json:
-        print(json.dumps(_cells_json(result)))
-    else:
-        print(f"wrote {len(result.cells)} rows to {args.out}")
-        print(f"wrote scaling report to {scaling_path}")
-        for line in summaries:
-            print(line)
+    lines = [f"wrote {len(result.cells)} rows to {args.out}"]
+    if sweep:
+        scaling_path = args.scaling_out or _default_scaling_path(args.out)
+        summaries = write_scaling_csv(result, scaling_path)
+        lines += [f"wrote scaling report to {scaling_path}", *summaries]
+    print(json.dumps(_cells_json(result)) if args.json else "\n".join(lines))
     return 0
 
 
 def _default_scaling_path(out: str) -> str:
     path = Path(out)
     return str(path.with_name(path.stem + "_scaling" + (path.suffix or ".csv")))
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("LYON_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"LYON_THREADS must be an integer, got {env!r}") from None
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,9 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
         if needs_out:
             p.add_argument("--out", required=True, help="results CSV path")
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (never affects output bytes); "
-                                "falls back to LYON_THREADS")
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads (never affects output bytes)")
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
 
@@ -378,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, needs_out=True)
     p_sweep.add_argument("--scaling-out", default=None,
                          help="scaling CSV path (default: <out>_scaling.csv)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_run)
     return parser
 
 
@@ -388,12 +329,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if hasattr(args, "threads"):
-        try:
-            args.threads = _resolve_threads(args.threads)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -119,6 +119,7 @@ def simulate_batch(
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    spec.check_arms(instance.n_arms)
     if cap is None:
         cap = default_cap(instance, budget)
     m = runs

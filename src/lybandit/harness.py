@@ -81,8 +81,8 @@ class RunConfig:
             raise ValueError("runs must be at least 1")
         if not self.budgets:
             raise ValueError("at least one budget is required")
-        if any(b <= 1.0 for b in self.budgets):
-            raise ValueError("budgets must exceed 1")
+        if any(not (math.isfinite(b) and b > 1.0) for b in self.budgets):
+            raise ValueError("budgets must be finite numbers above 1")
         names = [p.name for p in self.policies]
         if len(set(names)) != len(names):
             raise ValueError("policy names must be unique")

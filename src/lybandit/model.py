@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,6 +36,11 @@ KIND_SCALED_UNIFORM = "independent-scaled-uniform"
 KIND_JOINT_TABLE = "joint-discrete-table"
 
 _SIMPLEX_TOL = 1e-12
+
+
+def _is_real(value) -> bool:
+    """True for an int or float (numpy scalars included), False for a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def check_simplex(p, tol: float = _SIMPLEX_TOL) -> np.ndarray:
@@ -100,9 +106,11 @@ class ArmSpec:
 
     def __post_init__(self):
         if self.kind in (KIND_BERNOULLI, KIND_SCALED_UNIFORM):
-            for name, m in (("x", self.x_mean), ("r", self.r_mean), ("y", self.y_mean)):
-                if not 0.0 <= m <= 1.0:
-                    raise ValueError(f"{name}_mean must lie in [0, 1], got {m}")
+            for name in ("x_mean", "r_mean", "y_mean"):
+                m = getattr(self, name)
+                if not (_is_real(m) and 0.0 <= m <= 1.0):
+                    raise ValueError(f"{name} must be a number in [0, 1], got {m!r}")
+                object.__setattr__(self, name, float(m))
         elif self.kind == KIND_JOINT_TABLE:
             if not self.atoms:
                 raise ValueError("joint-discrete-table arm needs at least one atom")
@@ -189,7 +197,7 @@ class Instance:
     def __init__(self, arms: Sequence[ArmSpec], c: float):
         if len(arms) < 1:
             raise ValueError("instance needs at least one arm")
-        if c <= 0.0:
+        if not c > 0.0:
             raise ValueError(f"c must be positive, got {c}")
         object.__setattr__(self, "arms", tuple(arms))
         object.__setattr__(self, "c", float(c))

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import BanditPolicy, Bounds, Instance, Outcome, categorical, check_simplex
+from .model import _is_real
 
 __all__ = [
     "DeltaOutOfRange",
@@ -138,11 +139,11 @@ class LyParams:
     index_variant: str = VARIANT_LCB_BOTH
 
     def __post_init__(self):
-        if self.v <= 0.0:
+        if not self.v > 0.0:
             raise ValueError("v must be positive")
-        if self.delta < 0.0:
+        if not self.delta >= 0.0:
             raise ValueError("delta must be nonnegative")
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
         if self.exploration_pulls < 1:
             raise ValueError("exploration_pulls must be at least 1")
@@ -181,9 +182,9 @@ def param_schedule(
     Offline: V = v0 sqrt(B), delta = delta0 / sqrt(B).
     Online:  V = v0 sqrt(B ln B), delta = delta0 sqrt(ln B / B).
     """
-    if budget <= 1.0:
+    if not budget > 1.0:
         raise ValueError("budget must exceed 1 so ln(B) is positive")
-    if v0 <= 0.0 or delta0 < 0.0:
+    if not (v0 > 0.0 and delta0 >= 0.0):
         raise ValueError("v0 must be positive and delta0 nonnegative")
     if policy == "lyoff":
         v = v0 * math.sqrt(budget)
@@ -453,16 +454,24 @@ class PolicySpec:
             raise ValueError(f"unknown policy type: {self.type!r}")
         if self.type == "static" and self.arm is None:
             raise ValueError("static policy needs an arm index")
-        if isinstance(self.exploration, str) and self.exploration != "theoretical":
+        e = self.exploration
+        if isinstance(e, bool) or not (isinstance(e, int) or e == "theoretical"):
             raise ValueError("exploration must be a pull count or 'theoretical'")
-        if isinstance(self.exploration, int) and self.exploration < 1:
+        if isinstance(e, int) and e < 1:
             raise ValueError("exploration pull count must be at least 1")
         if self.schedule not in (SCHEDULE_SQRT, SCHEDULE_SQRT_LOG):
             raise ValueError(f"unknown schedule: {self.schedule!r}")
         if self.p is not None:
             if self.type != "stationary":
                 raise ValueError("p is only valid for stationary policies")
-            check_simplex(self.p, _PROB_TOL)
+            # stored as a tuple of floats, so a spec given a list stays hashable
+            p = check_simplex(self.p, _PROB_TOL)
+            object.__setattr__(self, "p", tuple(p.tolist()))
+        for key in ("v0", "delta0", "alpha"):
+            value = getattr(self, key)
+            if not _is_real(value):
+                raise ValueError(f"{key} must be a number, got {value!r}")
+            object.__setattr__(self, key, float(value))
         if not (math.isfinite(self.v0) and self.v0 > 0.0):
             raise ValueError(f"v0 must be a positive number, got {self.v0}")
         if not (math.isfinite(self.delta0) and self.delta0 >= 0.0):

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import copy
+import csv
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lybandit.cli import load_config, main, results_header
 
@@ -163,13 +168,25 @@ class TestSweepCommand:
         assert lines[0] == "policy,B,mean_regret,regret_norm,violation_norm,loglog_slope"
         assert len(lines) == 4
 
-    def test_env_threads_fallback(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, budgets=[40, 80, 160], runs=4)
-        monkeypatch.setenv("LYON_THREADS", "2")
-        out = tmp_path / "env.csv"
+    def test_special_policy_names_are_quoted(self, tmp_path, capsys):
+        names = ["a,b", 'say "hi"', "two\nlines"]
+        cfg = write_config(
+            tmp_path,
+            policies=[{"name": n, "type": "static:1"} for n in names],
+            budgets=[20, 40, 80],
+            runs=2,
+        )
+        out = tmp_path / "q.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-        monkeypatch.setenv("LYON_THREADS", "not-a-number")
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == results_header(2).split(",")
+        assert [len(row) for row in rows] == [11 + 2] * 9
+        assert [row[0] for row in rows] == [n for n in names for _ in range(3)]
+        with open(tmp_path / "q_scaling.csv", newline="", encoding="utf-8") as fh:
+            scaling = list(csv.reader(fh))[1:]
+        assert [row[0] for row in scaling] == [row[0] for row in rows]
+        assert all(len(row) == 6 for row in scaling)
 
 
 class TestSchemaValidation:
@@ -229,3 +246,144 @@ class TestSchemaValidation:
     def test_usage_error_exits_1(self, capsys):
         assert main(["run"]) == 1  # --config and --out missing
         assert main(["no-such-command"]) == 1
+
+
+# a small valid document; every field the property test below breaks is set
+TINY_DOC = {
+    "instance": {
+        "arms": [
+            {"x_mean": 0.4, "r_mean": 0.8, "y_mean": 0.6},
+            {"x_mean": 0.6, "r_mean": 0.6, "y_mean": 0.3,
+             "kind": "independent-scaled-uniform"},
+        ],
+        "c": 0.8,
+    },
+    "policies": [
+        {"name": "on", "type": "lyon", "v0": 1.0, "delta0": 0.5, "alpha": 2.0,
+         "index_variant": "lcb-both", "exploration": 1, "schedule": "sqrt"},
+        {"name": "mix", "type": "stationary", "p": [0.5, 0.5]},
+        {"name": "arm2", "type": "static:2"},
+    ],
+    "budgets": [5, 10],
+    "runs": 3,
+    "seed": 7,
+}
+
+
+def _with(path, value):
+    """A copy of TINY_DOC with the entry at ``path`` replaced by ``value``."""
+    doc = copy.deepcopy(TINY_DOC)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _with(("instance", "arms"), [1]),
+        _with(("policies",), [3]),
+        _with(("budgets",), [math.nan]),
+        _with(("budgets",), [math.inf]),
+        _with(("instance", "arms", 0, "x_mean"), 0),
+        _with(("policies", 0, "v0"), [1]),
+        _with(("policies", 0, "exploration"), True),
+    ],
+    ids=["arm-1", "policy-3", "budget-nan", "budget-inf", "x_mean-0", "v0-list",
+         "exploration-bool"],
+)
+def test_malformed_config_one_error_line(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_tiny_doc_runs(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(TINY_DOC))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 0
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_LISTS = st.lists(st.integers(), max_size=2)
+_NON_TEXT = st.one_of(
+    st.none(), st.booleans(), _LISTS,
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_NON_NUMBER = st.one_of(_NON_TEXT, st.text(max_size=4))
+_NON_INT = st.one_of(_NON_NUMBER, _NON_FINITE, st.floats(allow_nan=False))
+
+
+def _number_outside(lo=None, hi=None, lo_open=False):
+    """Wrong-typed, non-finite, or finite values outside [lo, hi] ((lo, hi])."""
+    parts = [_NON_NUMBER, _NON_FINITE]
+    if lo is not None:
+        parts.append(st.floats(max_value=lo, exclude_max=not lo_open, allow_infinity=False))
+    if hi is not None:
+        parts.append(st.floats(min_value=hi, exclude_min=True, allow_infinity=False))
+    return st.one_of(parts)
+
+
+def _word_other_than(*valid):
+    return st.one_of(
+        _NON_TEXT,
+        st.text(max_size=12).filter(lambda v: v not in valid),
+    )
+
+
+_ARM = ("instance", "arms", 0)
+_LYON = ("policies", 0)
+_BROKEN_FIELDS = [
+    (("instance",), st.one_of(st.none(), st.booleans(), st.text(max_size=4), _LISTS)),
+    (("instance", "arms"), _NON_NUMBER),
+    (("instance", "arms", 1), st.one_of(_NON_NUMBER, st.integers())),
+    (("instance", "c"), _number_outside(0.0, 1.0, lo_open=True)),
+    ((*_ARM, "x_mean"), _number_outside(0.0, 1.0, lo_open=True)),
+    ((*_ARM, "r_mean"), _number_outside(0.0, 1.0)),
+    ((*_ARM, "y_mean"), _number_outside(0.0, 1.0)),
+    ((*_ARM, "kind"), _word_other_than("independent-bernoulli",
+                                       "independent-scaled-uniform")),
+    (("policies",), st.one_of(st.none(), st.integers(), st.text(max_size=4))),
+    (("policies", 1), st.one_of(_NON_NUMBER, st.integers())),
+    ((*_LYON, "type"), _word_other_than("stationary", "lyoff", "lyon", "ucb_bwi")
+     .filter(lambda v: not (isinstance(v, str) and v.startswith("static:")))),
+    ((*_LYON, "v0"), _number_outside(0.0, lo_open=True)),
+    ((*_LYON, "delta0"), _number_outside(0.0)),
+    ((*_LYON, "alpha"), _number_outside(0.0, lo_open=True)),
+    ((*_LYON, "index_variant"), _word_other_than("lcb-both", "literal-paper")),
+    ((*_LYON, "schedule"), _word_other_than("sqrt", "sqrt-log")),
+    ((*_LYON, "exploration"), st.one_of(
+        _NON_INT.filter(lambda v: v != "theoretical"), st.integers(max_value=0))),
+    (("policies", 1, "p"), st.one_of(
+        _NON_FINITE, st.text(min_size=1, max_size=4),
+        st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)
+        .filter(lambda p: abs(sum(p) - 1.0) > 1e-6),
+        st.lists(st.floats(0.0, 1.0), max_size=3).filter(lambda p: len(p) != 2))),
+    (("policies", 2, "type"), st.sampled_from(["static:0", "static:3", "static:x"])),
+    (("budgets",), st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.just([]))),
+    (("budgets", 0), _number_outside(1.0, lo_open=True)),
+    (("runs",), st.one_of(_NON_INT, st.integers(max_value=0))),
+    (("seed",), st.one_of(_NON_INT, st.integers(max_value=-1))),
+]
+
+
+@st.composite
+def _broken_docs(draw):
+    path, values = draw(st.sampled_from(_BROKEN_FIELDS))
+    return _with(path, draw(values))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_broken_docs())
+def test_any_single_broken_field_is_one_error_line(tmp_path, capsys, doc):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error:")

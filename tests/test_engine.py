@@ -107,6 +107,18 @@ def test_capped_batches(two_arm_instance):
     assert (batch.total_cost == 0.0).all()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PolicySpec("s", "stationary", p=(1.0,)),  # one entry for two arms
+        PolicySpec("s", "static", arm=5),  # no such arm
+    ],
+)
+def test_spec_checked_against_instance(two_arm_instance, spec):
+    with pytest.raises(ValueError, match="2 arms"):
+        simulate_batch(two_arm_instance, spec, 10.0, 2, 1)
+
+
 def test_chunking_and_threads_do_not_change_results(two_arm_instance, monkeypatch):
     sol = solve_lfp(two_arm_instance)
     spec = PolicySpec("lyon", "lyon", v0=1.0, delta0=0.5)

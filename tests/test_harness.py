@@ -120,6 +120,11 @@ class TestRunBatch:
                 0,
             )  # duplicate names
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budget_rejected(self, two_arm_instance, budget):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(two_arm_instance, (), (10.0, budget), 1, 0)
+
     @pytest.mark.parametrize(
         "fields",
         [

@@ -79,6 +79,12 @@ class TestArmSampling:
         with pytest.raises(ValueError):
             ArmSpec("no-such-kind", 0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("bad", ["0.5", None, [0.5], True, math.nan])
+    def test_non_number_mean_names_field(self, bad):
+        with pytest.raises(ValueError, match="r_mean"):
+            ArmSpec.bernoulli(0.5, bad, 0.5)
+        assert isinstance(ArmSpec.bernoulli(1, 0, 0.5).x_mean, float)
+
 
 class TestInstance:
     def test_validation(self):
@@ -88,6 +94,10 @@ class TestInstance:
             Instance([ArmSpec.bernoulli(0.5, 0.5, 0.5)], c=0.0)
         inst = Instance([ArmSpec.bernoulli(0.5, 0.5, 0.5)], c=2.0)
         assert inst.c == 2.0
+
+    def test_nan_c_rejected(self):
+        with pytest.raises(ValueError):
+            Instance([ArmSpec.bernoulli(0.5, 0.5, 0.5)], c=math.nan)
 
     def test_true_means(self, two_arm_instance):
         ex, er, ey = two_arm_instance.true_means()

@@ -266,6 +266,19 @@ class TestSchedules:
         with pytest.raises(ValueError):
             param_schedule(1.0, 1.0, 0.5, "lyoff", c=0.8)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(math.nan, 1.0, 0.5), (100.0, math.nan, 0.5), (100.0, 1.0, math.nan)],
+    )
+    def test_nan_rejected(self, args):
+        with pytest.raises(ValueError):
+            param_schedule(*args, "lyoff", c=0.8)
+
+    @pytest.mark.parametrize("field", ["v", "delta", "alpha"])
+    def test_nan_params_rejected(self, field):
+        with pytest.raises(ValueError):
+            LyParams(**{"v": 1.0, field: math.nan})
+
 
 class TestStationarySelect:
     def test_point_mass(self):
@@ -333,6 +346,22 @@ class TestPolicyObjects:
             PolicySpec("x", "lyon", exploration="sometimes")
         with pytest.raises(ValueError):
             PolicySpec("x", "lyon", schedule="cubic")
+
+    def test_policy_spec_field_types(self):
+        spec = PolicySpec("x", "stationary", p=[0.25, 0.75], v0=2, alpha=3)
+        assert spec.p == (0.25, 0.75)
+        hash(spec)  # a list p would make the frozen spec unhashable
+        assert isinstance(spec.v0, float) and isinstance(spec.alpha, float)
+        for fields in (
+            dict(exploration=True),
+            dict(exploration=1.0),
+            dict(v0=[1]),
+            dict(delta0="0.5"),
+            dict(alpha=True),
+            dict(v0=math.nan),
+        ):
+            with pytest.raises(ValueError):
+                PolicySpec("x", "lyon", **fields)
 
     def test_policy_spec_schedules(self):
         spec_sqrt = PolicySpec("a", "lyon", v0=1.0, delta0=0.5)
