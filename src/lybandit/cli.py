@@ -150,17 +150,13 @@ def load_config(path: str | Path) -> RunConfig:
     runs = doc.get("runs", 1)
     if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
         raise ConfigError("runs must be a positive integer")
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-
     try:
         return RunConfig(
             instance=instance,
             policies=policies,
             budgets=tuple(float(b) for b in budgets),
             runs=runs,
-            master_seed=seed,
+            master_seed=doc.get("seed", 0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -270,7 +266,10 @@ def cmd_run(args) -> int:
     """``run``, and ``sweep`` (``args.command``), which adds the scaling report."""
     config = load_config(args.config)
     if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
+        try:
+            config = replace(config, master_seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     sweep = args.command == "sweep"
     if sweep and len(config.budgets) < 3:
         raise ConfigError("need >=3 budgets")

@@ -135,7 +135,7 @@ def simulate_batch(
         pol_buf = np.empty((m, _BLOCK))
 
     active = np.ones(m, dtype=bool)
-    rows = np.arange(m)
+    row_base = np.arange(m) * instance.n_arms
     n_pulls = np.zeros(m, dtype=np.int64)
     total_cost = np.zeros(m)
     total_reward = np.zeros(m)
@@ -164,8 +164,10 @@ def simulate_batch(
         y = np.where(active, y, 0.0)
         rule.observe_batch(arms, x, r, y)
 
-        pulls[rows, arms] += active
-        cost_arm[rows, arms] += x
+        # each row pulls one arm: scatter at its flat (row, arm) entry
+        flat = row_base + arms
+        pulls.reshape(-1)[flat] += active
+        cost_arm.reshape(-1)[flat] += x
         total_cost += x
         total_reward += r
         total_penalty += y

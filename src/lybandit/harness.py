@@ -79,6 +79,9 @@ class RunConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         if not self.budgets:
             raise ValueError("at least one budget is required")
         if any(not (math.isfinite(b) and b > 1.0) for b in self.budgets):

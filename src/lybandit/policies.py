@@ -15,6 +15,15 @@ confidence-radius corrections so the score is an optimistic (low) estimate.
 Pinning the queue at zero turns the online rule into a plain budgeted UCB
 policy with no penalty constraint.
 
+The online index is computed in factored form,
+
+    gamma(k) = A(k) + q B(k) - sqrt(ln n) (C(k) +/- q D(k)),
+
+where A..D depend only on arm k's own tallies.  A pull changes one arm's
+terms, so each epoch the online rule recomputes A..D at the entries pulled
+in the previous epoch only (O(m) work over m episodes) and spends its
+full-width passes on combining them with the queue and the epoch count.
+
 Each built-in policy is written once, in vector form over m independent
 episodes (:class:`VectorPolicy`).  The lockstep engine runs it on a whole
 batch; the scalar ``select`` / ``observe`` of :class:`BanditPolicy` run the
@@ -78,8 +87,9 @@ def _score(v, q, r_rate, y_rate):
     return -v * r_rate + q * y_rate
 
 
-def _radius(t, log_n, alpha):
-    return np.sqrt(2.0 * alpha * log_n / t)
+def _unit_radius(t, alpha):
+    """Confidence radius per unit sqrt(ln n): sqrt(2 alpha / t)."""
+    return np.sqrt(2.0 * alpha / t)
 
 
 def _empirical_rates(t, sum_x, sum_r, sum_y, floor):
@@ -95,23 +105,50 @@ def _empirical_rates(t, sum_x, sum_r, sum_y, floor):
     return x_hat, r_hat, y_hat
 
 
+def _index_terms(t, sum_x, sum_r, sum_y, v, alpha, floor):
+    """Per-(row, arm) terms (A, B, C, D) of the factored online index.
+
+    A = -V r_hat, B = y_hat, C = V w (1 + r_hat) and D = w (1 + y_hat) with
+    w = sqrt(2 alpha / t) / x_hat.  They depend only on one arm's own tallies,
+    so a pull changes the terms of that (row, arm) entry alone.
+    """
+    x_hat, r_hat, y_hat = _empirical_rates(t, sum_x, sum_r, sum_y, floor)
+    w = _unit_radius(t, alpha) / x_hat
+    return -v * r_hat, y_hat, v * w * (1.0 + r_hat), w * (1.0 + y_hat)
+
+
+def _combine(terms, q, log_n_prev, variant, out=None, work=None):
+    """Index gamma = A + q B - sqrt(ln n) (C +/- q D) from the terms.
+
+    The queue-side term is subtracted (``lcb-both``, a true lower confidence
+    bound) or added (``literal-paper``).  ``q=None`` stands for a queue
+    pinned at zero and gives A - sqrt(ln n) C, the same argmin as q = 0.
+    ``out`` and ``work`` are optional buffers of the result's shape.
+    """
+    a, b, c, d = terms
+    s = math.sqrt(log_n_prev)
+    if q is None:
+        gamma = np.multiply(c, -s, out=out)
+        return np.add(gamma, a, out=out)
+    unc = np.multiply(q, d, out=work)
+    unc = (np.add if variant == VARIANT_LCB_BOTH else np.subtract)(c, unc, out=work)
+    unc = np.multiply(unc, s, out=work)
+    gamma = np.multiply(q, b, out=out)
+    gamma = np.add(gamma, a, out=out)
+    return np.subtract(gamma, unc, out=out)
+
+
 def _gamma_matrix(t, sum_x, sum_r, sum_y, q, log_n_prev, v, alpha, floor, variant):
     """Optimistic index from per-arm pull counts and outcome sums.
 
     The empirical score -V r_hat + q y_hat is lowered by the reward-side
-    uncertainty term; the queue-side uncertainty term is subtracted in the
-    ``lcb-both`` variant (a true lower confidence bound) and added in the
-    ``literal-paper`` variant.  The radius uses ``log_n_prev``, the log of
-    the completed epoch count, so it is zero at the second decision.
+    uncertainty term sqrt(ln n) V w (1 + r_hat) and moved by the queue-side
+    term sqrt(ln n) q w (1 + y_hat) (see :func:`_index_terms` and
+    :func:`_combine`).  The radius uses ``log_n_prev``, the log of the
+    completed epoch count, so it is zero at the second decision.
     """
-    x_hat, r_hat, y_hat = _empirical_rates(t, sum_x, sum_r, sum_y, floor)
-    rad = _radius(t, log_n_prev, alpha)
-    psi_hat = _score(v, q, r_hat, y_hat)
-    unc_r = rad * v * (1.0 + r_hat) / x_hat
-    unc_q = rad * q * (1.0 + y_hat) / x_hat
-    if variant == VARIANT_LCB_BOTH:
-        return psi_hat - unc_r - unc_q
-    return psi_hat - unc_r + unc_q
+    terms = _index_terms(t, sum_x, sum_r, sum_y, v, alpha, floor)
+    return _combine(terms, q, log_n_prev, variant)
 
 
 def denominator_floor(budget: float) -> float:
@@ -125,7 +162,7 @@ def confidence_radius(t: int, n: float, alpha: float) -> float:
         raise ValueError("confidence radius needs at least one pull")
     if n < 1:
         raise ValueError("epoch must be at least 1")
-    return float(_radius(t, math.log(n), alpha))
+    return math.sqrt(math.log(n)) * float(_unit_radius(t, alpha))
 
 
 @dataclass(frozen=True)
@@ -341,8 +378,16 @@ class LyOnPolicy(VectorPolicy):
     the confidence-adjusted index each epoch.  With ``queue_enabled=False``
     the queue is pinned at zero, which is the unconstrained budgeted-UCB
     reduction.  Per-arm reward and penalty sums are kept here; pull counts
-    and cost sums are the driver's tallies.  ``index`` holds the (m, K)
-    index the last post-exploration choice minimized (None before).
+    and cost sums are the driver's tallies.
+
+    The index is kept in factored form: ``terms`` holds the (m, K) arrays
+    (A, B, C, D) of :func:`_index_terms` (None before the first decision
+    after exploration, which builds them from the tallies).  Each later
+    decision first recomputes only the entries pulled since the previous
+    one, found through the flat indices ``row * K + arm`` that
+    :meth:`observe_batch` records, which is O(m) work; only the combine step
+    and the argmin run over all (m, K) entries.  ``index`` is the buffer the
+    combine step writes, so after a decision it holds the index minimized.
     """
 
     def __init__(
@@ -365,10 +410,18 @@ class LyOnPolicy(VectorPolicy):
 
     def start(self, m: int, truth: Instance | None = None) -> None:
         super().start(m, truth)
-        self._rows = np.arange(m)
+        self._row_base = np.arange(m) * self._k
         self.sum_r = np.zeros((m, self._k))
         self.sum_y = np.zeros((m, self._k))
-        self.index = None
+        self.terms = None
+        self._pulled = None
+        # the index and its work buffer live as long as the batch: freeing
+        # per-epoch (m, K) temporaries let the C allocator return their pages
+        # to the system and fault them in again every epoch (measured on a
+        # process's first K=50, 1024-episode batch: about 250,000 page faults
+        # with per-epoch temporaries, about 3,400 with kept buffers)
+        self.index = np.empty((m, self._k))
+        self._work = np.empty((m, self._k))
         if truth is not None:
             ex, er, ey = truth.true_means()
             self._true_rates = (er / ex, ey / ex)
@@ -377,34 +430,42 @@ class LyOnPolicy(VectorPolicy):
         if n < self._explore_total:
             return np.full(live.shape[0], n % self._k, dtype=np.int64)
         params = self._params
-        q_col = self.q[:, None]
         # rows that ended inside exploration carry zero pull counts; the
-        # floor touches only those (live rows have every arm pulled).  Holding
-        # the index until the next decision also keeps the C allocator from
-        # returning the per-epoch temporaries' pages to the system and
-        # faulting them in again every epoch (measured on a process's first
-        # K=50, 1024-episode batch: about 250,000 page faults without it,
-        # about 3,000 with it)
-        self.index = gamma = _gamma_matrix(
-            np.maximum(pulls, 1.0),
-            cost,
-            self.sum_r,
-            self.sum_y,
-            q_col,
-            math.log(n),
-            params.v,
-            params.alpha,
-            self._floor,
-            params.index_variant,
+        # floor touches only those (live rows have every arm pulled)
+        if self.terms is None:
+            self.terms = _index_terms(
+                np.maximum(pulls, 1.0), cost, self.sum_r, self.sum_y,
+                params.v, params.alpha, self._floor,
+            )
+        elif self._pulled is not None:
+            flat = self._pulled
+            fresh = _index_terms(
+                np.maximum(pulls.take(flat), 1.0),
+                cost.take(flat),
+                self.sum_r.take(flat),
+                self.sum_y.take(flat),
+                params.v, params.alpha, self._floor,
+            )
+            for term, value in zip(self.terms, fresh):
+                term.put(flat, value)
+        self._pulled = None
+        q_col = self.q[:, None] if self._queue_enabled else None
+        gamma = _combine(
+            self.terms, q_col, math.log(n), params.index_variant, self.index, self._work
         )
         if self.lcb_ok is not None:
-            psi_true = _score(params.v, q_col, *self._true_rates)
+            psi_true = _score(params.v, self.q[:, None], *self._true_rates)
             self.lcb_ok &= (gamma <= psi_true + _LCB_TOL).all(axis=1) | ~live
         return np.argmin(gamma, axis=1)
 
     def observe_batch(self, arms, x, r, y):
-        self.sum_r[self._rows, arms] += r
-        self.sum_y[self._rows, arms] += y
+        flat = self._row_base + arms
+        self.sum_r.reshape(-1)[flat] += r
+        self.sum_y.reshape(-1)[flat] += y
+        if self.terms is not None:
+            # entries whose tallies change; refreshed at the next decision
+            pending = self._pulled
+            self._pulled = flat if pending is None else np.concatenate((pending, flat))
         if self._queue_enabled:
             self.q = _queue_step(self.q, x, y, self._cd)
 

@@ -110,6 +110,16 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(out2), "--seed", "999"]) == 0
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_negative_seed_override_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "n.csv"),
+                     "--seed", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "n.csv").exists()
+
     def test_round_trip_preserves_numbers(self, tmp_path):
         cfg = write_config(
             tmp_path, policies=[{"name": "lyoff", "type": "lyoff"}], runs=30

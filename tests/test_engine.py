@@ -16,6 +16,8 @@ from lybandit import (
 from lybandit.harness import simulate_cell
 from lybandit.model import episode_env_rng, episode_policy_rng
 
+from conftest import random_feasible_instance
+
 SPECS = [
     PolicySpec("stationary", "stationary"),
     PolicySpec("static", "static", arm=0),
@@ -79,6 +81,15 @@ def test_lockstep_equality_on_uniform_instance():
     for spec in (PolicySpec("stationary", "stationary"),
                  PolicySpec("lyoff", "lyoff", v0=1.0, delta0=0.2)):
         assert_batch_matches_sequential(instance, spec, 40.0, 20, 13)
+
+
+def test_lockstep_equality_at_fifty_arms():
+    # between two decisions most of the 50 arms go unpulled, so nearly every
+    # entry of the online index comes from earlier epochs' refreshes
+    instance = random_feasible_instance(np.random.default_rng(50), 50)
+    for spec in SPECS:
+        if spec.name in ("lyon", "lyon-lit", "ucb"):
+            assert_batch_matches_sequential(instance, spec, 80.0, 8, 2026)
 
 
 def test_episodes_ending_inside_exploration(two_arm_instance):

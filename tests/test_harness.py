@@ -120,6 +120,11 @@ class TestRunBatch:
                 0,
             )  # duplicate names
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
+    def test_bad_master_seed_rejected(self, two_arm_instance, seed):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(two_arm_instance, (), (10.0,), 1, seed)
+
     @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
     def test_non_finite_budget_rejected(self, two_arm_instance, budget):
         with pytest.raises(ValueError, match="finite"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from lybandit import (
     ArmSpec,
@@ -78,6 +79,18 @@ class TestSolveLfp:
             assert grid.r_star <= exact.r_star + 1e-9
             # ... and approaches it at the lattice resolution
             assert exact.r_star - grid.r_star <= 10 * steps[k]
+
+    def test_matches_charnes_cooper_lp(self):
+        # z = p / (ex . p) turns the ratio program into an LP:
+        # maximize er . z  s.t.  ex . z = 1, (ey - c ex) . z <= 0, z >= 0
+        rng = np.random.default_rng(1962)
+        for _ in range(50):
+            inst = random_feasible_instance(rng, int(rng.integers(2, 9)))
+            ex, er, ey = inst.true_means()
+            lp = linprog(-er, A_ub=[ey - inst.c * ex], b_ub=[0.0], A_eq=[ex],
+                         b_eq=[1.0], bounds=(0.0, None), method="highs")
+            assert lp.status == 0
+            assert solve_lfp(inst).r_star == pytest.approx(-lp.fun, rel=1e-9)
 
     def test_feasibility_and_support(self):
         rng = np.random.default_rng(31)

@@ -20,7 +20,7 @@ from lybandit import (
     param_schedule,
 )
 from lybandit.model import episode_env_rng
-from lybandit.policies import _empirical_rates, _gamma_matrix
+from lybandit.policies import _empirical_rates, _gamma_matrix, _index_terms, denominator_floor
 
 LIVE = np.ones(1, dtype=bool)
 
@@ -201,6 +201,59 @@ class TestGammaIndex:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             LyParams(v=1.0, index_variant="nope")
+
+    def test_matches_unfactored_formula(self):
+        rng = np.random.default_rng(29)
+        floor = 1e-3
+        for _ in range(500):
+            t = float(rng.integers(1, 200))
+            sum_x, sum_r, sum_y = rng.uniform(0.0, 1.2 * t, 3)
+            q = rng.uniform(0.0, 30.0)
+            log_n = rng.uniform(0.0, 10.0)
+            v = rng.uniform(0.1, 50.0)
+            alpha = rng.uniform(0.1, 4.0)
+            x_hat = max(floor, min(1.0, sum_x / t))
+            r_hat = min(1.0, sum_r / t) / x_hat
+            y_hat = min(1.0, sum_y / t) / x_hat
+            rad = math.sqrt(2.0 * alpha * log_n / t)
+            psi_hat = -v * r_hat + q * y_hat
+            for variant, sign in (("lcb-both", -1.0), ("literal-paper", 1.0)):
+                want = (psi_hat - rad * v * (1.0 + r_hat) / x_hat
+                        + sign * rad * q * (1.0 + y_hat) / x_hat)
+                got = _gamma_matrix(t, sum_x, sum_r, sum_y, q, log_n, v, alpha, floor,
+                                    variant)
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_refresh_matches_rebuild(self):
+        # a driver's loop over random pulls; rows 0 and 1 end inside the
+        # exploration phase (14 epochs), so some of their arms are never
+        # pulled, and every fifth decision is followed by two observations
+        rng = np.random.default_rng(30)
+        m, k = 8, 7
+        params = LyParams(v=3.0, alpha=2.0, exploration_pulls=2)
+        floor = denominator_floor(50.0)
+        pol = LyOnPolicy(k, 0.8, params, 50.0)
+        pol.start(m)
+        pulls, cost = np.zeros((m, k)), np.zeros((m, k))
+        live = np.ones(m, dtype=bool)
+        rows = np.arange(m)
+        checked = 0
+        for n in range(200):
+            live[:2] = n < 5
+            pol.select_batch(n, pulls, cost, live, None)
+            if pol.terms is not None:
+                rebuilt = _index_terms(np.maximum(pulls, 1.0), cost, pol.sum_r,
+                                       pol.sum_y, params.v, params.alpha, floor)
+                for term, want in zip(pol.terms, rebuilt):
+                    assert np.array_equal(term, want)
+                checked += 1
+            for _ in range(2 if n % 5 == 0 else 1):
+                arms = rng.integers(0, k, m)
+                x, r, y = rng.random((3, m)) * live
+                pol.observe_batch(arms, x, r, y)
+                pulls[rows, arms] += live
+                cost[rows, arms] += x
+        assert checked == 200 - 2 * k
 
 
 class TestLyonSelect:
