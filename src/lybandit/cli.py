@@ -147,15 +147,12 @@ def load_config(path: str | Path) -> RunConfig:
     budgets = doc.get("budgets", [])
     if not isinstance(budgets, list) or not all(_is_real(b) for b in budgets):
         raise ConfigError("budgets must be a list of numbers")
-    runs = doc.get("runs", 1)
-    if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
-        raise ConfigError("runs must be a positive integer")
     try:
         return RunConfig(
             instance=instance,
             policies=policies,
             budgets=tuple(float(b) for b in budgets),
-            runs=runs,
+            runs=doc.get("runs", 1),
             master_seed=doc.get("seed", 0),
         )
     except ValueError as exc:
@@ -273,7 +270,7 @@ def cmd_run(args) -> int:
     sweep = args.command == "sweep"
     if sweep and len(config.budgets) < 3:
         raise ConfigError("need >=3 budgets")
-    result = run_batch(config, threads=args.threads)
+    result = run_batch(config)
     write_results_csv(result, config.instance.n_arms, args.out)
     lines = [f"wrote {len(result.cells)} rows to {args.out}"]
     if sweep:
@@ -301,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
         if needs_out:
             p.add_argument("--out", required=True, help="results CSV path")
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker threads (never affects output bytes)")
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
 

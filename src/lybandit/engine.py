@@ -11,8 +11,9 @@ The engine does not know any policy rule.  It builds the rule from the
 :class:`~lybandit.policies.PolicySpec` and drives its vector form
 (:class:`~lybandit.policies.VectorPolicy`), the same code the sequential
 runner calls through the m = 1 ``select`` / ``observe``; the engine itself
-refills the random streams, draws outcomes and keeps the per-arm tallies and
-episode totals.
+refills the random streams, draws outcomes through the same
+:class:`~lybandit.model.Sampler` as the sequential runner, and keeps the
+per-arm tallies and episode totals.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    KIND_BERNOULLI,
-    KIND_SCALED_UNIFORM,
     Instance,
+    Sampler,
     default_cap,
     episode_env_rng,
     episode_policy_rng,
@@ -56,47 +56,6 @@ class BatchResult:
         return self.n_pulls.shape[0]
 
 
-class _Outcomes:
-    """Vectorized outcome sampling for a fixed arm list."""
-
-    def __init__(self, instance: Instance):
-        self.arms = instance.arms
-        kinds = {arm.kind for arm in self.arms}
-        if kinds == {KIND_BERNOULLI}:
-            ex, er, ey = instance.true_means()
-            self.mode = "bernoulli"
-            self.px, self.pr, self.py = ex, er, ey
-        elif kinds == {KIND_SCALED_UNIFORM}:
-            self.mode = "uniform"
-            bounds = [a._uniform_bounds() for a in self.arms]
-            lo = np.array([b[0] for b in bounds])
-            hi = np.array([b[1] for b in bounds])
-            self.lo, self.width = lo, hi - lo
-        else:
-            self.mode = "generic"
-
-    def draw(self, arms: np.ndarray, u: np.ndarray):
-        """Outcomes of the chosen arm per episode from an (M, 3) uniform row."""
-        if self.mode == "bernoulli":
-            return (
-                (u[:, 0] < self.px[arms]).astype(np.float64),
-                (u[:, 1] < self.pr[arms]).astype(np.float64),
-                (u[:, 2] < self.py[arms]).astype(np.float64),
-            )
-        if self.mode == "uniform":
-            v = self.lo[arms] + self.width[arms] * u
-            return v[:, 0], v[:, 1], v[:, 2]
-        m = arms.shape[0]
-        x = np.empty(m)
-        r = np.empty(m)
-        y = np.empty(m)
-        for k, arm in enumerate(self.arms):
-            mask = arms == k
-            if mask.any():
-                x[mask], r[mask], y[mask] = arm.transform(u[mask])
-        return x, r, y
-
-
 def simulate_batch(
     instance: Instance,
     spec: PolicySpec,
@@ -119,13 +78,17 @@ def simulate_batch(
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    if not budget > 0.0:
+        raise ValueError("budget must be positive")
     spec.check_arms(instance.n_arms)
     if cap is None:
         cap = default_cap(instance, budget)
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     m = runs
     rule = spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
     rule.start(m, instance if track_lcb else None)
-    outcomes = _Outcomes(instance)
+    sampler = Sampler(instance.arms)
 
     env_gens = [episode_env_rng(master_seed, run_start + e) for e in range(m)]
     env_buf = np.empty((m, _BLOCK, 3))
@@ -157,11 +120,10 @@ def simulate_batch(
 
         # selection sees only outcomes of earlier epochs
         arms = rule.select_batch(epoch, pulls, cost_arm, active, u)
-        x, r, y = outcomes.draw(arms, env_buf[:, off, :])
+        outcome = sampler.draw(arms, env_buf[:, off, :])
         # finished episodes observe zero outcomes, which change no state
-        x = np.where(active, x, 0.0)
-        r = np.where(active, r, 0.0)
-        y = np.where(active, y, 0.0)
+        outcome[~active] = 0.0
+        x, r, y = outcome.T
         rule.observe_batch(arms, x, r, y)
 
         # each row pulls one arm: scatter at its flat (row, arm) entry

@@ -5,19 +5,18 @@ violation is realized penalty per unit budget minus c, and the time
 allocation is each arm's share of consumed budget (with a pull-count share
 kept alongside).  Aggregation is a fixed-order fold over run indices, so
 results are byte-reproducible for a given master seed regardless of how the
-batch is chunked or threaded.
+batch is chunked.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .engine import BatchResult, simulate_batch
-from .model import Bounds, EpisodeResult, Instance, derive_bounds
+from .model import Bounds, EpisodeResult, Instance, _is_int, derive_bounds
 from .oracle import OracleSolution, solve_lfp
 from .policies import PolicySpec
 
@@ -34,7 +33,8 @@ __all__ = [
     "violation",
 ]
 
-_CHUNK = 1024  # episodes per engine call; fixed so threading never moves seams
+# episodes per engine call: bounds the engine's (runs, 1024, 3) uniform buffer
+_CHUNK = 1024
 
 
 class ZeroCost(ValueError):
@@ -77,10 +77,11 @@ class RunConfig:
     cap: int | None = None
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        if not (_is_int(self.runs) and self.runs >= 1):
+            raise ValueError("runs must be a positive integer")
+        if not (self.cap is None or _is_int(self.cap) and self.cap >= 1):
+            raise ValueError("cap must be None or a positive integer")
+        if not (_is_int(self.master_seed) and self.master_seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
         if not self.budgets:
             raise ValueError("at least one budget is required")
@@ -198,24 +199,21 @@ def simulate_cell(
     cap: int | None = None,
     p_default: np.ndarray | None = None,
     bounds: Bounds | None = None,
-    threads: int = 1,
     track_lcb: bool = False,
 ) -> BatchResult:
-    """Run one (policy, budget) cell, chunked over run indices.
+    """Run one (policy, budget) cell in chunks of ``_CHUNK`` run indices.
 
-    Chunk seams are fixed at ``_CHUNK`` episodes independently of ``threads``,
-    and every episode's streams depend only on its global run index, so the
-    thread count cannot change any output value.
+    Every episode's streams depend only on its global run index, so the
+    chunk size cannot change any output value.
     """
-    starts = list(range(0, runs, _CHUNK))
-
-    def work(start: int) -> BatchResult:
-        count = min(_CHUNK, runs - start)
-        return simulate_batch(
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
+    return _concat([
+        simulate_batch(
             instance,
             spec,
             budget,
-            count,
+            min(_CHUNK, runs - start),
             master_seed,
             run_start=start,
             cap=cap,
@@ -223,16 +221,11 @@ def simulate_cell(
             bounds=bounds,
             track_lcb=track_lcb,
         )
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, starts))
-    else:
-        parts = [work(s) for s in starts]
-    return _concat(parts)
+        for start in range(0, runs, _CHUNK)
+    ])
 
 
-def run_batch(config: RunConfig, threads: int = 1) -> AggregateResult:
+def run_batch(config: RunConfig) -> AggregateResult:
     """Simulate every (policy, budget) cell and aggregate in run-index order."""
     instance = config.instance
     oracle = solve_lfp(instance)
@@ -254,7 +247,6 @@ def run_batch(config: RunConfig, threads: int = 1) -> AggregateResult:
                 cap=config.cap,
                 p_default=oracle.p_star,
                 bounds=bounds,
-                threads=threads,
             )
             cells.append(
                 _aggregate_cell(spec, budget, batch, oracle.r_star, instance.c)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from numbers import Real
+from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ __all__ = [
     "Instance",
     "Outcome",
     "BanditPolicy",
+    "Sampler",
     "SlaterViolation",
     "derive_bounds",
     "episode_env_rng",
@@ -41,6 +42,11 @@ _SIMPLEX_TOL = 1e-12
 def _is_real(value) -> bool:
     """True for an int or float (numpy scalars included), False for a bool."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    """True for an int (numpy integers included), False for a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def check_simplex(p, tol: float = _SIMPLEX_TOL) -> np.ndarray:
@@ -92,8 +98,8 @@ class ArmSpec:
     * ``joint-discrete-table``: a finite list of atoms ``(prob, x, r, y)``
       drawn jointly, allowing correlated coordinates and point masses.
 
-    Every sampling path consumes exactly three uniforms per outcome so that
-    replaying a random stream stays aligned regardless of the arm kind.
+    Outcomes are drawn through :class:`Sampler`, which consumes exactly three
+    uniforms per outcome whatever the arm kind.
     """
 
     kind: str
@@ -101,8 +107,6 @@ class ArmSpec:
     r_mean: float
     y_mean: float
     atoms: tuple[tuple[float, float, float, float], ...] | None = None
-    # cumulative atom probabilities, precomputed for table sampling
-    _cum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind in (KIND_BERNOULLI, KIND_SCALED_UNIFORM):
@@ -114,11 +118,10 @@ class ArmSpec:
         elif self.kind == KIND_JOINT_TABLE:
             if not self.atoms:
                 raise ValueError("joint-discrete-table arm needs at least one atom")
-            probs = check_simplex([a[0] for a in self.atoms])
+            check_simplex([a[0] for a in self.atoms])
             for _, x, r, y in self.atoms:
                 if not (0.0 <= x <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= y <= 1.0):
                     raise ValueError("atom values must lie in [0, 1]")
-            object.__setattr__(self, "_cum", np.cumsum(probs))
         else:
             raise ValueError(f"unknown arm kind: {self.kind!r}")
 
@@ -148,27 +151,58 @@ class ArmSpec:
         """
         return (self.x_mean, self.r_mean, self.y_mean)
 
-    def _uniform_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([max(0.0, 2.0 * m - 1.0) for m in self.means])
-        hi = np.array([min(1.0, 2.0 * m) for m in self.means])
-        return lo, hi
-
     def sample(self, rng: np.random.Generator) -> Outcome:
         """Draw one outcome; consumes exactly three uniforms from ``rng``."""
-        x, r, y = self.transform(rng.random((1, 3)))
-        return Outcome(float(x[0]), float(r[0]), float(y[0]))
+        return Sampler((self,)).sample(0, rng)
 
-    def transform(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Map an (n, 3) uniform block to (x, r, y) sample arrays."""
-        if self.kind == KIND_BERNOULLI:
-            v = (u < np.array(self.means)).astype(np.float64)
-        elif self.kind == KIND_SCALED_UNIFORM:
-            lo, hi = self._uniform_bounds()
-            v = lo + (hi - lo) * u
-        else:
-            table = np.array([a[1:] for a in self.atoms])
-            v = table[categorical(self._cum, u[:, 0])]
-        return v[:, 0], v[:, 1], v[:, 2]
+
+class Sampler:
+    """Outcome sampling for a fixed arm list: (m, 3) uniforms to (m, 3) outcomes.
+
+    Row i of a draw is the (x, r, y) outcome of arm ``pulled[i]`` computed
+    from uniform row ``u[i]``: Bernoulli coordinates are ``u < mean``,
+    scaled-uniform ones ``lo + width * u``, and a table arm picks the atom
+    that ``u[i, 0]`` selects from its cumulative probabilities.  Every arm
+    kind consumes the whole row, so a replayed stream stays aligned.
+    """
+
+    def __init__(self, arms: Sequence[ArmSpec]):
+        self.arms = tuple(arms)
+        self._means = np.array([arm.means for arm in self.arms], dtype=np.float64)
+        self._lo = np.maximum(0.0, 2.0 * self._means - 1.0)
+        self._width = np.minimum(1.0, 2.0 * self._means) - self._lo
+        self._tables = {
+            k: (np.cumsum([float(a[0]) for a in arm.atoms]),
+                np.array([a[1:] for a in arm.atoms], dtype=np.float64))
+            for k, arm in enumerate(self.arms)
+            if arm.kind == KIND_JOINT_TABLE
+        }
+        kinds = {arm.kind for arm in self.arms}
+        # one vectorized expression when every arm shares a parametric kind
+        self._kind = kinds.pop() if len(kinds) == 1 and not self._tables else None
+
+    def draw(self, pulled: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """New (m, 3) array of the outcomes of arms ``pulled`` from (m, 3) uniforms."""
+        if self._kind is not None:
+            return self._draw(self._kind, pulled, u)
+        v = np.empty_like(u)
+        for k, arm in enumerate(self.arms):
+            mask = pulled == k
+            if mask.any():
+                v[mask] = self._draw(arm.kind, k, u[mask])
+        return v
+
+    def sample(self, arm: int, rng: np.random.Generator) -> Outcome:
+        """One outcome of ``arm``; consumes exactly three uniforms from ``rng``."""
+        return Outcome(*self.draw(np.array([arm]), rng.random((1, 3)))[0].tolist())
+
+    def _draw(self, kind: str, pulled, u: np.ndarray) -> np.ndarray:
+        if kind == KIND_BERNOULLI:
+            return (u < self._means[pulled]).astype(np.float64)
+        if kind == KIND_SCALED_UNIFORM:
+            return self._lo[pulled] + self._width[pulled] * u
+        cum, values = self._tables[pulled]  # a table arm is drawn alone
+        return values[categorical(cum, u[:, 0])]
 
 
 def categorical(cum: np.ndarray, u):
@@ -336,7 +370,7 @@ def run_episode(
     cap
         Maximum number of epochs; defaults to ``10 * ceil(2 B / mu_min)``.
     """
-    if budget <= 0.0:
+    if not budget > 0.0:
         raise ValueError("budget must be positive")
     if cap is None:
         cap = default_cap(instance, budget)
@@ -344,6 +378,7 @@ def run_episode(
         raise ValueError("cap must be at least 1")
 
     k_arms = instance.n_arms
+    sampler = Sampler(instance.arms)
     pulls = np.zeros(k_arms, dtype=np.int64)
     cost_arm = np.zeros(k_arms, dtype=np.float64)
     total_cost = 0.0
@@ -356,7 +391,7 @@ def run_episode(
         arm = policy.select()
         if not 0 <= arm < k_arms:
             raise IndexError(f"policy selected arm {arm} outside [0, {k_arms})")
-        outcome = instance.arms[arm].sample(rng)
+        outcome = sampler.sample(arm, rng)
         policy.observe(arm, outcome)
         n += 1
         pulls[arm] += 1

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import BanditPolicy, Bounds, Instance, Outcome, categorical, check_simplex
-from .model import _is_real
+from .model import _is_int, _is_real
 
 __all__ = [
     "DeltaOutOfRange",
@@ -515,6 +515,8 @@ class PolicySpec:
             raise ValueError(f"unknown policy type: {self.type!r}")
         if self.type == "static" and self.arm is None:
             raise ValueError("static policy needs an arm index")
+        if not (self.arm is None or _is_int(self.arm)):
+            raise ValueError(f"arm must be an integer index, got {self.arm!r}")
         e = self.exploration
         if isinstance(e, bool) or not (isinstance(e, int) or e == "theoretical"):
             raise ValueError("exploration must be a pull count or 'theoretical'")

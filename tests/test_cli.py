@@ -96,12 +96,14 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        cfg = write_config(tmp_path, runs=12)
-        out1, out2 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-        assert main(["run", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
-        assert main(["run", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_threads_option_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv"),
+                     "--threads", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "unrecognized arguments: --threads" in err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_seed_override_changes_bytes(self, tmp_path):
         cfg = write_config(tmp_path, runs=20)

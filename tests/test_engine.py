@@ -130,19 +130,34 @@ def test_spec_checked_against_instance(two_arm_instance, spec):
         simulate_batch(two_arm_instance, spec, 10.0, 2, 1)
 
 
-def test_chunking_and_threads_do_not_change_results(two_arm_instance, monkeypatch):
+def test_chunking_does_not_change_results(two_arm_instance, monkeypatch):
     sol = solve_lfp(two_arm_instance)
     spec = PolicySpec("lyon", "lyon", v0=1.0, delta0=0.5)
     whole = simulate_batch(two_arm_instance, spec, 50.0, 23, 3, p_default=sol.p_star)
 
     monkeypatch.setattr(harness, "_CHUNK", 7)
-    for threads in (1, 3):
-        cell = simulate_cell(
-            two_arm_instance, spec, 50.0, 23, 3, p_default=sol.p_star, threads=threads
-        )
-        for field in ("n_pulls", "total_cost", "total_reward", "total_penalty",
-                      "pulls_per_arm", "cost_per_arm", "q_final", "q_max"):
-            assert np.array_equal(getattr(cell, field), getattr(whole, field))
+    cell = simulate_cell(two_arm_instance, spec, 50.0, 23, 3, p_default=sol.p_star)
+    for field in ("n_pulls", "total_cost", "total_reward", "total_penalty",
+                  "pulls_per_arm", "cost_per_arm", "q_final", "q_max"):
+        assert np.array_equal(getattr(cell, field), getattr(whole, field))
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_nonpositive_cap_rejected(two_arm_instance, cap):
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0, 2, 1, cap=cap)
+
+
+@pytest.mark.parametrize("budget", [0.0, -3.0, float("nan")])
+def test_nonpositive_budget_rejected(two_arm_instance, budget):
+    # NaN never compares above the cost, so every episode would run to the cap
+    with pytest.raises(ValueError, match="budget must be positive"):
+        simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), budget, 2, 1, cap=50)
+
+
+def test_empty_cell_rejected(two_arm_instance):
+    with pytest.raises(ValueError, match="runs must be at least 1"):
+        simulate_cell(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0, 0, 1)
 
 
 def test_lcb_tracking_shape(two_arm_instance):

@@ -120,6 +120,17 @@ class TestRunBatch:
                 0,
             )  # duplicate names
 
+    @pytest.mark.parametrize("runs", [0, -1, 2.5, True, "3", None])
+    def test_bad_runs_rejected(self, two_arm_instance, runs):
+        with pytest.raises(ValueError, match="runs"):
+            RunConfig(two_arm_instance, (), (10.0,), runs, 0)
+
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, True, "10"])
+    def test_bad_cap_rejected(self, two_arm_instance, cap):
+        with pytest.raises(ValueError, match="cap"):
+            RunConfig(two_arm_instance, (), (10.0,), 1, 0, cap=cap)
+        assert RunConfig(two_arm_instance, (), (10.0,), 1, 0, cap=1).cap == 1
+
     @pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
     def test_bad_master_seed_rejected(self, two_arm_instance, seed):
         with pytest.raises(ValueError, match="seed"):

@@ -21,10 +21,16 @@ from lybandit import (
     episode_policy_rng,
     run_episode,
 )
+from lybandit.model import Sampler
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def draw_block(arm, u):
+    """(x, r, y) arrays of one arm drawn from an (n, 3) uniform block."""
+    return Sampler([arm]).draw(np.zeros(len(u), dtype=np.int64), u).T
 
 
 class TestArmSampling:
@@ -38,14 +44,14 @@ class TestArmSampling:
 
     def test_bernoulli_law_of_large_numbers(self):
         arm = ArmSpec.bernoulli(0.4, 0.8, 0.6)
-        x, r_, y = arm.transform(rng(7).random((1_000_000, 3)))
+        x, r_, y = draw_block(arm, rng(7).random((1_000_000, 3)))
         assert abs(x.mean() - 0.4) < 0.005
         assert abs(r_.mean() - 0.8) < 0.005
         assert abs(y.mean() - 0.6) < 0.005
 
     def test_block_matches_scalar_stream(self):
         arm = ArmSpec.scaled_uniform(0.3, 0.7, 0.5)
-        xs, rs, ys = arm.transform(rng(3).random((500, 3)))
+        xs, rs, ys = draw_block(arm, rng(3).random((500, 3)))
         r2 = rng(3)
         for i in range(500):
             o = arm.sample(r2)
@@ -54,7 +60,7 @@ class TestArmSampling:
     def test_scaled_uniform_support_and_mean(self):
         for m in (0.0, 0.2, 0.5, 0.7, 1.0):
             arm = ArmSpec.scaled_uniform(m, m, m)
-            x, _, _ = arm.transform(rng(int(m * 10)).random((200_000, 3)))
+            x, _, _ = draw_block(arm, rng(int(m * 10)).random((200_000, 3)))
             lo, hi = max(0.0, 2 * m - 1), min(1.0, 2 * m)
             assert x.min() >= lo and x.max() <= hi
             assert abs(x.mean() - m) < 0.005
@@ -64,10 +70,32 @@ class TestArmSampling:
         assert arm.means == pytest.approx((0.25 * 0.1 + 0.75 * 0.9,
                                            0.25 * 1.0 + 0.75 * 0.2,
                                            0.75 * 0.5))
-        x, r_, y = arm.transform(rng(11).random((200_000, 3)))
+        x, r_, y = draw_block(arm, rng(11).random((200_000, 3)))
         frac_first = np.mean(x == 0.1)
         assert abs(frac_first - 0.25) < 0.01
         assert set(np.unique(r_)) <= {1.0, 0.2}
+
+    def test_mixed_block_matches_written_out_formulas(self):
+        means = [(0.4, 0.8, 0.6), (0.3, 0.7, 0.5)]
+        atoms = [(0.25, 0.1, 1.0, 0.0), (0.5, 0.9, 0.2, 0.5), (0.25, 0.4, 0.6, 0.3)]
+        arms = [ArmSpec.bernoulli(*means[0]), ArmSpec.scaled_uniform(*means[1]),
+                ArmSpec.table(atoms)]
+        u = rng(21).random((300, 3))
+        pulled = np.arange(300) % 3
+        v = Sampler(arms).draw(pulled, u)
+        assert v.shape == (300, 3)
+
+        cum = np.cumsum([a[0] for a in atoms])
+        for i in range(300):
+            if pulled[i] == 0:
+                expect = [float(u[i, j] < means[0][j]) for j in range(3)]
+            elif pulled[i] == 1:
+                lo = [max(0.0, 2 * m - 1) for m in means[1]]
+                hi = [min(1.0, 2 * m) for m in means[1]]
+                expect = [lo[j] + (hi[j] - lo[j]) * u[i, j] for j in range(3)]
+            else:
+                expect = atoms[np.searchsorted(cum, u[i, 0], "right")][1:]
+            assert np.array_equal(v[i], expect), i
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -157,6 +185,11 @@ class TestRunEpisode:
         assert partial.capped
         assert partial.n_pulls == 100
         assert partial.total_cost == 0.0
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan])
+    def test_nonpositive_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            run_episode(constant_cost_instance(0.5), StaticPolicy(0), budget, rng())
 
     def test_zero_cost_needs_explicit_cap(self):
         inst = Instance([ArmSpec.bernoulli(0.0, 0.5, 0.0)], c=0.9)

@@ -416,6 +416,12 @@ class TestPolicyObjects:
             with pytest.raises(ValueError):
                 PolicySpec("x", "lyon", **fields)
 
+    @pytest.mark.parametrize("arm", [1.5, True, "1", -0.0])
+    def test_policy_spec_arm_must_be_int(self, arm):
+        with pytest.raises(ValueError, match="arm must be an integer"):
+            PolicySpec("s", "static", arm=arm)
+        assert PolicySpec("s", "static", arm=np.int64(1)).arm == 1
+
     def test_policy_spec_schedules(self):
         spec_sqrt = PolicySpec("a", "lyon", v0=1.0, delta0=0.5)
         spec_log = PolicySpec("b", "lyon", v0=1.0, delta0=0.5, schedule="sqrt-log")

@@ -1,7 +1,12 @@
-"""Every name the demos and the README quick start take from lybandit exists."""
+"""The README and the demos describe the package and CLI that exist.
+
+Every name the demos and the README quick start take from lybandit exists,
+and the README's CLI synopsis lists exactly the options each subcommand takes.
+"""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -9,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import lybandit
+from lybandit.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +52,30 @@ def test_names_resolve(name):
     assert used, f"{name} uses nothing from lybandit"
     missing = sorted(n for n in used if not hasattr(lybandit, n))
     assert missing == []
+
+
+def readme_cli_flags() -> dict[str, set[str]]:
+    """Subcommand -> the ``--flags`` on its line of the README's CLI block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n+```bash\n(.*?)```", readme, re.S).group(1)
+    flags = {}
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["lybandit"]:
+            flags[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def parser_flags() -> dict[str, set[str]]:
+    """Subcommand -> the long options ``lybandit`` accepts for it."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {opt for action in p._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_readme_cli_synopsis_matches_parser():
+    assert readme_cli_flags() == parser_flags()
