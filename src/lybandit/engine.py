@@ -6,6 +6,10 @@ stream consuming one uniform per epoch for randomized policies.  Because an
 episode's trajectory depends only on its own streams, running episodes in
 lockstep (one shared epoch counter, vectorized across runs) produces results
 bitwise identical to the sequential per-episode runner; tests assert this.
+Since streams depend only on (seed, run), the harness draws each chunk's
+first block once (a ``_Streams``) for every (policy, budget) cell to read;
+past it, a batch re-derives a running episode's generators and advances
+them over that block.
 
 The engine does not know any policy rule.  It builds the rule from the
 :class:`~lybandit.policies.PolicySpec` and drives its vector form
@@ -19,6 +23,7 @@ per-arm tallies and episode totals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +39,39 @@ from .policies import PolicySpec
 __all__ = ["BatchResult", "simulate_batch"]
 
 _BLOCK = 1024
+
+
+class _Streams:
+    """Block 0 of the streams of runs ``run_start .. run_start + m - 1``.
+
+    The (m, ``_BLOCK``, 3) env block is drawn here, the (m, ``_BLOCK``)
+    policy block at the first read of :attr:`policy`.
+    """
+
+    def __init__(self, master_seed: int, run_start: int, m: int):
+        self.key = (master_seed, run_start, m)
+        self.env = self._draw(episode_env_rng, (_BLOCK, 3))
+
+    def _draw(self, derive, shape) -> np.ndarray:
+        seed, start, m = self.key
+        out = np.empty((m, *shape))
+        for e in range(m):
+            derive(seed, start + e).random(out=out[e])
+        return out
+
+    @cached_property
+    def policy(self) -> np.ndarray:
+        return self._draw(episode_policy_rng, (_BLOCK,))
+
+    def resume(self, e: int, policy: bool) -> list:
+        """Row e's env (and policy) generator, advanced past block 0."""
+        seed, run = self.key[0], self.key[1] + e
+        gens = [episode_env_rng(seed, run)]
+        gens[0].bit_generator.advance(3 * _BLOCK)
+        if policy:
+            gens.append(episode_policy_rng(seed, run))
+            gens[1].bit_generator.advance(_BLOCK)
+        return gens
 
 
 @dataclass
@@ -67,6 +105,7 @@ def simulate_batch(
     p_default: np.ndarray | None = None,
     bounds=None,
     track_lcb: bool = False,
+    streams: _Streams | None = None,
 ) -> BatchResult:
     """Simulate ``runs`` independent episodes of one policy at one budget.
 
@@ -74,7 +113,8 @@ def simulate_batch(
     batch into consecutive sub-batches changes nothing in the results.
     ``track_lcb`` additionally records, for the online policy, whether the
     optimistic index stayed at or below the true-mean score for every arm at
-    every post-exploration decision.
+    every post-exploration decision.  ``streams`` (drawn for exactly these
+    runs) lets several calls share one seeding; by default a call draws its own.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -85,17 +125,18 @@ def simulate_batch(
         cap = default_cap(instance, budget)
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    key = (master_seed, run_start, runs)
+    if streams is None:
+        streams = _Streams(*key)
+    elif streams.key != key:
+        raise ValueError(f"streams drawn for {streams.key}, not for {key}")
     m = runs
     rule = spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
     rule.start(m, instance if track_lcb else None)
     sampler = Sampler(instance.arms)
 
-    env_gens = [episode_env_rng(master_seed, run_start + e) for e in range(m)]
-    env_buf = np.empty((m, _BLOCK, 3))
-    pol_gens = []
-    if rule.uses_stream:
-        pol_gens = [episode_policy_rng(master_seed, run_start + e) for e in range(m)]
-        pol_buf = np.empty((m, _BLOCK))
+    env_buf = streams.env
+    pol_buf = streams.policy if rule.uses_stream else None
 
     active = np.ones(m, dtype=bool)
     row_base = np.arange(m) * instance.n_arms
@@ -110,12 +151,18 @@ def simulate_batch(
 
     for epoch in range(cap):
         off = epoch % _BLOCK
-        if off == 0:
-            for e in np.flatnonzero(active):
-                env_buf[e] = env_gens[e].random((_BLOCK, 3))
-                if pol_gens:
-                    pol_buf[e] = pol_gens[e].random(_BLOCK)
-        if pol_gens:
+        if off == 0 and epoch > 0:
+            live = np.flatnonzero(active)
+            if epoch == _BLOCK:
+                # later blocks go to buffers of this batch's own, so the
+                # shared block stays intact; finished rows read zeros
+                env_buf = np.zeros_like(env_buf)
+                pol_buf = None if pol_buf is None else np.zeros_like(pol_buf)
+                gens = {e: streams.resume(e, pol_buf is not None) for e in live}
+            for e in live:
+                for gen, buf in zip(gens[e], (env_buf, pol_buf)):
+                    gen.random(out=buf[e])
+        if pol_buf is not None:
             u = pol_buf[:, off]
 
         # selection sees only outcomes of earlier epochs

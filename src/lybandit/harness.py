@@ -3,9 +3,11 @@
 Regret is measured against the stationary-oracle lower bound r(p*) B, the
 violation is realized penalty per unit budget minus c, and the time
 allocation is each arm's share of consumed budget (with a pull-count share
-kept alongside).  Aggregation is a fixed-order fold over run indices, so
-results are byte-reproducible for a given master seed regardless of how the
-batch is chunked.
+kept alongside).  Run indices are simulated in chunks; each chunk's random
+streams are seeded once and read by every (policy, budget) cell.
+Aggregation is a fixed-order fold over run indices, so results are
+byte-reproducible for a given master seed regardless of how the batch is
+chunked.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .engine import BatchResult, simulate_batch
+from .engine import BatchResult, _Streams, simulate_batch
 from .model import Bounds, EpisodeResult, Instance, _is_int, derive_bounds
 from .oracle import OracleSolution, solve_lfp
 from .policies import PolicySpec
@@ -33,7 +35,7 @@ __all__ = [
     "violation",
 ]
 
-# episodes per engine call: bounds the engine's (runs, 1024, 3) uniform buffer
+# runs per chunk: bounds the (runs, 1024, 3) uniform block its cells share
 _CHUNK = 1024
 
 
@@ -190,39 +192,32 @@ def _concat(parts: list[BatchResult]) -> BatchResult:
     return BatchResult(**columns)
 
 
-def simulate_cell(
-    instance: Instance,
-    spec: PolicySpec,
-    budget: float,
-    runs: int,
-    master_seed: int,
-    cap: int | None = None,
-    p_default: np.ndarray | None = None,
-    bounds: Bounds | None = None,
-    track_lcb: bool = False,
-) -> BatchResult:
-    """Run one (policy, budget) cell in chunks of ``_CHUNK`` run indices.
+def _simulate_cells(instance, cells, runs, master_seed, **kwargs) -> list[BatchResult]:
+    """Run each (policy, budget) pair of ``cells`` in chunks of ``_CHUNK`` runs.
 
-    Every episode's streams depend only on its global run index, so the
-    chunk size cannot change any output value.
+    Each chunk's streams are drawn once and read by every cell.  They depend
+    only on the global run index, so neither chunking nor sharing can change
+    any output value.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    return _concat([
-        simulate_batch(
-            instance,
-            spec,
-            budget,
-            min(_CHUNK, runs - start),
-            master_seed,
-            run_start=start,
-            cap=cap,
-            p_default=p_default,
-            bounds=bounds,
-            track_lcb=track_lcb,
-        )
-        for start in range(0, runs, _CHUNK)
-    ])
+    parts = [[] for _ in cells]
+    for start in range(0, runs, _CHUNK):
+        streams = _Streams(master_seed, start, min(_CHUNK, runs - start))
+        for (spec, budget), part in zip(cells, parts):
+            part.append(simulate_batch(
+                instance, spec, budget, streams.key[2], master_seed,
+                run_start=start, streams=streams, **kwargs,
+            ))
+        # released before the next chunk's streams are drawn
+        del streams
+    return [_concat(part) for part in parts]
+
+
+def simulate_cell(instance, spec, budget, runs, master_seed, **kwargs) -> BatchResult:
+    """Run one (policy, budget) cell; ``cap``, ``p_default``, ``bounds`` and
+    ``track_lcb`` as for :func:`simulate_batch`."""
+    return _simulate_cells(instance, [(spec, budget)], runs, master_seed, **kwargs)[0]
 
 
 def run_batch(config: RunConfig) -> AggregateResult:
@@ -235,23 +230,14 @@ def run_batch(config: RunConfig) -> AggregateResult:
         bounds = derive_bounds(instance)
     else:
         bounds = _try_bounds(instance)
-    cells = []
-    for spec in config.policies:
-        for budget in config.budgets:
-            batch = simulate_cell(
-                instance,
-                spec,
-                budget,
-                config.runs,
-                config.master_seed,
-                cap=config.cap,
-                p_default=oracle.p_star,
-                bounds=bounds,
-            )
-            cells.append(
-                _aggregate_cell(spec, budget, batch, oracle.r_star, instance.c)
-            )
-    return AggregateResult(cells=tuple(cells), oracle=oracle)
+    cells = [(spec, budget) for spec in config.policies for budget in config.budgets]
+    batches = _simulate_cells(
+        instance, cells, config.runs, config.master_seed,
+        cap=config.cap, p_default=oracle.p_star, bounds=bounds,
+    )
+    stats = [_aggregate_cell(spec, budget, batch, oracle.r_star, instance.c)
+             for (spec, budget), batch in zip(cells, batches)]
+    return AggregateResult(cells=tuple(stats), oracle=oracle)
 
 
 def _try_bounds(instance: Instance) -> Bounds | None:

@@ -353,16 +353,22 @@ class LyOffPolicy(VectorPolicy):
         ex, er, ey = instance.true_means()
         if np.any(ex <= 0.0):
             raise ValueError("offline policy needs positive expected costs")
-        self._r_rates = er / ex
+        # scores are q y + (-V r) in a kept (m, K) buffer (see LyOnPolicy.start);
+        # addition commutes, so they equal _score's -V r + q y bit for bit
+        self._neg_vr = -float(v) * (er / ex)
         self._y_rates = ey / ex
-        self._v = float(v)
         self._cd = instance.c - delta
         self.q0 = float(q0)
         super().__init__(instance.n_arms)
 
+    def start(self, m: int, truth: Instance | None = None) -> None:
+        super().start(m, truth)
+        self._scores = np.empty((m, self._y_rates.size))
+
     def scores(self) -> np.ndarray:
-        """(m, K) drift-plus-penalty score of every arm at each row's queue."""
-        return _score(self._v, self.q[:, None], self._r_rates, self._y_rates)
+        """(m, K) score of each arm at each row's queue; the next call overwrites it."""
+        np.multiply(self.q[:, None], self._y_rates, out=self._scores)
+        return np.add(self._scores, self._neg_vr, out=self._scores)
 
     def select_batch(self, n, pulls, cost, live, u):
         return np.argmin(self.scores(), axis=1)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import lybandit.engine as engine
 import lybandit.harness as harness
 from lybandit import (
     ArmSpec,
@@ -57,6 +58,15 @@ def assert_batch_matches_sequential(instance, spec, budget, runs, seed):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_lockstep_equals_sequential(two_arm_instance, spec):
     assert_batch_matches_sequential(two_arm_instance, spec, 60.0, 25, 20260810)
+
+
+def test_lockstep_equals_sequential_across_blocks(two_arm_instance, monkeypatch):
+    # 16-epoch blocks: episodes of about 65-100 epochs refill several times
+    # past the shared block 0, from generators advanced over it, while rows
+    # that ended earlier stop refilling
+    monkeypatch.setattr(engine, "_BLOCK", 16)
+    for spec in SPECS:
+        assert_batch_matches_sequential(two_arm_instance, spec, 40.0, 12, 77)
 
 
 def test_lockstep_equality_on_mixed_kind_instance():
@@ -140,6 +150,15 @@ def test_chunking_does_not_change_results(two_arm_instance, monkeypatch):
     for field in ("n_pulls", "total_cost", "total_reward", "total_penalty",
                   "pulls_per_arm", "cost_per_arm", "q_final", "q_max"):
         assert np.array_equal(getattr(cell, field), getattr(whole, field))
+
+
+@pytest.mark.parametrize("key", [(2, 0, 4), (1, 1, 4), (1, 0, 3)])
+def test_streams_must_cover_the_batch(two_arm_instance, key):
+    streams = engine._Streams(1, 0, 4)
+    seed, start, runs = key
+    with pytest.raises(ValueError, match="streams drawn for"):
+        simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0,
+                       runs, seed, run_start=start, streams=streams)
 
 
 @pytest.mark.parametrize("cap", [0, -5])

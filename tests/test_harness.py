@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import lybandit.engine as engine
+import lybandit.harness as harness
 from lybandit import (
     ArmSpec,
     CellStats,
@@ -15,7 +19,10 @@ from lybandit import (
     ZeroCost,
     allocation,
     pseudo_regret,
+    derive_bounds,
     run_batch,
+    simulate_batch,
+    solve_lfp,
     sweep_scaling,
     violation,
     wald_interval,
@@ -88,6 +95,45 @@ class TestRunBatch:
             assert ca.mean_regret == cb.mean_regret
             assert np.array_equal(ca.alloc_cost, cb.alloc_cost)
             assert np.array_equal(ca.alloc_pulls, cb.alloc_pulls)
+
+    GRID = (
+        PolicySpec("stat", "stationary"),
+        PolicySpec("lyon", "lyon", v0=1.0, delta0=0.5),
+        PolicySpec("static", "static", arm=1),
+    )
+
+    def test_grid_equals_per_cell_batches(self, two_arm_instance, monkeypatch):
+        # the grid shares each 7-run chunk's streams among its nine cells; a
+        # batch of all 23 runs per cell draws its own
+        instance = two_arm_instance
+        sol, bounds = solve_lfp(instance), derive_bounds(instance)
+        monkeypatch.setattr(harness, "_CHUNK", 7)
+        budgets = (5.0, 20.0, 60.0)
+        grid = run_batch(RunConfig(instance, self.GRID, budgets, 23, 9))
+        for spec in self.GRID:
+            for budget in budgets:
+                batch = simulate_batch(instance, spec, budget, 23, 9,
+                                       p_default=sol.p_star, bounds=bounds)
+                want = harness._aggregate_cell(spec, budget, batch, sol.r_star, instance.c)
+                got = grid.cell(spec.name, budget)
+                for f in fields(CellStats):
+                    assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
+
+    @pytest.mark.parametrize("with_stationary", [True, False])
+    def test_streams_seeded_once_per_run(self, two_arm_instance, monkeypatch,
+                                         with_stationary):
+        calls = Counter()
+        for name in ("episode_env_rng", "episode_policy_rng"):
+            def counted(*args, _name=name, _derive=getattr(engine, name)):
+                calls[_name] += 1
+                return _derive(*args)
+            monkeypatch.setattr(engine, name, counted)
+        monkeypatch.setattr(harness, "_CHUNK", 7)
+        policies = self.GRID if with_stationary else self.GRID[1:]
+        # episodes of at most about 80 epochs stay inside the shared block
+        run_batch(RunConfig(two_arm_instance, policies, (5.0, 20.0, 40.0), 23, 9))
+        assert calls["episode_env_rng"] == 23
+        assert calls["episode_policy_rng"] == (23 if with_stationary else 0)
 
     def test_cap_hits_counted_not_fatal(self):
         instance = Instance(
