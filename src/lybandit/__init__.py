@@ -6,31 +6,30 @@ unit budget, an exact solver for the optimal stationary randomized mixture,
 virtual-queue drift-plus-penalty policies for the offline and online
 (learning) settings, and a Monte-Carlo harness reproducing regret, violation,
 and time-allocation curves.
+
+The package root holds what a driver script needs, plus the types it gets
+back and the exceptions it may catch.  Everything else is imported from its
+module: the policy classes and schedules from :mod:`lybandit.policies`, the
+lockstep engine from :mod:`lybandit.engine`, the per-episode metrics from
+:mod:`lybandit.harness` and the problem constants from :mod:`lybandit.model`.
 """
 
-from .engine import BatchResult, simulate_batch
 from .harness import (
     AggregateResult,
     CellStats,
     RunConfig,
     ScalingReport,
-    ZeroCost,
-    allocation,
-    pseudo_regret,
     run_batch,
     sweep_scaling,
-    violation,
 )
 from .model import (
     ArmSpec,
     BanditPolicy,
-    Bounds,
     EpisodeOverrun,
     EpisodeResult,
     Instance,
     Outcome,
     SlaterViolation,
-    derive_bounds,
     episode_env_rng,
     episode_policy_rng,
     run_episode,
@@ -44,18 +43,6 @@ from .oracle import (
     solve_lfp_grid,
     wald_interval,
 )
-from .policies import (
-    DeltaOutOfRange,
-    LyOffPolicy,
-    LyOnPolicy,
-    LyParams,
-    PolicySpec,
-    StaticPolicy,
-    StationaryPolicy,
-    confidence_radius,
-    denominator_floor,
-    exploration_schedule,
-    param_schedule,
-)
+from .policies import DeltaOutOfRange, PolicySpec, StationaryPolicy
 
 __version__ = "0.1.0"

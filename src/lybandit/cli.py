@@ -106,15 +106,19 @@ def _parse_instance(doc: dict) -> Instance:
 _POLICY_FIELDS = ("p", "v0", "delta0", "alpha", "index_variant", "exploration", "schedule")
 
 
-def _parse_policy(doc, index: int) -> PolicySpec:
+def _parse_policy(doc, index: int, n_arms: int) -> PolicySpec:
     where = f"policies[{index}]"
     ptype = _need(doc, "type", where)
     arm = None
     if isinstance(ptype, str) and ptype.startswith("static:"):
         try:
-            arm = int(ptype.split(":", 1)[1]) - 1
+            k = int(ptype.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"{where}.type static arm must be an integer") from None
+        # checked here so the message names the 1-based k the config wrote
+        if not 1 <= k <= n_arms:
+            raise ConfigError(f"{where}: static arm {k} is out of range 1..{n_arms}")
+        arm = k - 1
     try:
         return PolicySpec(
             name=str(doc.get("name", ptype)),
@@ -142,7 +146,9 @@ def load_config(path: str | Path) -> RunConfig:
     policies_doc = doc.get("policies", [])
     if not isinstance(policies_doc, list):
         raise ConfigError("policies must be a list")
-    policies = tuple(_parse_policy(p, i) for i, p in enumerate(policies_doc))
+    policies = tuple(
+        _parse_policy(p, i, instance.n_arms) for i, p in enumerate(policies_doc)
+    )
 
     budgets = doc.get("budgets", [])
     if not isinstance(budgets, list) or not all(_is_real(b) for b in budgets):

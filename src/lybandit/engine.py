@@ -27,13 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (
-    Instance,
-    Sampler,
-    default_cap,
-    episode_env_rng,
-    episode_policy_rng,
-)
+from .model import Instance, Sampler, episode_cap, episode_env_rng, episode_policy_rng
 from .policies import PolicySpec
 
 __all__ = ["BatchResult", "simulate_batch"]
@@ -118,13 +112,8 @@ def simulate_batch(
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    if not budget > 0.0:
-        raise ValueError("budget must be positive")
+    cap = episode_cap(instance, budget, cap)
     spec.check_arms(instance.n_arms)
-    if cap is None:
-        cap = default_cap(instance, budget)
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     key = (master_seed, run_start, runs)
     if streams is None:
         streams = _Streams(*key)

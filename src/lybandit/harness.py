@@ -27,8 +27,6 @@ __all__ = [
     "CellStats",
     "RunConfig",
     "ScalingReport",
-    "ZeroCost",
-    "allocation",
     "pseudo_regret",
     "run_batch",
     "sweep_scaling",
@@ -37,10 +35,6 @@ __all__ = [
 
 # runs per chunk: bounds the (runs, 1024, 3) uniform block its cells share
 _CHUNK = 1024
-
-
-class ZeroCost(ValueError):
-    """Allocation requested for an episode that consumed no budget."""
 
 
 def pseudo_regret(result: EpisodeResult | BatchResult, r_star: float, budget: float):
@@ -58,13 +52,6 @@ def violation(result: EpisodeResult | BatchResult, c: float, budget: float):
     On a :class:`BatchResult` it is computed per episode.
     """
     return result.total_penalty / budget - c
-
-
-def allocation(result: EpisodeResult) -> np.ndarray:
-    """Per-arm share of the consumed budget."""
-    if result.total_cost <= 0.0:
-        raise ZeroCost("episode consumed no budget")
-    return result.cost_per_arm / result.total_cost
 
 
 @dataclass(frozen=True)

@@ -231,8 +231,8 @@ class Instance:
     def __init__(self, arms: Sequence[ArmSpec], c: float):
         if len(arms) < 1:
             raise ValueError("instance needs at least one arm")
-        if not c > 0.0:
-            raise ValueError(f"c must be positive, got {c}")
+        if not (math.isfinite(c) and c > 0.0):
+            raise ValueError(f"c must be a finite positive number, got {c}")
         object.__setattr__(self, "arms", tuple(arms))
         object.__setattr__(self, "c", float(c))
 
@@ -256,9 +256,9 @@ class Bounds:
     epsilon: float
 
     def __post_init__(self):
-        if self.mu_min <= 0.0:
+        if not self.mu_min > 0.0:
             raise ValueError("mu_min must be positive")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 
 
@@ -336,15 +336,22 @@ def episode_policy_rng(master_seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, run_index, 1)))
 
 
-def default_cap(instance: Instance, budget: float) -> int:
-    """Default epoch cap, ten times a high-probability bound on the episode length."""
-    ex, _, _ = instance.true_means()
-    mu_min = float(np.min(ex))
-    if mu_min <= 0.0:
-        raise ValueError(
-            "instance has a zero-mean cost arm; pass an explicit cap to run_episode"
-        )
-    return 10 * math.ceil(2.0 * budget / mu_min)
+def episode_cap(instance: Instance, budget: float, cap: int | None) -> int:
+    """Epoch limit of an episode with budget B > 0.
+
+    ``cap`` when given, else ten times a high-probability bound on the
+    episode length, ``10 * ceil(2 B / mu_min)``.
+    """
+    if not budget > 0.0:
+        raise ValueError("budget must be positive")
+    if cap is None:
+        mu_min = float(np.min(instance.true_means()[0]))
+        if mu_min <= 0.0:
+            raise ValueError("instance has a zero-mean cost arm; pass an explicit cap")
+        return 10 * math.ceil(2.0 * budget / mu_min)
+    if not (_is_int(cap) and cap >= 1):
+        raise ValueError(f"cap must be at least 1 and an integer, got {cap!r}")
+    return cap
 
 
 def run_episode(
@@ -370,13 +377,7 @@ def run_episode(
     cap
         Maximum number of epochs; defaults to ``10 * ceil(2 B / mu_min)``.
     """
-    if not budget > 0.0:
-        raise ValueError("budget must be positive")
-    if cap is None:
-        cap = default_cap(instance, budget)
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-
+    cap = episode_cap(instance, budget, cap)
     k_arms = instance.n_arms
     sampler = Sampler(instance.arms)
     pulls = np.zeros(k_arms, dtype=np.int64)

@@ -23,7 +23,6 @@ __all__ = [
     "FEASIBILITY_TOL",
     "Infeasible",
     "OracleSolution",
-    "check_simplex",
     "penalty_rate",
     "reward_rate",
     "solve_lfp",
@@ -194,7 +193,7 @@ def wald_interval(p, instance: Instance, budget: float) -> tuple[float, float]:
     reward lies in [r(p) B, r(p) (B + 1 / mu_min^2)] where mu_min is the
     smallest expected arm cost.
     """
-    if budget <= 0.0:
+    if not budget > 0.0:
         raise ValueError("budget must be positive")
     r = reward_rate(p, instance)
     ex, _, _ = instance.true_means()

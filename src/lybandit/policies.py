@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from abc import abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +59,8 @@ __all__ = [
 VARIANT_LCB_BOTH = "lcb-both"
 VARIANT_LITERAL = "literal-paper"
 _VARIANTS = (VARIANT_LCB_BOTH, VARIANT_LITERAL)
+SCHEDULE_SQRT = "sqrt"
+SCHEDULE_SQRT_LOG = "sqrt-log"
 # tolerance on the sum of a stationary mixture p
 _PROB_TOL = 1e-9
 _LCB_TOL = 1e-9
@@ -138,19 +140,6 @@ def _combine(terms, q, log_n_prev, variant, out=None, work=None):
     return np.subtract(gamma, unc, out=out)
 
 
-def _gamma_matrix(t, sum_x, sum_r, sum_y, q, log_n_prev, v, alpha, floor, variant):
-    """Optimistic index from per-arm pull counts and outcome sums.
-
-    The empirical score -V r_hat + q y_hat is lowered by the reward-side
-    uncertainty term sqrt(ln n) V w (1 + r_hat) and moved by the queue-side
-    term sqrt(ln n) q w (1 + y_hat) (see :func:`_index_terms` and
-    :func:`_combine`).  The radius uses ``log_n_prev``, the log of the
-    completed epoch count, so it is zero at the second decision.
-    """
-    terms = _index_terms(t, sum_x, sum_r, sum_y, v, alpha, floor)
-    return _combine(terms, q, log_n_prev, variant)
-
-
 def denominator_floor(budget: float) -> float:
     """Floor for the empirical mean cost, keeping rates finite."""
     return max(1.0 / budget, 1e-6)
@@ -158,10 +147,12 @@ def denominator_floor(budget: float) -> float:
 
 def confidence_radius(t: int, n: float, alpha: float) -> float:
     """Uncertainty width sqrt(2 alpha ln(n) / t) for an arm pulled t times."""
-    if t < 1:
+    if not t >= 1:
         raise ValueError("confidence radius needs at least one pull")
-    if n < 1:
+    if not n >= 1:
         raise ValueError("epoch must be at least 1")
+    if not alpha > 0.0:
+        raise ValueError("alpha must be positive")
     return math.sqrt(math.log(n)) * float(_unit_radius(t, alpha))
 
 
@@ -182,8 +173,8 @@ class LyParams:
             raise ValueError("delta must be nonnegative")
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-        if self.exploration_pulls < 1:
-            raise ValueError("exploration_pulls must be at least 1")
+        if not (_is_int(self.exploration_pulls) and self.exploration_pulls >= 1):
+            raise ValueError("exploration_pulls must be an integer of at least 1")
         if self.index_variant not in _VARIANTS:
             raise ValueError(f"unknown index variant: {self.index_variant!r}")
 
@@ -193,7 +184,7 @@ class LyParams:
 # ---------------------------------------------------------------------------
 
 
-def exploration_schedule(budget: float, bounds: Bounds, params: LyParams) -> int:
+def exploration_schedule(budget: float, bounds: Bounds, alpha: float) -> int:
     """Theoretical initial per-arm pull count.
 
     Sizes the phase as ceil(beta0 ln(2 B / mu_min)) with
@@ -203,7 +194,7 @@ def exploration_schedule(budget: float, bounds: Bounds, params: LyParams) -> int
     """
     beta0 = (
         32.0
-        * params.alpha
+        * alpha
         * (1.0 + bounds.y_max) ** 2
         / (bounds.mu_min**2 * bounds.epsilon**2)
     )
@@ -212,26 +203,26 @@ def exploration_schedule(budget: float, bounds: Bounds, params: LyParams) -> int
 
 
 def param_schedule(
-    budget: float, v0: float, delta0: float, policy: str, c: float
+    budget: float, v0: float, delta0: float, schedule: str, c: float
 ) -> tuple[float, float]:
-    """Budget-indexed (V, delta) pair for the offline or online policy.
+    """Budget-indexed (V, delta) pair of the named schedule.
 
-    Offline: V = v0 sqrt(B), delta = delta0 / sqrt(B).
-    Online:  V = v0 sqrt(B ln B), delta = delta0 sqrt(ln B / B).
+    ``"sqrt"``:     V = v0 sqrt(B), delta = delta0 / sqrt(B).
+    ``"sqrt-log"``: V = v0 sqrt(B ln B), delta = delta0 sqrt(ln B / B).
     """
     if not budget > 1.0:
         raise ValueError("budget must exceed 1 so ln(B) is positive")
     if not (v0 > 0.0 and delta0 >= 0.0):
         raise ValueError("v0 must be positive and delta0 nonnegative")
-    if policy == "lyoff":
+    if schedule == SCHEDULE_SQRT:
         v = v0 * math.sqrt(budget)
         delta = delta0 / math.sqrt(budget)
-    elif policy == "lyon":
+    elif schedule == SCHEDULE_SQRT_LOG:
         log_b = math.log(budget)
         v = v0 * math.sqrt(budget * log_b)
         delta = delta0 * math.sqrt(log_b / budget)
     else:
-        raise ValueError(f"unknown policy for schedule: {policy!r}")
+        raise ValueError(f"unknown schedule: {schedule!r}")
     if delta >= c:
         raise DeltaOutOfRange(
             f"scheduled delta {delta:.6g} is not below c = {c}; "
@@ -483,10 +474,6 @@ class LyOnPolicy(VectorPolicy):
 POLICY_TYPES = ("stationary", "lyoff", "lyon", "ucb_bwi", "static")
 
 
-SCHEDULE_SQRT = "sqrt"
-SCHEDULE_SQRT_LOG = "sqrt-log"
-
-
 @dataclass(frozen=True)
 class PolicySpec:
     """Everything needed to build a fresh policy for one episode.
@@ -564,23 +551,17 @@ class PolicySpec:
 
     def ly_params(self, budget: float, c: float, bounds: Bounds | None) -> LyParams:
         """Resolve (V, delta, exploration) for the given budget."""
-        if self.type == "lyoff" or self.schedule == SCHEDULE_SQRT:
-            branch = "lyoff"
-        else:
-            branch = "lyon"
+        schedule = SCHEDULE_SQRT if self.type == "lyoff" else self.schedule
         # the unconstrained reduction does not tighten its (pinned) queue
         delta0 = 0.0 if self.type == "ucb_bwi" else self.delta0
-        v, delta = param_schedule(budget, self.v0, delta0, branch, c)
-        params = LyParams(
-            v=v, delta=delta, alpha=self.alpha, index_variant=self.index_variant
-        )
-        if self.exploration == "theoretical":
+        v, delta = param_schedule(budget, self.v0, delta0, schedule, c)
+        pulls = self.exploration
+        if pulls == "theoretical":
             if bounds is None:
                 raise ValueError("theoretical exploration needs derived bounds")
-            pulls = exploration_schedule(budget, bounds, params)
-        else:
-            pulls = int(self.exploration)
-        return replace(params, exploration_pulls=pulls)
+            pulls = exploration_schedule(budget, bounds, self.alpha)
+        return LyParams(v=v, delta=delta, alpha=self.alpha, exploration_pulls=pulls,
+                        index_variant=self.index_variant)
 
     def build(
         self,

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lybandit import ArmSpec, Instance, derive_bounds, solve_lfp
+from lybandit import ArmSpec, Instance, solve_lfp
+from lybandit.model import derive_bounds
 
 
 @pytest.fixture(scope="session")

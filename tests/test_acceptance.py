@@ -19,8 +19,6 @@ from lybandit import (
     Instance,
     PolicySpec,
     RunConfig,
-    confidence_radius,
-    derive_bounds,
     run_batch,
     solve_lfp,
     solve_lfp_grid,
@@ -28,6 +26,8 @@ from lybandit import (
 )
 from lybandit.cli import main as cli_main
 from lybandit.harness import simulate_cell
+from lybandit.model import derive_bounds
+from lybandit.policies import confidence_radius
 
 SEED = 42
 C = 0.8

@@ -145,9 +145,13 @@ class TestRunCommand:
         assert len(doc["cells"]) == 1
         assert len(doc["cells"][0]["alloc_pulls"]) == 2
 
-    def test_static_arm_out_of_range(self, tmp_path):
-        cfg = write_config(tmp_path, policies=[{"name": "s", "type": "static:3"}])
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    def test_static_arm_out_of_range(self, tmp_path, capsys):
+        # the message names the 1-based k of the config, not the library index
+        for k in (3, 0):
+            cfg = write_config(tmp_path, policies=[{"name": "s", "type": f"static:{k}"}])
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert lines == [f"error: policies[0]: static arm {k} is out of range 1..2"]
 
     def test_delta_out_of_range_exits_2(self, tmp_path):
         cfg = write_config(

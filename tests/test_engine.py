@@ -5,17 +5,10 @@ import pytest
 
 import lybandit.engine as engine
 import lybandit.harness as harness
-from lybandit import (
-    ArmSpec,
-    Instance,
-    PolicySpec,
-    derive_bounds,
-    run_episode,
-    simulate_batch,
-    solve_lfp,
-)
+from lybandit import ArmSpec, Instance, PolicySpec, run_episode, solve_lfp
+from lybandit.engine import simulate_batch
 from lybandit.harness import simulate_cell
-from lybandit.model import episode_env_rng, episode_policy_rng
+from lybandit.model import derive_bounds, episode_env_rng, episode_policy_rng
 
 from conftest import random_feasible_instance
 
@@ -164,6 +157,12 @@ def test_streams_must_cover_the_batch(two_arm_instance, key):
 @pytest.mark.parametrize("cap", [0, -5])
 def test_nonpositive_cap_rejected(two_arm_instance, cap):
     with pytest.raises(ValueError, match="cap must be at least 1"):
+        simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0, 2, 1, cap=cap)
+
+
+@pytest.mark.parametrize("cap", [2.5, True])
+def test_non_integer_cap_rejected(two_arm_instance, cap):
+    with pytest.raises(ValueError, match="cap must be at least 1 and an integer"):
         simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0, 2, 1, cap=cap)
 
 

@@ -16,17 +16,14 @@ from lybandit import (
     Instance,
     PolicySpec,
     RunConfig,
-    ZeroCost,
-    allocation,
-    pseudo_regret,
-    derive_bounds,
     run_batch,
-    simulate_batch,
     solve_lfp,
     sweep_scaling,
-    violation,
     wald_interval,
 )
+from lybandit.engine import BatchResult, simulate_batch
+from lybandit.harness import pseudo_regret, violation
+from lybandit.model import derive_bounds
 
 
 def make_result(**kw) -> EpisodeResult:
@@ -44,6 +41,15 @@ def make_result(**kw) -> EpisodeResult:
     return EpisodeResult(**base)
 
 
+def alloc_cost(**kw) -> np.ndarray:
+    """``alloc_cost`` of a one-episode cell whose episode is ``make_result(**kw)``."""
+    episode = make_result(**kw)
+    batch = BatchResult(**{f.name: np.array([getattr(episode, f.name)])
+                           for f in fields(EpisodeResult)})
+    spec = PolicySpec("s", "static", arm=0)
+    return harness._aggregate_cell(spec, 100.0, batch, 1.3, 0.8).alloc_cost
+
+
 class TestMetrics:
     def test_pseudo_regret(self):
         assert pseudo_regret(make_result(total_reward=120.0), 1.3, 100.0) == pytest.approx(10.0)
@@ -55,14 +61,14 @@ class TestMetrics:
         assert violation(make_result(total_penalty=80.0), 0.8, 100.0) == 0.0
 
     def test_allocation(self):
-        single = make_result(pulls_per_arm=np.array([10]), cost_per_arm=np.array([5.0]))
-        assert list(allocation(single)) == [1.0]
-        shares = allocation(make_result())
-        assert shares == pytest.approx([0.6, 0.4])
+        single = alloc_cost(pulls_per_arm=np.array([10]), cost_per_arm=np.array([5.0]))
+        assert list(single) == [1.0]
+        assert alloc_cost() == pytest.approx([0.6, 0.4])
 
     def test_allocation_zero_cost(self):
-        with pytest.raises(ZeroCost):
-            allocation(make_result(total_cost=0.0, cost_per_arm=np.array([0.0, 0.0])))
+        # an episode that consumed no budget is left out of the shares
+        shares = alloc_cost(total_cost=0.0, cost_per_arm=np.array([0.0, 0.0]))
+        assert list(shares) == [0.0, 0.0]
 
 
 class TestRunBatch:

@@ -10,18 +10,15 @@ from lybandit import (
     BanditPolicy,
     EpisodeOverrun,
     Instance,
-    LyOnPolicy,
-    LyParams,
     Outcome,
     SlaterViolation,
-    StaticPolicy,
     StationaryPolicy,
-    derive_bounds,
     episode_env_rng,
     episode_policy_rng,
     run_episode,
 )
-from lybandit.model import Sampler
+from lybandit.model import Bounds, Sampler, derive_bounds
+from lybandit.policies import LyOnPolicy, LyParams, StaticPolicy
 
 
 def rng(seed=0):
@@ -124,8 +121,11 @@ class TestInstance:
         assert inst.c == 2.0
 
     def test_nan_c_rejected(self):
-        with pytest.raises(ValueError):
-            Instance([ArmSpec.bernoulli(0.5, 0.5, 0.5)], c=math.nan)
+        # an infinite c is refused too: inf * 0 turns a queue to NaN at the
+        # first zero-cost pull
+        for c in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Instance([ArmSpec.bernoulli(0.5, 0.5, 0.5)], c=c)
 
     def test_true_means(self, two_arm_instance):
         ex, er, ey = two_arm_instance.true_means()
@@ -157,6 +157,12 @@ class TestDeriveBounds:
         inst = Instance([ArmSpec.bernoulli(0.0, 0.5, 0.0)], c=0.5)
         with pytest.raises(ValueError):
             derive_bounds(inst)
+
+    @pytest.mark.parametrize("field", ["mu_min", "epsilon"])
+    def test_nan_bounds_rejected(self, field):
+        values = dict(mu_min=0.4, r_max=2.0, y_max=1.5, epsilon=0.18)
+        with pytest.raises(ValueError):
+            Bounds(**{**values, field: math.nan})
 
 
 def constant_cost_instance(x: float, r: float = 0.5, y: float = 0.0) -> Instance:
@@ -190,6 +196,11 @@ class TestRunEpisode:
     def test_nonpositive_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="budget must be positive"):
             run_episode(constant_cost_instance(0.5), StaticPolicy(0), budget, rng())
+
+    @pytest.mark.parametrize("cap", [0, 2.5, True])
+    def test_bad_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="cap must be at least 1 and an integer"):
+            run_episode(constant_cost_instance(0.5), StaticPolicy(0), 10.0, rng(), cap=cap)
 
     def test_zero_cost_needs_explicit_cap(self):
         inst = Instance([ArmSpec.bernoulli(0.0, 0.5, 0.0)], c=0.9)

@@ -14,7 +14,7 @@ from lybandit import (
     solve_lfp_grid,
     wald_interval,
 )
-from lybandit.oracle import check_simplex
+from lybandit.model import check_simplex
 
 from conftest import random_feasible_instance
 
@@ -163,3 +163,5 @@ class TestWaldInterval:
     def test_budget_precondition(self, two_arm_instance):
         with pytest.raises(ValueError):
             wald_interval([0.5, 0.5], two_arm_instance, 0.0)
+        with pytest.raises(ValueError):
+            wald_interval([0.5, 0.5], two_arm_instance, float("nan"))

@@ -5,22 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from lybandit import (
-    ArmSpec,
-    DeltaOutOfRange,
-    Instance,
+from lybandit import ArmSpec, DeltaOutOfRange, Instance, Outcome, PolicySpec, StationaryPolicy
+from lybandit.model import episode_env_rng
+from lybandit.policies import (
     LyOffPolicy,
     LyOnPolicy,
     LyParams,
-    Outcome,
-    PolicySpec,
-    StationaryPolicy,
+    _combine,
+    _empirical_rates,
+    _index_terms,
     confidence_radius,
+    denominator_floor,
     exploration_schedule,
     param_schedule,
 )
-from lybandit.model import episode_env_rng
-from lybandit.policies import _empirical_rates, _gamma_matrix, _index_terms, denominator_floor
 
 LIVE = np.ones(1, dtype=bool)
 
@@ -134,6 +132,10 @@ class TestConfidenceRadius:
             confidence_radius(0, 5, 2.0)
         with pytest.raises(ValueError):
             confidence_radius(1, 0.5, 2.0)
+        with pytest.raises(ValueError):
+            confidence_radius(math.nan, 5, 2.0)
+        with pytest.raises(ValueError):
+            confidence_radius(5, 5, -1.0)
 
 
 class TestEmpiricalRates:
@@ -160,26 +162,32 @@ class TestEmpiricalRates:
         assert pol.sum_r[0, 1] == 0.0
 
 
+def gamma_index(t, sum_x, sum_r, sum_y, q, log_n_prev, v, alpha, floor, variant):
+    """The online index from per-arm tallies: its terms, combined."""
+    terms = _index_terms(t, sum_x, sum_r, sum_y, v, alpha, floor)
+    return _combine(terms, q, log_n_prev, variant)
+
+
 def index_value(x_hat, r_hat, y_hat, q, v, rad, variant="lcb-both"):
     """The index at one pull with the given rates and radius (alpha = 1/2)."""
-    return _gamma_matrix(1.0, x_hat, r_hat * x_hat, y_hat * x_hat, q, rad**2, v,
-                         0.5, 1e-6, variant)
+    return gamma_index(1.0, x_hat, r_hat * x_hat, y_hat * x_hat, q, rad**2, v,
+                       0.5, 1e-6, variant)
 
 
 class TestGammaIndex:
     def test_value_examples(self):
         # ten pulls with sums (5, 6, 3) and radius sqrt(2 * 2 * 0.025 / 10) = 0.1
-        got = _gamma_matrix(10.0, 5.0, 6.0, 3.0, 2.0, 0.025, 10.0, 2.0, 1e-6, "lcb-both")
+        got = gamma_index(10.0, 5.0, 6.0, 3.0, 2.0, 0.025, 10.0, 2.0, 1e-6, "lcb-both")
         assert got == pytest.approx(-15.84)
-        got = _gamma_matrix(10.0, 5.0, 6.0, 3.0, 2.0, 0.025, 10.0, 2.0, 1e-6,
-                            "literal-paper")
+        got = gamma_index(10.0, 5.0, 6.0, 3.0, 2.0, 0.025, 10.0, 2.0, 1e-6,
+                          "literal-paper")
         assert got == pytest.approx(-14.56)
 
     def test_zero_radius_equals_psi_hat(self):
         # decision epoch 2 uses the radius at epoch 1, which is zero
         for variant in ("lcb-both", "literal-paper"):
-            got = _gamma_matrix(1.0, 0.5, 0.6, 0.3, 2.0, math.log(2 - 1), 10.0, 2.0,
-                                1e-6, variant)
+            got = gamma_index(1.0, 0.5, 0.6, 0.3, 2.0, math.log(2 - 1), 10.0, 2.0,
+                              1e-6, variant)
             assert got == pytest.approx(-10.8)
 
     def test_variant_ordering(self):
@@ -220,8 +228,8 @@ class TestGammaIndex:
             for variant, sign in (("lcb-both", -1.0), ("literal-paper", 1.0)):
                 want = (psi_hat - rad * v * (1.0 + r_hat) / x_hat
                         + sign * rad * q * (1.0 + y_hat) / x_hat)
-                got = _gamma_matrix(t, sum_x, sum_r, sum_y, q, log_n, v, alpha, floor,
-                                    variant)
+                got = gamma_index(t, sum_x, sum_r, sum_y, q, log_n, v, alpha, floor,
+                                  variant)
                 assert got == pytest.approx(want, rel=1e-12)
 
     def test_refresh_matches_rebuild(self):
@@ -288,36 +296,34 @@ class TestLyonSelect:
 
 class TestSchedules:
     def test_exploration_beta0(self, two_arm_bounds):
-        params = LyParams(v=1.0, alpha=2.0)
         # budget chosen so ln(2B / mu_min) = 1; count is then ceil(beta0)
         budget = math.e * two_arm_bounds.mu_min / 2.0
-        count = exploration_schedule(budget, two_arm_bounds, params)
+        count = exploration_schedule(budget, two_arm_bounds, 2.0)
         assert count == 77_161  # beta0 = 32*2*(1+1.5)^2 / (0.4^2 * 0.18^2) ~ 77160.5
 
     def test_exploration_clamped_to_one(self, two_arm_bounds):
-        params = LyParams(v=1.0, alpha=2.0)
         budget = two_arm_bounds.mu_min / 2.0  # ln(1) = 0
-        assert exploration_schedule(budget, two_arm_bounds, params) == 1
+        assert exploration_schedule(budget, two_arm_bounds, 2.0) == 1
 
     def test_offline_schedule(self):
-        v, delta = param_schedule(10_000.0, 1.0, 0.5, "lyoff", c=0.8)
+        v, delta = param_schedule(10_000.0, 1.0, 0.5, "sqrt", c=0.8)
         assert v == pytest.approx(100.0)
         assert delta == pytest.approx(0.005)
 
     def test_online_log_augmented_schedule(self):
-        v, delta = param_schedule(10_000.0, 1.0, 0.5, "lyon", c=0.8)
+        v, delta = param_schedule(10_000.0, 1.0, 0.5, "sqrt-log", c=0.8)
         assert v == pytest.approx(303.49, abs=0.01)
         assert delta == pytest.approx(0.0151747, abs=1e-6)
 
     def test_delta_guard(self):
         with pytest.raises(DeltaOutOfRange):
-            param_schedule(100.0, 1.0, 15.0, "lyon", c=0.8)
+            param_schedule(100.0, 1.0, 15.0, "sqrt-log", c=0.8)
         with pytest.raises(DeltaOutOfRange):
-            param_schedule(100.0, 1.0, 8.5, "lyoff", c=0.8)
+            param_schedule(100.0, 1.0, 8.5, "sqrt", c=0.8)
 
     def test_small_budget_rejected(self):
         with pytest.raises(ValueError):
-            param_schedule(1.0, 1.0, 0.5, "lyoff", c=0.8)
+            param_schedule(1.0, 1.0, 0.5, "sqrt", c=0.8)
 
     @pytest.mark.parametrize(
         "args",
@@ -325,12 +331,17 @@ class TestSchedules:
     )
     def test_nan_rejected(self, args):
         with pytest.raises(ValueError):
-            param_schedule(*args, "lyoff", c=0.8)
+            param_schedule(*args, "sqrt", c=0.8)
 
     @pytest.mark.parametrize("field", ["v", "delta", "alpha"])
     def test_nan_params_rejected(self, field):
         with pytest.raises(ValueError):
             LyParams(**{"v": 1.0, field: math.nan})
+
+    @pytest.mark.parametrize("pulls", [1.5, True])
+    def test_non_integer_exploration_pulls_rejected(self, pulls):
+        with pytest.raises(ValueError):
+            LyParams(v=1.0, exploration_pulls=pulls)
 
 
 class TestStationarySelect:

@@ -1,7 +1,9 @@
 """The README and the demos describe the package and CLI that exist.
 
-Every name the demos and the README quick start take from lybandit exists,
-and the README's CLI synopsis lists exactly the options each subcommand takes.
+The package root exports exactly the names the demos and the README quick
+start take from lybandit, plus the types those return or take and the
+exceptions they raise; the README's CLI synopsis lists exactly the options
+each subcommand takes.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ast
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -52,6 +55,19 @@ def test_names_resolve(name):
     assert used, f"{name} uses nothing from lybandit"
     missing = sorted(n for n in used if not hasattr(lybandit, n))
     assert missing == []
+
+
+# what the names the sources use return, take or raise
+RESULT_TYPES = {"AggregateResult", "BanditPolicy", "CellStats", "EpisodeResult",
+                "OracleSolution", "Outcome", "ScalingReport"}
+EXCEPTIONS = {"DeltaOutOfRange", "EpisodeOverrun", "Infeasible", "SlaterViolation"}
+
+
+def test_root_exports_exactly_what_the_sources_use():
+    public = {name for name, value in vars(lybandit).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    used = set().union(*(lybandit_names(source) for source in SOURCES.values()))
+    assert public == used | RESULT_TYPES | EXCEPTIONS
 
 
 def readme_cli_flags() -> dict[str, set[str]]:
