@@ -17,7 +17,8 @@ The engine does not know any policy rule.  It builds the rule from the
 runner calls through the m = 1 ``select`` / ``observe``; the engine itself
 refills the random streams, draws outcomes through the same
 :class:`~lybandit.model.Sampler` as the sequential runner, and keeps the
-per-arm tallies and episode totals.
+episode totals and the per-arm tallies, which the rule binds at the start
+and reads, so each pull enters them before the rule observes it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Instance, Sampler, episode_cap, episode_env_rng, episode_policy_rng
+from .model import Instance, Sampler, check_int, episode_cap
+from .model import episode_env_rng, episode_policy_rng
 from .policies import PolicySpec
 
 __all__ = ["BatchResult", "simulate_batch"]
@@ -110,8 +112,8 @@ def simulate_batch(
     every post-exploration decision.  ``streams`` (drawn for exactly these
     runs) lets several calls share one seeding; by default a call draws its own.
     """
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
+    check_int(runs, "runs", 1)
+    check_int(master_seed, "master_seed", 0)
     cap = episode_cap(instance, budget, cap)
     spec.check_arms(instance.n_arms)
     key = (master_seed, run_start, runs)
@@ -120,8 +122,10 @@ def simulate_batch(
     elif streams.key != key:
         raise ValueError(f"streams drawn for {streams.key}, not for {key}")
     m = runs
+    pulls = np.zeros((m, instance.n_arms))
+    cost_arm = np.zeros((m, instance.n_arms))
     rule = spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
-    rule.start(m, instance if track_lcb else None)
+    rule.start(pulls, cost_arm, instance if track_lcb else None)
     sampler = Sampler(instance.arms)
 
     env_buf = streams.env
@@ -133,8 +137,6 @@ def simulate_batch(
     total_cost = np.zeros(m)
     total_reward = np.zeros(m)
     total_penalty = np.zeros(m)
-    pulls = np.zeros((m, instance.n_arms))
-    cost_arm = np.zeros((m, instance.n_arms))
     q_max = np.zeros(m)
     u = None
 
@@ -155,17 +157,18 @@ def simulate_batch(
             u = pol_buf[:, off]
 
         # selection sees only outcomes of earlier epochs
-        arms = rule.select_batch(epoch, pulls, cost_arm, active, u)
+        arms = rule.select_batch(epoch, active, u)
         outcome = sampler.draw(arms, env_buf[:, off, :])
         # finished episodes observe zero outcomes, which change no state
         outcome[~active] = 0.0
         x, r, y = outcome.T
-        rule.observe_batch(arms, x, r, y)
 
-        # each row pulls one arm: scatter at its flat (row, arm) entry
+        # each row pulls one arm: scatter at its flat (row, arm) entry; the
+        # rule reads these tallies, so they take the pull before it observes
         flat = row_base + arms
         pulls.reshape(-1)[flat] += active
         cost_arm.reshape(-1)[flat] += x
+        rule.observe_batch(arms, x, r, y)
         total_cost += x
         total_reward += r
         total_penalty += y

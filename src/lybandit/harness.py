@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .engine import BatchResult, _Streams, simulate_batch
-from .model import Bounds, EpisodeResult, Instance, _is_int, derive_bounds
+from .model import Bounds, EpisodeResult, Instance, check_int, derive_bounds
 from .oracle import OracleSolution, solve_lfp
 from .policies import PolicySpec
 
@@ -66,12 +66,10 @@ class RunConfig:
     cap: int | None = None
 
     def __post_init__(self):
-        if not (_is_int(self.runs) and self.runs >= 1):
-            raise ValueError("runs must be a positive integer")
-        if not (self.cap is None or _is_int(self.cap) and self.cap >= 1):
-            raise ValueError("cap must be None or a positive integer")
-        if not (_is_int(self.master_seed) and self.master_seed >= 0):
-            raise ValueError("seed must be a nonnegative integer")
+        check_int(self.runs, "runs", 1)
+        if self.cap is not None:
+            check_int(self.cap, "cap", 1)
+        check_int(self.master_seed, "seed", 0)
         if not self.budgets:
             raise ValueError("at least one budget is required")
         if any(not (math.isfinite(b) and b > 1.0) for b in self.budgets):
@@ -186,8 +184,8 @@ def _simulate_cells(instance, cells, runs, master_seed, **kwargs) -> list[BatchR
     only on the global run index, so neither chunking nor sharing can change
     any output value.
     """
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
+    check_int(runs, "runs", 1)
+    check_int(master_seed, "master_seed", 0)
     parts = [[] for _ in cells]
     for start in range(0, runs, _CHUNK):
         streams = _Streams(master_seed, start, min(_CHUNK, runs - start))

@@ -49,6 +49,12 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def check_int(value, name: str, least: int) -> None:
+    """Raise one ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
+    if not (_is_int(value) and value >= least):
+        raise ValueError(f"{name} must be at least {least} and an integer, got {value!r}")
+
+
 def check_simplex(p, tol: float = _SIMPLEX_TOL) -> np.ndarray:
     """Validate and return ``p`` as a probability vector summing to 1 within ``tol``."""
     p = np.asarray(p, dtype=np.float64)
@@ -337,20 +343,20 @@ def episode_policy_rng(master_seed: int, run_index: int) -> np.random.Generator:
 
 
 def episode_cap(instance: Instance, budget: float, cap: int | None) -> int:
-    """Epoch limit of an episode with budget B > 0.
+    """Epoch limit of an episode with a finite budget B > 0.
 
     ``cap`` when given, else ten times a high-probability bound on the
     episode length, ``10 * ceil(2 B / mu_min)``.
     """
-    if not budget > 0.0:
-        raise ValueError("budget must be positive")
+    # an infinite budget is never exceeded: every episode would run to the cap
+    if not (math.isfinite(budget) and budget > 0.0):
+        raise ValueError(f"budget must be positive and finite, got {budget!r}")
     if cap is None:
         mu_min = float(np.min(instance.true_means()[0]))
         if mu_min <= 0.0:
             raise ValueError("instance has a zero-mean cost arm; pass an explicit cap")
         return 10 * math.ceil(2.0 * budget / mu_min)
-    if not (_is_int(cap) and cap >= 1):
-        raise ValueError(f"cap must be at least 1 and an integer, got {cap!r}")
+    check_int(cap, "cap", 1)
     return cap
 
 

@@ -20,14 +20,17 @@ The online index is computed in factored form,
     gamma(k) = A(k) + q B(k) - sqrt(ln n) (C(k) +/- q D(k)),
 
 where A..D depend only on arm k's own tallies.  A pull changes one arm's
-terms, so each epoch the online rule recomputes A..D at the entries pulled
-in the previous epoch only (O(m) work over m episodes) and spends its
-full-width passes on combining them with the queue and the epoch count.
+terms, so the online rule recomputes A..D at the entries pulled in an epoch
+as it observes them (O(m) work over m episodes) and spends its full-width
+passes on combining them with the queue and the epoch count.
 
 Each built-in policy is written once, in vector form over m independent
 episodes (:class:`VectorPolicy`).  The lockstep engine runs it on a whole
 batch; the scalar ``select`` / ``observe`` of :class:`BanditPolicy` run the
 same code with m = 1, so both paths share every floating-point operation.
+A driver owns the per-arm pull and cost tallies; the policy binds them once
+and reads them, and the driver adds each pull to them before the policy
+observes its outcome.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BanditPolicy, Bounds, Instance, Outcome, categorical, check_simplex
-from .model import _is_int, _is_real
+from .model import _is_int, _is_real, check_int
 
 __all__ = [
     "DeltaOutOfRange",
@@ -84,9 +87,9 @@ def _queue_step(q, x, y, cd):
     return np.maximum(0.0, q + y - cd * x)
 
 
-def _score(v, q, r_rate, y_rate):
-    """Drift-plus-penalty score -V r + q y of arms with the given rates."""
-    return -v * r_rate + q * y_rate
+def _score(neg_vr, q, y_rate, out=None):
+    """Drift-plus-penalty score -V r + q y, given -V r; ``out`` is an optional buffer."""
+    return np.add(np.multiply(q, y_rate, out=out), neg_vr, out=out)
 
 
 def _unit_radius(t, alpha):
@@ -173,8 +176,7 @@ class LyParams:
             raise ValueError("delta must be nonnegative")
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-        if not (_is_int(self.exploration_pulls) and self.exploration_pulls >= 1):
-            raise ValueError("exploration_pulls must be an integer of at least 1")
+        check_int(self.exploration_pulls, "exploration_pulls", 1)
         if self.index_variant not in _VARIANTS:
             raise ValueError(f"unknown index variant: {self.index_variant!r}")
 
@@ -239,16 +241,18 @@ def param_schedule(
 class VectorPolicy(BanditPolicy):
     """A built-in policy in vector form over m independent episodes (rows).
 
-    A driver calls :meth:`start` once, then per epoch :meth:`select_batch`
-    and :meth:`observe_batch`.  The driver keeps each row's per-arm pull and
-    cost tallies and hands them to ``select_batch``; rows whose episode has
-    ended receive zero outcomes, which leave every rule's state unchanged.
-    ``q`` holds each row's virtual queue (zero for rules without one).
+    A driver calls :meth:`start` once with its (m, K) per-arm pull and cost
+    tallies, which the policy keeps as ``pulls`` and ``cost`` and reads, then
+    per epoch :meth:`select_batch` and :meth:`observe_batch`.  The driver adds
+    each epoch's pulls to its tallies *before* it calls ``observe_batch``;
+    rows whose episode has ended add no pull and receive zero outcomes, which
+    leave every rule's state unchanged.  ``q`` holds each row's virtual queue
+    (zero for rules without one).
 
-    The scalar :meth:`select` / :meth:`observe` are the m = 1 case, with the
-    tallies kept here.  Rules with ``uses_stream`` consume one policy uniform
-    per row and epoch, drawn at m = 1 from ``rng``; drivers open policy
-    streams only for them.
+    The scalar :meth:`select` / :meth:`observe` are the m = 1 case over a
+    (1, K) tally pair bound at construction.  Rules with ``uses_stream``
+    consume one policy uniform per row and epoch, drawn at m = 1 from
+    ``rng``; drivers open policy streams only for them.
     """
 
     uses_stream = False
@@ -257,32 +261,31 @@ class VectorPolicy(BanditPolicy):
     def __init__(self, n_arms: int, rng: np.random.Generator | None = None):
         self._rng = rng
         self._n = 0
-        self._pulls = np.zeros((1, n_arms))
-        self._cost = np.zeros((1, n_arms))
-        self.start(1)
+        self.start(np.zeros((1, n_arms)), np.zeros((1, n_arms)))
 
-    def start(self, m: int, truth: Instance | None = None) -> None:
-        """Reset the per-row state for m episodes.
+    def start(self, pulls, cost, truth: Instance | None = None) -> None:
+        """Bind the driver's (m, K) tallies and reset the per-row state.
 
         With ``truth`` given, ``lcb_ok`` records per row whether an
         optimistic index stayed at or below the true-mean score at every
         decision (rules without such an index leave it all True); otherwise
         ``lcb_ok`` is None.
         """
+        self.pulls, self.cost = pulls, cost
+        m = pulls.shape[0]
         self.q = np.full(m, self.q0)
         self.lcb_ok = None if truth is None else np.ones(m, dtype=bool)
 
     @abstractmethod
-    def select_batch(self, n: int, pulls, cost, live, u) -> np.ndarray:
+    def select_batch(self, n: int, live, u) -> np.ndarray:
         """Arm index of every row at the epoch after ``n`` completed pulls.
 
-        ``pulls`` and ``cost`` are the (m, K) per-arm tallies, ``live`` the
-        (m,) mask of running episodes and ``u`` the (m,) policy uniforms
-        (None unless ``uses_stream``).
+        ``live`` is the (m,) mask of running episodes and ``u`` the (m,)
+        policy uniforms (None unless ``uses_stream``).
         """
 
     def observe_batch(self, arms, x, r, y) -> None:
-        """Record the (m,) outcomes of the pulled ``arms``."""
+        """Record the (m,) outcomes of the pulled ``arms``, already in the tallies."""
 
     @property
     def queue(self) -> float:
@@ -290,14 +293,14 @@ class VectorPolicy(BanditPolicy):
 
     def select(self) -> int:
         u = self._rng.random(1) if self.uses_stream else None
-        return int(self.select_batch(self._n, self._pulls, self._cost, _ONE_ROW, u)[0])
+        return int(self.select_batch(self._n, _ONE_ROW, u)[0])
 
     def observe(self, arm: int, outcome: Outcome) -> None:
+        self.pulls[0, arm] += 1.0
+        self.cost[0, arm] += outcome.x
         x, r, y = (np.array([value]) for value in outcome)
         self.observe_batch(np.array([arm]), x, r, y)
         self._n += 1
-        self._pulls[0, arm] += 1.0
-        self._cost[0, arm] += outcome.x
 
 
 class StationaryPolicy(VectorPolicy):
@@ -309,7 +312,7 @@ class StationaryPolicy(VectorPolicy):
         self._cum = np.cumsum(check_simplex(p, _PROB_TOL))
         super().__init__(self._cum.size, rng)
 
-    def select_batch(self, n, pulls, cost, live, u):
+    def select_batch(self, n, live, u):
         return categorical(self._cum, u)
 
 
@@ -323,7 +326,7 @@ class StaticPolicy(VectorPolicy):
         # the scalar tallies only ever see this one arm
         super().__init__(self._arm + 1)
 
-    def select_batch(self, n, pulls, cost, live, u):
+    def select_batch(self, n, live, u):
         return np.full(live.shape[0], self._arm, dtype=np.int64)
 
 
@@ -344,24 +347,22 @@ class LyOffPolicy(VectorPolicy):
         ex, er, ey = instance.true_means()
         if np.any(ex <= 0.0):
             raise ValueError("offline policy needs positive expected costs")
-        # scores are q y + (-V r) in a kept (m, K) buffer (see LyOnPolicy.start);
-        # addition commutes, so they equal _score's -V r + q y bit for bit
         self._neg_vr = -float(v) * (er / ex)
         self._y_rates = ey / ex
         self._cd = instance.c - delta
         self.q0 = float(q0)
         super().__init__(instance.n_arms)
 
-    def start(self, m: int, truth: Instance | None = None) -> None:
-        super().start(m, truth)
-        self._scores = np.empty((m, self._y_rates.size))
+    def start(self, pulls, cost, truth: Instance | None = None) -> None:
+        super().start(pulls, cost, truth)
+        # a kept (m, K) buffer (see LyOnPolicy.start)
+        self._scores = np.empty(pulls.shape)
 
     def scores(self) -> np.ndarray:
         """(m, K) score of each arm at each row's queue; the next call overwrites it."""
-        np.multiply(self.q[:, None], self._y_rates, out=self._scores)
-        return np.add(self._scores, self._neg_vr, out=self._scores)
+        return _score(self._neg_vr, self.q[:, None], self._y_rates, self._scores)
 
-    def select_batch(self, n, pulls, cost, live, u):
+    def select_batch(self, n, live, u):
         return np.argmin(self.scores(), axis=1)
 
     def observe_batch(self, arms, x, r, y):
@@ -375,16 +376,15 @@ class LyOnPolicy(VectorPolicy):
     the confidence-adjusted index each epoch.  With ``queue_enabled=False``
     the queue is pinned at zero, which is the unconstrained budgeted-UCB
     reduction.  Per-arm reward and penalty sums are kept here; pull counts
-    and cost sums are the driver's tallies.
+    and cost sums are the driver's tallies bound by :meth:`start`.
 
     The index is kept in factored form: ``terms`` holds the (m, K) arrays
-    (A, B, C, D) of :func:`_index_terms` (None before the first decision
-    after exploration, which builds them from the tallies).  Each later
-    decision first recomputes only the entries pulled since the previous
-    one, found through the flat indices ``row * K + arm`` that
-    :meth:`observe_batch` records, which is O(m) work; only the combine step
-    and the argmin run over all (m, K) entries.  ``index`` is the buffer the
-    combine step writes, so after a decision it holds the index minimized.
+    (A, B, C, D) of :func:`_index_terms`, built from the tallies in
+    :meth:`start` and kept equal to a rebuild from them after every call:
+    :meth:`observe_batch` recomputes only the pulled entries, which is O(m)
+    work, so only the combine step and the argmin run over all (m, K)
+    entries.  ``index`` is the buffer the combine step writes, so after a
+    decision it holds the index minimized.
     """
 
     def __init__(
@@ -405,13 +405,13 @@ class LyOnPolicy(VectorPolicy):
         self._queue_enabled = queue_enabled
         super().__init__(self._k)
 
-    def start(self, m: int, truth: Instance | None = None) -> None:
-        super().start(m, truth)
+    def start(self, pulls, cost, truth: Instance | None = None) -> None:
+        super().start(pulls, cost, truth)
+        m = pulls.shape[0]
         self._row_base = np.arange(m) * self._k
         self.sum_r = np.zeros((m, self._k))
         self.sum_y = np.zeros((m, self._k))
-        self.terms = None
-        self._pulled = None
+        self.terms = self._terms(pulls, cost, self.sum_r, self.sum_y)
         # the index and its work buffer live as long as the batch: freeing
         # per-epoch (m, K) temporaries let the C allocator return their pages
         # to the system and fault them in again every epoch (measured on a
@@ -421,37 +421,23 @@ class LyOnPolicy(VectorPolicy):
         self._work = np.empty((m, self._k))
         if truth is not None:
             ex, er, ey = truth.true_means()
-            self._true_rates = (er / ex, ey / ex)
+            self._true_rates = (-self._params.v * (er / ex), ey / ex)
 
-    def select_batch(self, n, pulls, cost, live, u):
+    def _terms(self, t, sum_x, sum_r, sum_y):
+        # an arm not yet pulled counts as one pull, so its terms stay finite;
+        # after exploration only rows that ended inside it have such arms
+        params = self._params
+        return _index_terms(np.maximum(t, 1.0), sum_x, sum_r, sum_y,
+                            params.v, params.alpha, self._floor)
+
+    def select_batch(self, n, live, u):
         if n < self._explore_total:
             return np.full(live.shape[0], n % self._k, dtype=np.int64)
-        params = self._params
-        # rows that ended inside exploration carry zero pull counts; the
-        # floor touches only those (live rows have every arm pulled)
-        if self.terms is None:
-            self.terms = _index_terms(
-                np.maximum(pulls, 1.0), cost, self.sum_r, self.sum_y,
-                params.v, params.alpha, self._floor,
-            )
-        elif self._pulled is not None:
-            flat = self._pulled
-            fresh = _index_terms(
-                np.maximum(pulls.take(flat), 1.0),
-                cost.take(flat),
-                self.sum_r.take(flat),
-                self.sum_y.take(flat),
-                params.v, params.alpha, self._floor,
-            )
-            for term, value in zip(self.terms, fresh):
-                term.put(flat, value)
-        self._pulled = None
         q_col = self.q[:, None] if self._queue_enabled else None
-        gamma = _combine(
-            self.terms, q_col, math.log(n), params.index_variant, self.index, self._work
-        )
+        gamma = _combine(self.terms, q_col, math.log(n), self._params.index_variant,
+                         self.index, self._work)
         if self.lcb_ok is not None:
-            psi_true = _score(params.v, self.q[:, None], *self._true_rates)
+            psi_true = _score(self._true_rates[0], self.q[:, None], self._true_rates[1])
             self.lcb_ok &= (gamma <= psi_true + _LCB_TOL).all(axis=1) | ~live
         return np.argmin(gamma, axis=1)
 
@@ -459,10 +445,11 @@ class LyOnPolicy(VectorPolicy):
         flat = self._row_base + arms
         self.sum_r.reshape(-1)[flat] += r
         self.sum_y.reshape(-1)[flat] += y
-        if self.terms is not None:
-            # entries whose tallies change; refreshed at the next decision
-            pending = self._pulled
-            self._pulled = flat if pending is None else np.concatenate((pending, flat))
+        # the driver's tallies already hold this pull
+        tallies = (self.pulls, self.cost, self.sum_r, self.sum_y)
+        fresh = self._terms(*(a.take(flat) for a in tallies))
+        for term, value in zip(self.terms, fresh):
+            term.put(flat, value)
         if self._queue_enabled:
             self.q = _queue_step(self.q, x, y, self._cd)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import json
 import math
 
@@ -95,6 +96,31 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["run", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_csv_bytes_are_pinned(self, tmp_path, capsys):
+        # CSV bytes stay fixed for a given seed and version.  Every policy
+        # type runs on the K=2 instance; at B=700 the episodes last about
+        # 1,200-1,750 epochs, past the first 1,024-epoch stream block.
+        cfg = write_config(
+            tmp_path,
+            policies=[
+                {"name": "stat", "type": "stationary"},
+                {"name": "arm2", "type": "static:2"},
+                {"name": "off", "type": "lyoff"},
+                {"name": "on", "type": "lyon"},
+                {"name": "on-lit", "type": "lyon", "index_variant": "literal-paper",
+                 "schedule": "sqrt-log"},
+                {"name": "ucb", "type": "ucb_bwi"},
+            ],
+            budgets=[30, 700],
+            runs=6,
+            seed=4,
+        )
+        out = tmp_path / "golden.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3908c9a122687e56eeaa28ee506548bbfa1f52a576ef638eae3a61f5885a62dd"
+        )
 
     def test_threads_option_is_gone(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from lybandit import ArmSpec, Instance, PolicySpec, run_episode, solve_lfp
 from lybandit.engine import simulate_batch
 from lybandit.harness import simulate_cell
 from lybandit.model import derive_bounds, episode_env_rng, episode_policy_rng
+from lybandit.policies import StaticPolicy
 
 from conftest import random_feasible_instance
 
@@ -171,6 +174,37 @@ def test_nonpositive_budget_rejected(two_arm_instance, budget):
     # NaN never compares above the cost, so every episode would run to the cap
     with pytest.raises(ValueError, match="budget must be positive"):
         simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), budget, 2, 1, cap=50)
+
+
+@pytest.mark.parametrize("cap", [None, 50])
+def test_infinite_budget_rejected(two_arm_instance, cap):
+    # never exceeded: without a cap the default cap overflows, with one every
+    # episode would silently run into it
+    match = "budget must be positive and finite"
+    with pytest.raises(ValueError, match=match):
+        simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), math.inf,
+                       2, 1, cap=cap)
+    with pytest.raises(ValueError, match=match):
+        run_episode(two_arm_instance, StaticPolicy(0), math.inf, episode_env_rng(1, 0),
+                    cap=cap)
+
+
+@pytest.mark.parametrize(
+    "runs, seed, name",
+    [
+        (2.5, 1, "runs"),
+        (True, 1, "runs"),
+        (2, 1.5, "master_seed"),
+        (2, True, "master_seed"),
+        (2, -1, "master_seed"),
+    ],
+    ids=["runs=2.5", "runs=True", "master_seed=1.5", "master_seed=True", "master_seed=-1"],
+)
+def test_runs_and_seed_must_be_integers(two_arm_instance, runs, seed, name):
+    spec = PolicySpec("s", "static", arm=0)
+    for simulate in (simulate_batch, simulate_cell):
+        with pytest.raises(ValueError, match=f"{name} must be at least . and an integer"):
+            simulate(two_arm_instance, spec, 10.0, runs, seed)
 
 
 def test_empty_cell_rejected(two_arm_instance):

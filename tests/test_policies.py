@@ -31,12 +31,18 @@ def lyon_select(stats, q, n, v, queue_enabled=True):
     """Arm the online rule picks at m = 1 after n completed pulls.
 
     ``stats`` lists per-arm (pulls, cost sum, reward sum, penalty sum); the
-    budget is large enough that the cost floor is 1e-6.
+    budget is large enough that the cost floor is 1e-6.  The pull and cost
+    tallies are bound as they stand; each arm's reward and penalty sums then
+    reach the rule as one observation of that arm.
     """
-    t, sum_x, sum_r, sum_y = (np.array([[s[i] for s in stats]]) for i in range(4))
+    t, sum_x = (np.array([[s[i] for s in stats]]) for i in range(2))
     pol = LyOnPolicy(len(stats), 0.8, LyParams(v=v), 1e6, queue_enabled=queue_enabled)
-    pol.sum_r[:], pol.sum_y[:], pol.q[:] = sum_r, sum_y, q
-    return int(pol.select_batch(n, t, sum_x, LIVE, None)[0])
+    pol.start(t, sum_x)
+    for arm, (_, _, sum_r, sum_y) in enumerate(stats):
+        r, y = np.array([sum_r]), np.array([sum_y])
+        pol.observe_batch(np.array([arm]), np.zeros(1), r, y)
+    pol.q[:] = q
+    return int(pol.select_batch(n, LIVE, None)[0])
 
 
 class TestQueue:
@@ -106,7 +112,7 @@ class TestOfflineScores:
 
     def test_rows_are_independent(self, two_arm_instance):
         pol = lyoff(two_arm_instance, v=10.0)
-        pol.start(3)
+        pol.start(np.zeros((3, 2)), np.zeros((3, 2)))
         pol.q[:] = [0.0, 0.3, 0.1]
         pol.observe_batch(np.zeros(3, dtype=np.int64), np.array([1.0, 0.0, 0.0]),
                           np.zeros(3), np.array([0.0, 1.0, 0.0]))
@@ -156,8 +162,8 @@ class TestEmpiricalRates:
         pol = LyOnPolicy(2, 0.8, LyParams(v=1.0), budget=100.0)
         pol.observe(0, Outcome(0.5, 1.0, 0.0))
         pol.observe(0, Outcome(0.5, 0.2, 0.6))
-        assert pol._pulls[0, 0] == 2
-        assert pol._cost[0, 0] == 1.0
+        assert pol.pulls[0, 0] == 2
+        assert pol.cost[0, 0] == 1.0
         assert pol.sum_r[0, 0] == pytest.approx(1.2)
         assert pol.sum_r[0, 1] == 0.0
 
@@ -241,27 +247,41 @@ class TestGammaIndex:
         params = LyParams(v=3.0, alpha=2.0, exploration_pulls=2)
         floor = denominator_floor(50.0)
         pol = LyOnPolicy(k, 0.8, params, 50.0)
-        pol.start(m)
         pulls, cost = np.zeros((m, k)), np.zeros((m, k))
+        pol.start(pulls, cost)
         live = np.ones(m, dtype=bool)
         rows = np.arange(m)
         checked = 0
         for n in range(200):
             live[:2] = n < 5
-            pol.select_batch(n, pulls, cost, live, None)
-            if pol.terms is not None:
-                rebuilt = _index_terms(np.maximum(pulls, 1.0), cost, pol.sum_r,
-                                       pol.sum_y, params.v, params.alpha, floor)
-                for term, want in zip(pol.terms, rebuilt):
-                    assert np.array_equal(term, want)
-                checked += 1
+            pol.select_batch(n, live, None)
+            rebuilt = _index_terms(np.maximum(pulls, 1.0), cost, pol.sum_r,
+                                   pol.sum_y, params.v, params.alpha, floor)
+            for term, want in zip(pol.terms, rebuilt):
+                assert np.array_equal(term, want)
+            checked += 1
             for _ in range(2 if n % 5 == 0 else 1):
                 arms = rng.integers(0, k, m)
                 x, r, y = rng.random((3, m)) * live
-                pol.observe_batch(arms, x, r, y)
                 pulls[rows, arms] += live
                 cost[rows, arms] += x
-        assert checked == 200 - 2 * k
+                pol.observe_batch(arms, x, r, y)
+        assert checked == 200
+
+    def test_scalar_refresh_matches_rebuild(self):
+        # at m = 1 the wrapper's own tallies must hold each pull before the
+        # rule observes it, or the refreshed entry reads the previous counts
+        params = LyParams(v=3.0, alpha=2.0, exploration_pulls=2)
+        floor = denominator_floor(50.0)
+        pol = LyOnPolicy(3, 0.8, params, 50.0)
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            arm = pol.select()
+            pol.observe(arm, Outcome(*rng.random(3)))
+            rebuilt = _index_terms(np.maximum(pol.pulls, 1.0), pol.cost, pol.sum_r,
+                                   pol.sum_y, params.v, params.alpha, floor)
+            for term, want in zip(pol.terms, rebuilt):
+                assert np.array_equal(term, want)
 
 
 class TestLyonSelect:
@@ -354,8 +374,8 @@ class TestStationarySelect:
         for seed, p, share in ((8, [0.5, 0.5], 0.5), (9, two_arm_oracle.p_star, 9 / 23)):
             u = np.random.default_rng(seed).random(1_000_000)
             pol = StationaryPolicy(p, None)
-            pol.start(u.size)
-            arms = pol.select_batch(0, None, None, np.ones(u.size, dtype=bool), u)
+            pol.start(np.zeros((u.size, 2)), np.zeros((u.size, 2)))
+            arms = pol.select_batch(0, np.ones(u.size, dtype=bool), u)
             assert abs((arms == 0).mean() - share) < 0.003
 
 
