@@ -114,6 +114,7 @@ def simulate_batch(
     """
     check_int(runs, "runs", 1)
     check_int(master_seed, "master_seed", 0)
+    check_int(run_start, "run_start", 0)
     cap = episode_cap(instance, budget, cap)
     spec.check_arms(instance.n_arms)
     key = (master_seed, run_start, runs)

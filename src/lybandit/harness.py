@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .engine import BatchResult, _Streams, simulate_batch
-from .model import Bounds, EpisodeResult, Instance, check_int, derive_bounds
+from .model import EpisodeResult, Instance, check_int, derive_bounds
 from .oracle import OracleSolution, solve_lfp
 from .policies import PolicySpec
 
@@ -209,12 +209,10 @@ def run_batch(config: RunConfig) -> AggregateResult:
     """Simulate every (policy, budget) cell and aggregate in run-index order."""
     instance = config.instance
     oracle = solve_lfp(instance)
-    # theoretical exploration sizing needs the problem constants, and a
-    # missing Slater arm should surface as that error, not a generic one
-    if any(p.exploration == "theoretical" for p in config.policies):
-        bounds = derive_bounds(instance)
-    else:
-        bounds = _try_bounds(instance)
+    # only theoretical exploration sizing reads the problem constants; there a
+    # missing Slater arm surfaces as that error, not a generic one
+    theoretical = any(p.exploration == "theoretical" for p in config.policies)
+    bounds = derive_bounds(instance) if theoretical else None
     cells = [(spec, budget) for spec in config.policies for budget in config.budgets]
     batches = _simulate_cells(
         instance, cells, config.runs, config.master_seed,
@@ -223,13 +221,6 @@ def run_batch(config: RunConfig) -> AggregateResult:
     stats = [_aggregate_cell(spec, budget, batch, oracle.r_star, instance.c)
              for (spec, budget), batch in zip(cells, batches)]
     return AggregateResult(cells=tuple(stats), oracle=oracle)
-
-
-def _try_bounds(instance: Instance) -> Bounds | None:
-    try:
-        return derive_bounds(instance)
-    except ValueError:
-        return None
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ reward to mixture-mean cost, and likewise for the penalty.  The benchmark
 mixture maximizes the reward rate subject to the penalty rate staying at or
 below c.  Because that program is a single linear-fractional objective with
 one ratio constraint over the simplex, an optimum is supported on at most two
-arms, so exact pair enumeration solves it; a brute-force lattice search is
-kept alongside as an independent check.
+arms.  The exact solver scores every single arm and every constraint-tight
+two-arm mix in closed form, in one array pass, and returns the first of those
+within ``FEASIBILITY_TOL`` of the best reward rate; a brute-force lattice
+search is kept alongside as an independent check.
 """
 
 from __future__ import annotations
@@ -75,15 +77,19 @@ def _solution(p: np.ndarray, instance: Instance) -> OracleSolution:
 def solve_lfp(instance: Instance) -> OracleSolution:
     """Maximize the reward rate subject to penalty rate <= c, exactly.
 
-    Candidates are (a) single arms whose own penalty rate is admissible and
-    (b) for each arm pair of opposite constraint slack, the unique mixing
-    weight that makes the constraint tight.  The best candidate is optimal
-    because the program is linear after the classic ratio-to-linear transform,
-    whose basic solutions have at most two nonzero weights.
+    The candidates are (a) the K single arms and (b) each arm pair (j, k),
+    j < k, of opposite constraint slack E[Y] - c E[X], mixed at the unique
+    weight w = slack[k] / (slack[k] - slack[j]) on arm j that makes the
+    constraint tight.  Their mixture cost, reward and penalty come in closed
+    form from the arm means, in one array pass.  The best admissible
+    candidate is optimal because the program is linear after the classic
+    ratio-to-linear transform, whose basic solutions have at most two
+    nonzero weights.
 
-    Ties are broken toward the candidate found first in a fixed scan order
-    (single arms by index, then pairs lexicographically), which realizes the
-    lowest-arm-index, lowest-mixing-weight rule.
+    Ties: the winner is the first admissible candidate in scan order (single
+    arms by index, then pairs lexicographically) whose reward rate is within
+    ``FEASIBILITY_TOL`` of the best, so rounding cannot pick a higher-index
+    copy of an equal mixture.
 
     Raises
     ------
@@ -96,39 +102,32 @@ def solve_lfp(instance: Instance) -> OracleSolution:
     c = instance.c
     k_arms = instance.n_arms
     slack = ey - c * ex  # negative means the arm alone is feasible
+    j, k = np.triu_indices(k_arms, 1)
+    opposite = slack[j] * slack[k] < 0.0  # else the edge has no tight point inside
+    j, k = j[opposite], k[opposite]
+    w = slack[k] / (slack[k] - slack[j])  # weight on arm j; in (0, 1)
 
-    best: OracleSolution | None = None
-
-    def consider(p: np.ndarray):
-        nonlocal best
-        cand = _solution(p, instance)
-        if cand.y_star > c + FEASIBILITY_TOL:
-            return
-        if best is None or cand.r_star > best.r_star:
-            best = cand
-
-    for k in range(k_arms):
-        p = np.zeros(k_arms)
-        p[k] = 1.0
-        consider(p)
-
-    for j in range(k_arms):
-        for k in range(j + 1, k_arms):
-            a_j, a_k = slack[j], slack[k]
-            if a_j * a_k >= 0.0:
-                continue  # constraint cannot be tight strictly inside the edge
-            w = a_k / (a_k - a_j)  # weight on arm j; in (0, 1) by sign check
-            p = np.zeros(k_arms)
-            p[j] = w
-            p[k] = 1.0 - w
-            consider(p)
-
-    if best is None:
+    # (cost, reward, penalty) means of every candidate: single arms, then pairs
+    means = np.stack([ex, er, ey])
+    cost, reward, penalty = np.concatenate(
+        [means, w * means[:, j] + (1.0 - w) * means[:, k]], axis=1
+    )
+    rate = reward / cost
+    admissible = penalty / cost <= c + FEASIBILITY_TOL
+    if not admissible.any():
         raise Infeasible(
             f"no mixture attains penalty rate <= {c}; "
             f"minimum single-arm rate is {float(np.min(ey / ex))}"
         )
-    return best
+    rate[~admissible] = -np.inf
+    best = int(np.argmax(rate >= rate.max() - FEASIBILITY_TOL))
+    p = np.zeros(k_arms)
+    if best < k_arms:
+        p[best] = 1.0
+    else:
+        i = best - k_arms
+        p[j[i]], p[k[i]] = w[i], 1.0 - w[i]
+    return _solution(p, instance)
 
 
 @lru_cache(maxsize=8)

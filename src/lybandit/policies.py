@@ -92,6 +92,14 @@ def _score(neg_vr, q, y_rate, out=None):
     return np.add(np.multiply(q, y_rate, out=out), neg_vr, out=out)
 
 
+def _true_coefficients(instance: Instance, v: float):
+    """Score coefficients (-V E[R]/E[X], E[Y]/E[X]) per arm at the true means."""
+    ex, er, ey = instance.true_means()
+    if np.any(ex <= 0.0):
+        raise ValueError("true-rate scores need positive expected costs")
+    return -float(v) * (er / ex), ey / ex
+
+
 def _unit_radius(t, alpha):
     """Confidence radius per unit sqrt(ln n): sqrt(2 alpha / t)."""
     return np.sqrt(2.0 * alpha / t)
@@ -344,11 +352,7 @@ class LyOffPolicy(VectorPolicy):
             raise DeltaOutOfRange(f"delta must lie in [0, c), got {delta}")
         if q0 < 0.0:
             raise ValueError("queue value must be nonnegative")
-        ex, er, ey = instance.true_means()
-        if np.any(ex <= 0.0):
-            raise ValueError("offline policy needs positive expected costs")
-        self._neg_vr = -float(v) * (er / ex)
-        self._y_rates = ey / ex
+        self._neg_vr, self._y_rates = _true_coefficients(instance, v)
         self._cd = instance.c - delta
         self.q0 = float(q0)
         super().__init__(instance.n_arms)
@@ -420,8 +424,7 @@ class LyOnPolicy(VectorPolicy):
         self.index = np.empty((m, self._k))
         self._work = np.empty((m, self._k))
         if truth is not None:
-            ex, er, ey = truth.true_means()
-            self._true_rates = (-self._params.v * (er / ex), ey / ex)
+            self._true_rates = _true_coefficients(truth, self._params.v)
 
     def _terms(self, t, sum_x, sum_r, sum_y):
         # an arm not yet pulled counts as one pull, so its terms stay finite;

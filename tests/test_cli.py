@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from lybandit.cli import load_config, main, results_header
 
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "example_config.json"
 REFERENCE_ARMS = [
     {"x_mean": 0.4, "r_mean": 0.8, "y_mean": 0.6, "kind": "independent-bernoulli"},
     {"x_mean": 0.6, "r_mean": 0.6, "y_mean": 0.3, "kind": "independent-bernoulli"},
@@ -71,6 +73,28 @@ class TestOracleCommand:
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["oracle", "--config", str(tmp_path / "nope.json")]) == 1
+
+    # stdout bytes of ``oracle --json``: any change to the solution's floats shows
+    PINNED_JSON = {
+        "demo": "dea8ab7e35beddd5322b9796292eb98fa5f6fbaa4356db578f33afaec5213083",
+        "k12": "634d0b18bb0726bc950b0c28eeb0c59ce9e6141c35ef23243d0701b366bfb908",
+    }
+
+    def test_json_bytes_pinned(self, tmp_path, capsys):
+        # a K = 12 instance whose optimum is a pair, ahead of the next
+        # candidate by about 3e-6, far beyond the oracle's tie tolerance
+        arms = [{"x_mean": round(0.25 + 0.06 * k, 4),
+                 "r_mean": round(0.1 + 0.9 * ((7 * k) % 12) / 11, 4),
+                 "y_mean": round(0.05 + 0.9 * ((5 * k + 3) % 12) / 11, 4)}
+                for k in range(12)]
+        configs = {
+            "demo": str(DEMO_CONFIG),
+            "k12": write_config(tmp_path, instance={"arms": arms, "c": 0.7}),
+        }
+        for name, cfg in configs.items():
+            assert main(["oracle", "--config", cfg, "--json"]) == 0
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest() == self.PINNED_JSON[name], name
 
 
 class TestRunCommand:
@@ -178,6 +202,21 @@ class TestRunCommand:
             assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
             lines = capsys.readouterr().err.splitlines()
             assert lines == [f"error: policies[0]: static arm {k} is out of range 1..2"]
+
+    def test_slater_arm_needed_only_for_theoretical_exploration(self, tmp_path, capsys):
+        # the one arm meets the constraint with equality: the oracle is
+        # feasible, but no arm is strictly feasible
+        instance = {"arms": [{"x_mean": 0.5, "r_mean": 0.5, "y_mean": 0.4}], "c": 0.8}
+        lyon = {"name": "lyon", "type": "lyon"}
+        out = str(tmp_path / "x.csv")
+        cfg = write_config(tmp_path, instance=instance, policies=[lyon], budgets=[20])
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path, instance=instance, budgets=[20],
+                           policies=[{**lyon, "exploration": "theoretical"}])
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("infeasible: ")
 
     def test_delta_out_of_range_exits_2(self, tmp_path):
         cfg = write_config(

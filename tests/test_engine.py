@@ -207,6 +207,13 @@ def test_runs_and_seed_must_be_integers(two_arm_instance, runs, seed, name):
             simulate(two_arm_instance, spec, 10.0, runs, seed)
 
 
+@pytest.mark.parametrize("run_start", [-1, 1.5, True])
+def test_run_start_must_be_a_nonnegative_integer(two_arm_instance, run_start):
+    spec = PolicySpec("s", "static", arm=0)
+    with pytest.raises(ValueError, match="run_start must be at least 0 and an integer"):
+        simulate_batch(two_arm_instance, spec, 10.0, 2, 1, run_start=run_start)
+
+
 def test_empty_cell_rejected(two_arm_instance):
     with pytest.raises(ValueError, match="runs must be at least 1"):
         simulate_cell(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0, 0, 1)

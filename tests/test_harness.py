@@ -141,6 +141,20 @@ class TestRunBatch:
         assert calls["episode_env_rng"] == 23
         assert calls["episode_policy_rng"] == (23 if with_stationary else 0)
 
+    @pytest.mark.parametrize("exploration, derived", [(1, 0), ("theoretical", 1)])
+    def test_bounds_derived_only_for_theoretical_exploration(
+        self, two_arm_instance, monkeypatch, exploration, derived
+    ):
+        calls = []
+        def counted(instance, _derive=harness.derive_bounds):
+            calls.append(instance)
+            return _derive(instance)
+        monkeypatch.setattr(harness, "derive_bounds", counted)
+        policies = (PolicySpec("lyon", "lyon", exploration=exploration),
+                    PolicySpec("lyoff", "lyoff"), PolicySpec("stat", "stationary"))
+        run_batch(RunConfig(two_arm_instance, policies, (5.0,), 3, 9))
+        assert len(calls) == derived
+
     def test_cap_hits_counted_not_fatal(self):
         instance = Instance(
             [ArmSpec.table([(1.0, 0.01, 0.5, 0.0)]), ArmSpec.bernoulli(0.5, 0.5, 0.1)],

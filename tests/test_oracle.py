@@ -15,6 +15,7 @@ from lybandit import (
     wald_interval,
 )
 from lybandit.model import check_simplex
+from lybandit.oracle import FEASIBILITY_TOL
 
 from conftest import random_feasible_instance
 
@@ -66,6 +67,48 @@ class TestSolveLfp:
             solve_lfp(inst)
         with pytest.raises(Infeasible):
             solve_lfp_grid(inst, 0.01)
+
+    def test_equal_mixtures_go_to_the_lower_arm_pair(self):
+        # arms 0 and 2 are copies, so pairs (0, 1) and (1, 2) are one mixture
+        # whose two computed rates differ by rounding
+        copy = ArmSpec.bernoulli(0.25, 0.18, 0.14)
+        inst = Instance([copy, ArmSpec.bernoulli(0.54, 0.83, 0.79), copy], c=0.62)
+        ex, _, ey = inst.true_means()
+        slack = ey - inst.c * ex
+        w = slack[1] / (slack[1] - slack[0])
+        sol = solve_lfp(inst)
+        assert sol.support == (0, 1)
+        assert np.array_equal(sol.p_star, [w, 1.0 - w, 0.0])
+
+    def test_matches_brute_force_scan(self):
+        # single arms, then opposite-slack pairs (j, k), j < k; the winner is
+        # the first admissible one within FEASIBILITY_TOL of the best rate
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            base = random_feasible_instance(rng, int(rng.integers(1, 13)))
+            arms = list(base.arms)
+            for _ in range(int(rng.integers(0, 3))):
+                arms.insert(int(rng.integers(0, len(arms) + 1)),
+                            arms[int(rng.integers(0, len(arms)))])
+            inst = Instance(arms, c=base.c)
+            k_arms = inst.n_arms
+            ex, _, ey = inst.true_means()
+            slack = ey - inst.c * ex
+            scan = list(np.eye(k_arms))
+            for j in range(k_arms):
+                for k in range(j + 1, k_arms):
+                    if slack[j] * slack[k] < 0.0:
+                        w = slack[k] / (slack[k] - slack[j])
+                        p = np.zeros(k_arms)
+                        p[j], p[k] = w, 1.0 - w
+                        scan.append(p)
+            admissible = [p for p in scan if penalty_rate(p, inst) <= inst.c + FEASIBILITY_TOL]
+            best = max(reward_rate(p, inst) for p in admissible)
+            want = next(p for p in admissible
+                        if reward_rate(p, inst) >= best - FEASIBILITY_TOL)
+            sol = solve_lfp(inst)
+            assert np.array_equal(sol.p_star, want)
+            assert sol.support == tuple(int(i) for i in np.flatnonzero(want))
 
     def test_matches_grid_on_random_instances(self):
         rng = np.random.default_rng(777)

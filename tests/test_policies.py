@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lybandit import ArmSpec, DeltaOutOfRange, Instance, Outcome, PolicySpec, StationaryPolicy
+from lybandit.engine import simulate_batch
 from lybandit.model import episode_env_rng
 from lybandit.policies import (
     LyOffPolicy,
@@ -414,6 +415,18 @@ class TestPolicyObjects:
             pol.observe(arm, two_arm_instance.arms[arm].sample(rng))
             drifts.append(pol.queue - q0)
         assert np.mean(drifts) < -0.05
+
+    def test_true_rate_scores_need_positive_costs(self):
+        # both the offline scores and the online rule's coverage check divide
+        # by the expected cost
+        inst = Instance([ArmSpec.bernoulli(0.0, 0.5, 0.1), ArmSpec.bernoulli(0.5, 0.5, 0.1)],
+                        c=0.8)
+        match = "true-rate scores need positive expected costs"
+        with pytest.raises(ValueError, match=match):
+            LyOffPolicy(inst, v=1.0, delta=0.0)
+        with pytest.raises(ValueError, match=match):
+            simulate_batch(inst, PolicySpec("l", "lyon"), 10.0, 4, 1, cap=50,
+                           track_lcb=True)
 
     def test_lyon_delta_guard(self):
         with pytest.raises(DeltaOutOfRange):
