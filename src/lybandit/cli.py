@@ -1,7 +1,8 @@
 """Command-line frontend: oracle / run / sweep over a JSON experiment config.
 
-Exit codes: 0 success, 1 usage or schema or I/O error, 2 infeasible model
-(no admissible mixture, no Slater arm, or a scheduled delta reaching c).
+Exit codes: 0 success, 1 usage, schema or I/O error or any other input the
+library refuses (one ``error:`` line), 2 infeasible model (no admissible
+mixture, no Slater arm, or a scheduled delta reaching c).
 
 Config document::
 
@@ -43,7 +44,7 @@ from .model import (
     ArmSpec,
     Instance,
     SlaterViolation,
-    _is_real,
+    check_real,
 )
 from .oracle import Infeasible, OracleSolution, solve_lfp
 from .policies import DeltaOutOfRange, PolicySpec
@@ -90,15 +91,16 @@ def _parse_instance(doc: dict) -> Instance:
                 "(joint tables are library-only)"
             )
         try:
+            # a zero-cost arm never depletes a budget: library-only, with a cap
+            check_real(means[0], "x_mean", 0.0, 1.0, open_low=True)
             arms.append(ArmSpec(kind, *means))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        if arms[-1].x_mean == 0.0:  # never depletes a budget: library-only, with a cap
-            raise ConfigError(f"{where}.x_mean must lie in (0, 1]")
     c = _need(inst, "c", "instance")
-    if not _is_real(c) or not 0.0 < c <= 1.0:
-        raise ConfigError("instance.c must be a number in (0, 1]")
-    return Instance(arms, float(c))
+    try:
+        return Instance(arms, check_real(c, "instance.c", 0.0, 1.0, open_low=True))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # optional policy fields, passed to PolicySpec as given; it owns their
@@ -151,13 +153,13 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
     budgets = doc.get("budgets", [])
-    if not isinstance(budgets, list) or not all(_is_real(b) for b in budgets):
+    if not isinstance(budgets, list):
         raise ConfigError("budgets must be a list of numbers")
     try:
         return RunConfig(
             instance=instance,
             policies=policies,
-            budgets=tuple(float(b) for b in budgets),
+            budgets=tuple(budgets),
             runs=doc.get("runs", 1),
             master_seed=doc.get("seed", 0),
         )
@@ -269,10 +271,7 @@ def cmd_run(args) -> int:
     """``run``, and ``sweep`` (``args.command``), which adds the scaling report."""
     config = load_config(args.config)
     if args.seed is not None:
-        try:
-            config = replace(config, master_seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        config = replace(config, master_seed=args.seed)
     sweep = args.command == "sweep"
     if sweep and len(config.budgets) < 3:
         raise ConfigError("need >=3 budgets")
@@ -331,12 +330,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (Infeasible, SlaterViolation, DeltaOutOfRange) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
+    # a config error, or any other input the library refuses during the run
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

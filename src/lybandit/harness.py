@@ -18,7 +18,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .engine import BatchResult, _Streams, simulate_batch
-from .model import EpisodeResult, Instance, check_int, derive_bounds
+from .model import EpisodeResult, Instance, check_int, check_real, derive_bounds
+from .model import episode_cap
 from .oracle import OracleSolution, solve_lfp
 from .policies import PolicySpec
 
@@ -67,13 +68,14 @@ class RunConfig:
 
     def __post_init__(self):
         check_int(self.runs, "runs", 1)
-        if self.cap is not None:
-            check_int(self.cap, "cap", 1)
         check_int(self.master_seed, "seed", 0)
         if not self.budgets:
             raise ValueError("at least one budget is required")
-        if any(not (math.isfinite(b) and b > 1.0) for b in self.budgets):
-            raise ValueError("budgets must be finite numbers above 1")
+        # B > 1 keeps ln(B) of the budget schedules positive
+        budgets = tuple(check_real(b, "budgets", 1.0, open_low=True) for b in self.budgets)
+        object.__setattr__(self, "budgets", budgets)
+        for budget in budgets:  # checks the cap, and that every episode is bounded
+            episode_cap(self.instance, budget, self.cap)
         names = [p.name for p in self.policies]
         if len(set(names)) != len(names):
             raise ValueError("policy names must be unique")
@@ -177,7 +179,8 @@ def _concat(parts: list[BatchResult]) -> BatchResult:
     return BatchResult(**columns)
 
 
-def _simulate_cells(instance, cells, runs, master_seed, **kwargs) -> list[BatchResult]:
+def _simulate_cells(instance, cells, runs, master_seed, *, cap=None, p_default=None,
+                    bounds=None, track_lcb=False) -> list[BatchResult]:
     """Run each (policy, budget) pair of ``cells`` in chunks of ``_CHUNK`` runs.
 
     Each chunk's streams are drawn once and read by every cell.  They depend
@@ -192,17 +195,20 @@ def _simulate_cells(instance, cells, runs, master_seed, **kwargs) -> list[BatchR
         for (spec, budget), part in zip(cells, parts):
             part.append(simulate_batch(
                 instance, spec, budget, streams.key[2], master_seed,
-                run_start=start, streams=streams, **kwargs,
+                run_start=start, cap=cap, p_default=p_default, bounds=bounds,
+                track_lcb=track_lcb, streams=streams,
             ))
         # released before the next chunk's streams are drawn
         del streams
     return [_concat(part) for part in parts]
 
 
-def simulate_cell(instance, spec, budget, runs, master_seed, **kwargs) -> BatchResult:
-    """Run one (policy, budget) cell; ``cap``, ``p_default``, ``bounds`` and
-    ``track_lcb`` as for :func:`simulate_batch`."""
-    return _simulate_cells(instance, [(spec, budget)], runs, master_seed, **kwargs)[0]
+def simulate_cell(instance, spec, budget, runs, master_seed, *, cap=None,
+                  p_default=None, bounds=None, track_lcb=False) -> BatchResult:
+    """Run runs ``0 .. runs - 1`` of one (policy, budget) cell; ``cap``,
+    ``p_default``, ``bounds`` and ``track_lcb`` as for :func:`simulate_batch`."""
+    return _simulate_cells(instance, [(spec, budget)], runs, master_seed, cap=cap,
+                           p_default=p_default, bounds=bounds, track_lcb=track_lcb)[0]
 
 
 def run_batch(config: RunConfig) -> AggregateResult:

@@ -4,11 +4,15 @@ An episode repeatedly pulls arms of a K-armed bandit where each pull draws a
 joint (cost, reward, penalty) outcome supported on [0, 1], and stops at the
 first epoch whose cumulative cost strictly exceeds the budget.  The reward and
 penalty of that final, budget-crossing pull are both collected.
+
+:func:`check_int` and :func:`check_real` are the package's one rule for
+integer and real-valued inputs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -37,6 +41,7 @@ KIND_SCALED_UNIFORM = "independent-scaled-uniform"
 KIND_JOINT_TABLE = "joint-discrete-table"
 
 _SIMPLEX_TOL = 1e-12
+_MEANS = ("x_mean", "r_mean", "y_mean")
 
 
 def _is_real(value) -> bool:
@@ -53,6 +58,23 @@ def check_int(value, name: str, least: int) -> None:
     """Raise one ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
     if not (_is_int(value) and value >= least):
         raise ValueError(f"{name} must be at least {least} and an integer, got {value!r}")
+
+
+def check_real(value, name: str, low: float, high: float = math.inf,
+               open_low: bool = False) -> float:
+    """Return ``value`` as a float, or raise one ValueError naming ``name``.
+
+    Accepts a finite real number (numpy scalars included), not a bool, in
+    [low, high], or in (low, high] with ``open_low``.  This is the one rule
+    for every real-valued parameter of the package.
+    """
+    # the abs bound also rules out NaN, +-inf and ints too large for a float
+    if (_is_real(value) and abs(value) <= sys.float_info.max and value <= high
+            and (value > low if open_low else value >= low)):
+        return float(value)
+    interval = (f"{'(' if open_low else '['}{low:g}, {high:g}"
+                f"{']' if high < math.inf else ')'}")
+    raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
 
 
 def check_simplex(p, tol: float = _SIMPLEX_TOL) -> np.ndarray:
@@ -105,7 +127,9 @@ class ArmSpec:
       drawn jointly, allowing correlated coordinates and point masses.
 
     Outcomes are drawn through :class:`Sampler`, which consumes exactly three
-    uniforms per outcome whatever the arm kind.
+    uniforms per outcome whatever the arm kind.  Every mean and atom entry is
+    checked with :func:`check_real`.  A table arm computes its means from its
+    atoms, whatever means it was given.
     """
 
     kind: str
@@ -115,21 +139,22 @@ class ArmSpec:
     atoms: tuple[tuple[float, float, float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.kind in (KIND_BERNOULLI, KIND_SCALED_UNIFORM):
-            for name in ("x_mean", "r_mean", "y_mean"):
-                m = getattr(self, name)
-                if not (_is_real(m) and 0.0 <= m <= 1.0):
-                    raise ValueError(f"{name} must be a number in [0, 1], got {m!r}")
-                object.__setattr__(self, name, float(m))
-        elif self.kind == KIND_JOINT_TABLE:
+        if self.kind == KIND_JOINT_TABLE:
             if not self.atoms:
                 raise ValueError("joint-discrete-table arm needs at least one atom")
-            check_simplex([a[0] for a in self.atoms])
-            for _, x, r, y in self.atoms:
-                if not (0.0 <= x <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= y <= 1.0):
-                    raise ValueError("atom values must lie in [0, 1]")
+            atoms = tuple(
+                tuple(check_real(v, "atom entry", 0.0, 1.0) for v in (p, x, r, y))
+                for p, x, r, y in self.atoms
+            )
+            probs = check_simplex([a[0] for a in atoms])
+            means = [float(np.dot(probs, [a[i] for a in atoms])) for i in (1, 2, 3)]
+            object.__setattr__(self, "atoms", atoms)
+        elif self.kind in (KIND_BERNOULLI, KIND_SCALED_UNIFORM):
+            means = [check_real(getattr(self, name), name, 0.0, 1.0) for name in _MEANS]
         else:
             raise ValueError(f"unknown arm kind: {self.kind!r}")
+        for name, m in zip(_MEANS, means):
+            object.__setattr__(self, name, m)
 
     @classmethod
     def bernoulli(cls, x_mean: float, r_mean: float, y_mean: float) -> "ArmSpec":
@@ -141,19 +166,15 @@ class ArmSpec:
 
     @classmethod
     def table(cls, atoms: Sequence[tuple[float, float, float, float]]) -> "ArmSpec":
-        atoms = tuple((float(p), float(x), float(r), float(y)) for p, x, r, y in atoms)
-        probs = np.array([a[0] for a in atoms])
-        means = tuple(
-            float(np.dot(probs, [a[i] for a in atoms])) for i in (1, 2, 3)
-        )
-        return cls(KIND_JOINT_TABLE, *means, atoms=atoms)
+        # the means given here are replaced by those of the atoms
+        return cls(KIND_JOINT_TABLE, 0.0, 0.0, 0.0, atoms=tuple(atoms))
 
     @property
     def means(self) -> tuple[float, float, float]:
         """True (E[X], E[R], E[Y]) of this arm.
 
-        Exact for every family: the table constructor stores atom-weighted
-        means and the uniform family is parameterized by its mean.
+        Exact for every family: a table arm stores its atom-weighted means and
+        the uniform family is parameterized by its mean.
         """
         return (self.x_mean, self.r_mean, self.y_mean)
 
@@ -178,7 +199,7 @@ class Sampler:
         self._lo = np.maximum(0.0, 2.0 * self._means - 1.0)
         self._width = np.minimum(1.0, 2.0 * self._means) - self._lo
         self._tables = {
-            k: (np.cumsum([float(a[0]) for a in arm.atoms]),
+            k: (np.cumsum([a[0] for a in arm.atoms]),
                 np.array([a[1:] for a in arm.atoms], dtype=np.float64))
             for k, arm in enumerate(self.arms)
             if arm.kind == KIND_JOINT_TABLE
@@ -237,10 +258,8 @@ class Instance:
     def __init__(self, arms: Sequence[ArmSpec], c: float):
         if len(arms) < 1:
             raise ValueError("instance needs at least one arm")
-        if not (math.isfinite(c) and c > 0.0):
-            raise ValueError(f"c must be a finite positive number, got {c}")
         object.__setattr__(self, "arms", tuple(arms))
-        object.__setattr__(self, "c", float(c))
+        object.__setattr__(self, "c", check_real(c, "c", 0.0, open_low=True))
 
     @property
     def n_arms(self) -> int:
@@ -250,6 +269,16 @@ class Instance:
         """Per-arm (E[X], E[R], E[Y]) as three length-K arrays."""
         m = np.array([arm.means for arm in self.arms], dtype=np.float64)
         return m[:, 0], m[:, 1], m[:, 2]
+
+    def rate_means(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`true_means` for computing rates, which divide by E[X].
+
+        Raises ValueError if some arm has zero expected cost.
+        """
+        ex, er, ey = self.true_means()
+        if np.any(ex <= 0.0):
+            raise ValueError("rates need positive expected cost for every arm")
+        return ex, er, ey
 
 
 @dataclass(frozen=True)
@@ -262,10 +291,10 @@ class Bounds:
     epsilon: float
 
     def __post_init__(self):
-        if not self.mu_min > 0.0:
-            raise ValueError("mu_min must be positive")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        for name, open_low in (("mu_min", True), ("r_max", False), ("y_max", False),
+                               ("epsilon", True)):
+            value = check_real(getattr(self, name), name, 0.0, open_low=open_low)
+            object.__setattr__(self, name, value)
 
 
 def derive_bounds(instance: Instance) -> Bounds:
@@ -281,9 +310,7 @@ def derive_bounds(instance: Instance) -> Bounds:
     ValueError
         If some arm has zero expected cost (rates would be infinite).
     """
-    ex, er, ey = instance.true_means()
-    if np.any(ex <= 0.0):
-        raise ValueError("all arms need positive expected cost to derive bounds")
+    ex, er, ey = instance.rate_means()
     epsilon = float(np.max(instance.c * ex - ey))
     if epsilon <= 0.0:
         raise SlaterViolation(
@@ -346,16 +373,19 @@ def episode_cap(instance: Instance, budget: float, cap: int | None) -> int:
     """Epoch limit of an episode with a finite budget B > 0.
 
     ``cap`` when given, else ten times a high-probability bound on the
-    episode length, ``10 * ceil(2 B / mu_min)``.
+    episode length, ``10 * ceil(2 B / mu_min)``, which must be finite.
     """
     # an infinite budget is never exceeded: every episode would run to the cap
-    if not (math.isfinite(budget) and budget > 0.0):
-        raise ValueError(f"budget must be positive and finite, got {budget!r}")
+    budget = check_real(budget, "budget", 0.0, open_low=True)
     if cap is None:
         mu_min = float(np.min(instance.true_means()[0]))
         if mu_min <= 0.0:
             raise ValueError("instance has a zero-mean cost arm; pass an explicit cap")
-        return 10 * math.ceil(2.0 * budget / mu_min)
+        bound = 2.0 * budget / mu_min
+        if not math.isfinite(bound):
+            raise ValueError(f"episode bound 2 B / mu_min overflows at B = {budget} and "
+                             f"mu_min = {mu_min}; pass an explicit cap")
+        return 10 * math.ceil(bound)
     check_int(cap, "cap", 1)
     return cap
 

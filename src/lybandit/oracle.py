@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Instance, check_simplex
+from .model import Instance, check_real, check_simplex
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -41,9 +41,7 @@ class Infeasible(ValueError):
 
 
 def _mixture_rates(p: np.ndarray, instance: Instance) -> tuple[float, float]:
-    ex, er, ey = instance.true_means()
-    if np.any(ex <= 0.0):
-        raise ValueError("rates need positive expected cost for every arm")
+    ex, er, ey = instance.rate_means()
     denom = float(p @ ex)
     return float(p @ er) / denom, float(p @ ey) / denom
 
@@ -96,9 +94,7 @@ def solve_lfp(instance: Instance) -> OracleSolution:
     Infeasible
         If every arm and every pair violates the constraint.
     """
-    ex, er, ey = instance.true_means()
-    if np.any(ex <= 0.0):
-        raise ValueError("oracle needs positive expected cost for every arm")
+    ex, er, ey = instance.rate_means()
     c = instance.c
     k_arms = instance.n_arms
     slack = ey - c * ex  # negative means the arm alone is feasible
@@ -165,11 +161,8 @@ def solve_lfp_grid(instance: Instance, step: float) -> OracleSolution:
     intended for K <= 6) and returns the best feasible one.  The returned
     objective is within a Lipschitz-times-step band of the true optimum.
     """
-    if not 0.0 < step <= 1.0:
-        raise ValueError("step must lie in (0, 1]")
-    ex, er, ey = instance.true_means()
-    if np.any(ex <= 0.0):
-        raise ValueError("oracle needs positive expected cost for every arm")
+    step = check_real(step, "step", 0.0, 1.0, open_low=True)
+    ex, er, ey = instance.rate_means()
     c = instance.c
     n = max(1, int(round(1.0 / step)))
     grid = _simplex_lattice(instance.n_arms, n)
@@ -192,9 +185,7 @@ def wald_interval(p, instance: Instance, budget: float) -> tuple[float, float]:
     reward lies in [r(p) B, r(p) (B + 1 / mu_min^2)] where mu_min is the
     smallest expected arm cost.
     """
-    if not budget > 0.0:
-        raise ValueError("budget must be positive")
+    budget = check_real(budget, "budget", 0.0, open_low=True)
     r = reward_rate(p, instance)
-    ex, _, _ = instance.true_means()
-    mu_min = float(np.min(ex))
+    mu_min = float(np.min(instance.true_means()[0]))
     return r * budget, r * (budget + 1.0 / mu_min**2)

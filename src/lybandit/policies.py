@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BanditPolicy, Bounds, Instance, Outcome, categorical, check_simplex
-from .model import _is_int, _is_real, check_int
+from .model import _is_int, check_int, check_real
 
 __all__ = [
     "DeltaOutOfRange",
@@ -94,10 +94,8 @@ def _score(neg_vr, q, y_rate, out=None):
 
 def _true_coefficients(instance: Instance, v: float):
     """Score coefficients (-V E[R]/E[X], E[Y]/E[X]) per arm at the true means."""
-    ex, er, ey = instance.true_means()
-    if np.any(ex <= 0.0):
-        raise ValueError("true-rate scores need positive expected costs")
-    return -float(v) * (er / ex), ey / ex
+    ex, er, ey = instance.rate_means()
+    return -v * (er / ex), ey / ex
 
 
 def _unit_radius(t, alpha):
@@ -158,12 +156,8 @@ def denominator_floor(budget: float) -> float:
 
 def confidence_radius(t: int, n: float, alpha: float) -> float:
     """Uncertainty width sqrt(2 alpha ln(n) / t) for an arm pulled t times."""
-    if not t >= 1:
-        raise ValueError("confidence radius needs at least one pull")
-    if not n >= 1:
-        raise ValueError("epoch must be at least 1")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    t, n = check_real(t, "t", 1.0), check_real(n, "n", 1.0)
+    alpha = check_real(alpha, "alpha", 0.0, open_low=True)
     return math.sqrt(math.log(n)) * float(_unit_radius(t, alpha))
 
 
@@ -178,12 +172,9 @@ class LyParams:
     index_variant: str = VARIANT_LCB_BOTH
 
     def __post_init__(self):
-        if not self.v > 0.0:
-            raise ValueError("v must be positive")
-        if not self.delta >= 0.0:
-            raise ValueError("delta must be nonnegative")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        for name, open_low in (("v", True), ("delta", False), ("alpha", True)):
+            value = check_real(getattr(self, name), name, 0.0, open_low=open_low)
+            object.__setattr__(self, name, value)
         check_int(self.exploration_pulls, "exploration_pulls", 1)
         if self.index_variant not in _VARIANTS:
             raise ValueError(f"unknown index variant: {self.index_variant!r}")
@@ -220,10 +211,10 @@ def param_schedule(
     ``"sqrt"``:     V = v0 sqrt(B), delta = delta0 / sqrt(B).
     ``"sqrt-log"``: V = v0 sqrt(B ln B), delta = delta0 sqrt(ln B / B).
     """
-    if not budget > 1.0:
-        raise ValueError("budget must exceed 1 so ln(B) is positive")
-    if not (v0 > 0.0 and delta0 >= 0.0):
-        raise ValueError("v0 must be positive and delta0 nonnegative")
+    # B > 1 keeps ln(B) positive
+    budget = check_real(budget, "budget", 1.0, open_low=True)
+    v0 = check_real(v0, "v0", 0.0, open_low=True)
+    delta0 = check_real(delta0, "delta0", 0.0)
     if schedule == SCHEDULE_SQRT:
         v = v0 * math.sqrt(budget)
         delta = delta0 / math.sqrt(budget)
@@ -254,8 +245,8 @@ class VectorPolicy(BanditPolicy):
     per epoch :meth:`select_batch` and :meth:`observe_batch`.  The driver adds
     each epoch's pulls to its tallies *before* it calls ``observe_batch``;
     rows whose episode has ended add no pull and receive zero outcomes, which
-    leave every rule's state unchanged.  ``q`` holds each row's virtual queue
-    (zero for rules without one).
+    leave every rule's state unchanged.  ``q`` holds each row's virtual queue,
+    which starts at zero (and stays there for rules without one).
 
     The scalar :meth:`select` / :meth:`observe` are the m = 1 case over a
     (1, K) tally pair bound at construction.  Rules with ``uses_stream``
@@ -264,7 +255,6 @@ class VectorPolicy(BanditPolicy):
     """
 
     uses_stream = False
-    q0 = 0.0
 
     def __init__(self, n_arms: int, rng: np.random.Generator | None = None):
         self._rng = rng
@@ -281,7 +271,7 @@ class VectorPolicy(BanditPolicy):
         """
         self.pulls, self.cost = pulls, cost
         m = pulls.shape[0]
-        self.q = np.full(m, self.q0)
+        self.q = np.zeros(m)
         self.lcb_ok = None if truth is None else np.ones(m, dtype=bool)
 
     @abstractmethod
@@ -328,9 +318,8 @@ class StaticPolicy(VectorPolicy):
     """Always pull one fixed arm."""
 
     def __init__(self, arm: int):
+        check_int(arm, "arm", 0)
         self._arm = int(arm)
-        if self._arm < 0:
-            raise ValueError(f"arm index must be nonnegative, got {arm}")
         # the scalar tallies only ever see this one arm
         super().__init__(self._arm + 1)
 
@@ -341,20 +330,12 @@ class StaticPolicy(VectorPolicy):
 class LyOffPolicy(VectorPolicy):
     """Offline drift-plus-penalty policy driven by true rates."""
 
-    def __init__(
-        self,
-        instance: Instance,
-        v: float,
-        delta: float,
-        q0: float = 0.0,
-    ):
+    def __init__(self, instance: Instance, v: float, delta: float):
         if not 0.0 <= delta < instance.c:
             raise DeltaOutOfRange(f"delta must lie in [0, c), got {delta}")
-        if q0 < 0.0:
-            raise ValueError("queue value must be nonnegative")
+        v = check_real(v, "v", 0.0, open_low=True)
         self._neg_vr, self._y_rates = _true_coefficients(instance, v)
         self._cd = instance.c - delta
-        self.q0 = float(q0)
         super().__init__(instance.n_arms)
 
     def start(self, pulls, cost, truth: Instance | None = None) -> None:
@@ -500,11 +481,8 @@ class PolicySpec:
             raise ValueError("static policy needs an arm index")
         if not (self.arm is None or _is_int(self.arm)):
             raise ValueError(f"arm must be an integer index, got {self.arm!r}")
-        e = self.exploration
-        if isinstance(e, bool) or not (isinstance(e, int) or e == "theoretical"):
-            raise ValueError("exploration must be a pull count or 'theoretical'")
-        if isinstance(e, int) and e < 1:
-            raise ValueError("exploration pull count must be at least 1")
+        if self.exploration != "theoretical":
+            check_int(self.exploration, "exploration (a pull count or 'theoretical')", 1)
         if self.schedule not in (SCHEDULE_SQRT, SCHEDULE_SQRT_LOG):
             raise ValueError(f"unknown schedule: {self.schedule!r}")
         if self.p is not None:
@@ -513,17 +491,9 @@ class PolicySpec:
             # stored as a tuple of floats, so a spec given a list stays hashable
             p = check_simplex(self.p, _PROB_TOL)
             object.__setattr__(self, "p", tuple(p.tolist()))
-        for key in ("v0", "delta0", "alpha"):
-            value = getattr(self, key)
-            if not _is_real(value):
-                raise ValueError(f"{key} must be a number, got {value!r}")
-            object.__setattr__(self, key, float(value))
-        if not (math.isfinite(self.v0) and self.v0 > 0.0):
-            raise ValueError(f"v0 must be a positive number, got {self.v0}")
-        if not (math.isfinite(self.delta0) and self.delta0 >= 0.0):
-            raise ValueError(f"delta0 must be a nonnegative number, got {self.delta0}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be a positive number, got {self.alpha}")
+        for name, open_low in (("v0", True), ("delta0", False), ("alpha", True)):
+            value = check_real(getattr(self, name), name, 0.0, open_low=open_low)
+            object.__setattr__(self, name, value)
         if self.index_variant not in _VARIANTS:
             raise ValueError(f"unknown index variant: {self.index_variant!r}")
 

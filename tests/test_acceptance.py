@@ -27,7 +27,7 @@ from lybandit import (
 from lybandit.cli import main as cli_main
 from lybandit.harness import simulate_cell
 from lybandit.model import derive_bounds
-from lybandit.policies import confidence_radius
+from lybandit.policies import LyOffPolicy, confidence_radius
 
 SEED = 42
 C = 0.8
@@ -280,16 +280,18 @@ def test_criterion_9_invariant_suites(two_arm_instance, two_arm_oracle,
 
     checks = {}
 
-    # queue nonnegativity and bounded increments: 1e6 random updates
+    # queue nonnegativity and bounded increments: 1e6 random updates of the
+    # library's queue (c - delta = C - 0.05), as 1,000 rows of 1,000 steps
     rng = np.random.default_rng(123)
-    xy = rng.random((1_000_000, 2))
-    cd = C - 0.05
-    q = 0.0
+    xy = rng.random((1_000_000, 2)).reshape(1000, 1000, 2)
+    pol = LyOffPolicy(two_arm_instance, v=1.0, delta=0.05)
+    pol.start(np.zeros((1000, 2)), np.zeros((1000, 2)))
+    arms, zeros = np.zeros(1000, dtype=np.int64), np.zeros(1000)
     ok_fuzz = True
-    for x, y in xy:
-        q_next = max(0.0, q + y - cd * x)
-        ok_fuzz &= q_next >= 0.0 and abs(q_next - q) <= 1.0 + 1e-12
-        q = q_next
+    for step in range(1000):
+        q = pol.q.copy()
+        pol.observe_batch(arms, xy[:, step, 0], zeros, xy[:, step, 1])
+        ok_fuzz &= bool(np.all(pol.q >= 0.0) and np.all(np.abs(pol.q - q) <= 1.0 + 1e-12))
     checks["queue-fuzz(1e6)"] = ok_fuzz
 
     # online rule equals its unconstrained reduction on zero-queue traces

@@ -389,6 +389,43 @@ def test_tiny_doc_runs(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1"],
+                         ids=["nan", "inf", "-inf", "True", "str"])
+@pytest.mark.parametrize(
+    "path, name",
+    [(("instance", "c"), "instance.c"), (("budgets", 1), "budgets"),
+     (("instance", "arms", 0, "x_mean"), "x_mean")],
+    ids=["c", "budget", "x_mean"],
+)
+def test_real_field_error_names_the_field(tmp_path, capsys, path, name, bad):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(_with(path, bad)))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"{name} must be a finite number in " in lines[0]
+
+
+@pytest.mark.parametrize(
+    "path, value, words",
+    [
+        # V = v0 sqrt(B) overflows to inf when the lyon cell builds its rule
+        (("policies", 0, "v0"), 1e308, "v must be a finite number"),
+        # the default epoch cap 10 ceil(2 B / mu_min) has no finite value
+        (("instance", "arms", 0, "x_mean"), 1e-320, "2 B / mu_min overflows"),
+    ],
+    ids=["v0-1e308", "x_mean-1e-320"],
+)
+def test_library_refusal_is_one_error_line(tmp_path, capsys, path, value, words):
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(_with(path, value)))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and words in lines[0]
+    assert not out.exists()
+
+
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _LISTS = st.lists(st.integers(), max_size=2)
 _NON_TEXT = st.one_of(

@@ -172,7 +172,7 @@ def test_non_integer_cap_rejected(two_arm_instance, cap):
 @pytest.mark.parametrize("budget", [0.0, -3.0, float("nan")])
 def test_nonpositive_budget_rejected(two_arm_instance, budget):
     # NaN never compares above the cost, so every episode would run to the cap
-    with pytest.raises(ValueError, match="budget must be positive"):
+    with pytest.raises(ValueError, match=r"budget must be a finite number in \(0, inf\)"):
         simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), budget, 2, 1, cap=50)
 
 
@@ -180,7 +180,7 @@ def test_nonpositive_budget_rejected(two_arm_instance, budget):
 def test_infinite_budget_rejected(two_arm_instance, cap):
     # never exceeded: without a cap the default cap overflows, with one every
     # episode would silently run into it
-    match = "budget must be positive and finite"
+    match = r"budget must be a finite number in \(0, inf\)"
     with pytest.raises(ValueError, match=match):
         simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), math.inf,
                        2, 1, cap=cap)
@@ -219,6 +219,13 @@ def test_empty_cell_rejected(two_arm_instance):
         simulate_cell(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0, 0, 1)
 
 
+@pytest.mark.parametrize("name", ["run_start", "streams"])
+def test_cell_owns_its_run_indices_and_streams(two_arm_instance, name):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        simulate_cell(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0, 2, 1,
+                      **{name: 3})
+
+
 def test_lcb_tracking_shape(two_arm_instance):
     sol = solve_lfp(two_arm_instance)
     spec = PolicySpec("lyon", "lyon")
@@ -230,3 +237,46 @@ def test_lcb_tracking_shape(two_arm_instance):
         two_arm_instance, spec, 30.0, 10, 5, p_default=sol.p_star, track_lcb=False
     )
     assert batch.lcb_ok is None
+
+
+# Bernoulli costs, and table arms whose cost atoms are 0 or 1
+MIXED_01_COSTS = Instance(
+    [
+        ArmSpec.bernoulli(0.4, 0.8, 0.6),
+        ArmSpec.table([(0.3, 1.0, 1.0, 0.0), (0.2, 1.0, 0.0, 1.0), (0.5, 0.0, 0.5, 0.0)]),
+        ArmSpec.table([(0.7, 1.0, 0.2, 0.1), (0.3, 0.0, 1.0, 0.0)]),
+    ],
+    c=0.6,
+)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["bernoulli", "mixed-table"])
+def test_budget_free_rules_match_the_negative_binomial_reference(two_arm_instance, mixed):
+    """Exact reference for the stop rule and the outcome draw.
+
+    With 0/1 costs, an episode stops at the first pull whose cumulative cost
+    exceeds B, which is exactly N = floor(B) + 1.  Under a fixed mixture p with
+    mean cost mu = p.E[X], the pull count is negative binomial with mean N/mu,
+    and by Wald's identity the total reward has mean (p.E[R]) N/mu and arm k
+    is pulled p_k N/mu times on average.
+    """
+    instance = MIXED_01_COSTS if mixed else two_arm_instance
+    ex, er, _ = instance.true_means()
+    p_star = solve_lfp(instance).p_star
+    runs = 2000
+    for spec in (PolicySpec("arm2", "static", arm=1), PolicySpec("mix", "stationary")):
+        p = np.eye(instance.n_arms)[1] if spec.type == "static" else p_star
+        for budget in (100.0, 10.5):
+            batch = simulate_batch(instance, spec, budget, runs, 8, p_default=p_star)
+            n_cost = math.floor(budget) + 1
+            assert np.all(batch.total_cost == n_cost), (spec.name, budget)
+            mean_n = n_cost / float(p @ ex)
+            expected = [
+                (batch.n_pulls, mean_n),
+                (batch.total_reward, float(p @ er) * mean_n),
+                *((batch.pulls_per_arm[:, k], p_k * mean_n) for k, p_k in enumerate(p)),
+            ]
+            # an arm the rule never pulls has zero spread about a zero mean
+            for values, mean in expected:
+                se = np.std(values, ddof=1) / math.sqrt(runs)
+                assert abs(np.mean(values) - mean) <= 4.0 * se + 1e-12, (spec.name, budget)

@@ -17,8 +17,17 @@ from lybandit import (
     episode_policy_rng,
     run_episode,
 )
-from lybandit.model import Bounds, Sampler, derive_bounds
-from lybandit.policies import LyOnPolicy, LyParams, StaticPolicy
+from lybandit.model import Bounds, Sampler, derive_bounds, episode_cap
+from lybandit.oracle import solve_lfp_grid, wald_interval
+from lybandit.policies import (
+    LyOnPolicy,
+    LyParams,
+    PolicySpec,
+    StaticPolicy,
+    confidence_radius,
+    param_schedule,
+)
+from lybandit.harness import RunConfig
 
 
 def rng(seed=0):
@@ -194,7 +203,7 @@ class TestRunEpisode:
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan])
     def test_nonpositive_budget_rejected(self, budget):
-        with pytest.raises(ValueError, match="budget must be positive"):
+        with pytest.raises(ValueError, match=r"budget must be a finite number in \(0, inf\)"):
             run_episode(constant_cost_instance(0.5), StaticPolicy(0), budget, rng())
 
     @pytest.mark.parametrize("cap", [0, 2.5, True])
@@ -275,3 +284,57 @@ class TestRunEpisode:
     def test_invalid_budget(self, two_arm_instance):
         with pytest.raises(ValueError):
             run_episode(two_arm_instance, StaticPolicy(0), 0.0, rng())
+
+
+_ARM = ArmSpec.bernoulli(0.5, 0.5, 0.1)
+_INST = Instance([_ARM], c=0.5)
+_BOUNDS = dict(mu_min=0.5, r_max=1.0, y_max=0.2, epsilon=0.15)
+
+# every real-valued parameter: (name in the error, call with the value)
+REAL_PARAMETERS = [
+    ("x_mean", lambda v: ArmSpec.bernoulli(v, 0.5, 0.5)),
+    ("r_mean", lambda v: ArmSpec.bernoulli(0.5, v, 0.5)),
+    ("y_mean", lambda v: ArmSpec.scaled_uniform(0.5, 0.5, v)),
+    ("atom entry", lambda v: ArmSpec.table([(1.0, 0.5, v, 0.5)])),
+    ("atom entry", lambda v: ArmSpec.table([(v, 0.5, 0.5, 0.5)])),
+    ("c", lambda v: Instance([_ARM], c=v)),
+    *((field, lambda v, f=field: Bounds(**{**_BOUNDS, f: v})) for field in _BOUNDS),
+    ("budget", lambda v: episode_cap(_INST, v, None)),
+    ("budget", lambda v: wald_interval([1.0], _INST, v)),
+    ("step", lambda v: solve_lfp_grid(_INST, v)),
+    ("t", lambda v: confidence_radius(v, 2.0, 2.0)),
+    ("n", lambda v: confidence_radius(1, v, 2.0)),
+    ("alpha", lambda v: confidence_radius(1, 2.0, v)),
+    ("v", lambda v: LyParams(v=v)),
+    ("delta", lambda v: LyParams(v=1.0, delta=v)),
+    ("alpha", lambda v: LyParams(v=1.0, alpha=v)),
+    ("budget", lambda v: param_schedule(v, 1.0, 0.5, "sqrt", 0.8)),
+    ("v0", lambda v: param_schedule(100.0, v, 0.5, "sqrt", 0.8)),
+    ("delta0", lambda v: param_schedule(100.0, 1.0, v, "sqrt", 0.8)),
+    ("v0", lambda v: PolicySpec("p", "lyon", v0=v)),
+    ("delta0", lambda v: PolicySpec("p", "lyon", delta0=v)),
+    ("alpha", lambda v: PolicySpec("p", "lyon", alpha=v)),
+    ("budgets", lambda v: RunConfig(_INST, (), (10.0, v), 1, 0)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1"],
+                         ids=["nan", "inf", "-inf", "True", "str"])
+@pytest.mark.parametrize("name, call", REAL_PARAMETERS,
+                         ids=[f"{i}-{name}" for i, (name, _) in enumerate(REAL_PARAMETERS)])
+def test_real_parameter_refuses_non_finite_and_non_numbers(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number in "):
+        call(bad)
+
+
+def test_table_arm_means_come_from_its_atoms():
+    # the means given are ignored: the oracle must see what Sampler draws
+    arm = ArmSpec("joint-discrete-table", 0.5, 0, 0, atoms=((1, 1, 1, 1),))
+    assert arm.means == (1.0, 1.0, 1.0)
+    assert arm.sample(rng()) == (1.0, 1.0, 1.0)
+    atoms = [(0.25, 1, 0, 0.5), (0.75, 0.2, 1, 0)]
+    arm = ArmSpec("joint-discrete-table", 0, 0, 0, atoms=atoms)
+    assert arm == ArmSpec.table(atoms)
+    assert arm.means == pytest.approx((0.4, 0.75, 0.125))
+    assert arm.atoms == ((0.25, 1.0, 0.0, 0.5), (0.75, 0.2, 1.0, 0.0))
+    hash(arm)  # a list of atoms would make the frozen spec unhashable

@@ -25,7 +25,9 @@ LIVE = np.ones(1, dtype=bool)
 
 
 def lyoff(instance, q0=0.0, v=10.0, delta=0.0):
-    return LyOffPolicy(instance, v=v, delta=delta, q0=q0)
+    pol = LyOffPolicy(instance, v=v, delta=delta)
+    pol.q[:] = q0
+    return pol
 
 
 def lyon_select(stats, q, n, v, queue_enabled=True):
@@ -61,8 +63,6 @@ class TestQueue:
         assert pol.queue == 0.0
 
     def test_validation(self, two_arm_instance):
-        with pytest.raises(ValueError):
-            lyoff(two_arm_instance, q0=-0.1)
         with pytest.raises(ValueError):
             lyoff(two_arm_instance, delta=0.8)
 
@@ -410,7 +410,8 @@ class TestPolicyObjects:
         drifts = []
         for _ in range(2000):
             q0 = threshold + float(rng.uniform(0.0, 50.0))
-            pol = LyOffPolicy(two_arm_instance, v=v, delta=0.0, q0=q0)
+            pol = LyOffPolicy(two_arm_instance, v=v, delta=0.0)
+            pol.q[:] = q0
             arm = pol.select()
             pol.observe(arm, two_arm_instance.arms[arm].sample(rng))
             drifts.append(pol.queue - q0)
@@ -421,7 +422,7 @@ class TestPolicyObjects:
         # by the expected cost
         inst = Instance([ArmSpec.bernoulli(0.0, 0.5, 0.1), ArmSpec.bernoulli(0.5, 0.5, 0.1)],
                         c=0.8)
-        match = "true-rate scores need positive expected costs"
+        match = "rates need positive expected cost for every arm"
         with pytest.raises(ValueError, match=match):
             LyOffPolicy(inst, v=1.0, delta=0.0)
         with pytest.raises(ValueError, match=match):

@@ -95,3 +95,16 @@ def parser_flags() -> dict[str, set[str]]:
 
 def test_readme_cli_synopsis_matches_parser():
     assert readme_cli_flags() == parser_flags()
+
+
+def test_numeric_rule_lives_in_model():
+    """Only ``model.py`` tests numbers for finiteness or for being real.
+
+    Every other module validates a real-valued input through
+    ``model.check_real``, so the rule has one implementation.
+    """
+    package = ROOT / "src" / "lybandit"
+    rule = re.compile(r"math\.isfinite|_is_real")
+    users = sorted(path.name for path in package.glob("*.py")
+                   if rule.search(path.read_text(encoding="utf-8")))
+    assert users == ["model.py"]
