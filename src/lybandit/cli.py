@@ -33,6 +33,7 @@ import argparse
 import csv
 import json
 import numbers
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -275,11 +276,18 @@ def cmd_run(args) -> int:
     sweep = args.command == "sweep"
     if sweep and len(config.budgets) < 3:
         raise ConfigError("need >=3 budgets")
+    scaling_path = (args.scaling_out or _default_scaling_path(args.out)) if sweep else None
+    # an output that cannot be written fails here, not after the simulation;
+    # the probe leaves no file that was not there
+    for path in filter(None, (args.out, scaling_path)):
+        existed = os.path.lexists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
     result = run_batch(config)
     write_results_csv(result, config.instance.n_arms, args.out)
     lines = [f"wrote {len(result.cells)} rows to {args.out}"]
     if sweep:
-        scaling_path = args.scaling_out or _default_scaling_path(args.out)
         summaries = write_scaling_csv(result, scaling_path)
         lines += [f"wrote scaling report to {scaling_path}", *summaries]
     print(json.dumps(_cells_json(result)) if args.json else "\n".join(lines))

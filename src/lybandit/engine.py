@@ -6,10 +6,11 @@ stream consuming one uniform per epoch for randomized policies.  Because an
 episode's trajectory depends only on its own streams, running episodes in
 lockstep (one shared epoch counter, vectorized across runs) produces results
 bitwise identical to the sequential per-episode runner; tests assert this.
-Since streams depend only on (seed, run), the harness draws each chunk's
-first block once (a ``_Streams``) for every (policy, budget) cell to read;
-past it, a batch re-derives a running episode's generators and advances
-them over that block.
+
+:func:`simulate_cells` walks the run indices in chunks; each chunk's
+streams are seeded and their first block drawn once (a ``_Streams``) for
+every (policy, budget) cell to read.  Past it, a cell re-derives a running
+episode's generators and advances them over that block.
 
 The engine does not know any policy rule.  It builds the rule from the
 :class:`~lybandit.policies.PolicySpec` and drives its vector form
@@ -23,7 +24,7 @@ and reads, so each pull enters them before the rule observes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -32,9 +33,11 @@ from .model import Instance, Sampler, check_int, episode_cap
 from .model import episode_env_rng, episode_policy_rng
 from .policies import PolicySpec
 
-__all__ = ["BatchResult", "simulate_batch"]
+__all__ = ["BatchResult", "simulate_batch", "simulate_cells"]
 
 _BLOCK = 1024
+# runs per chunk: bounds the (runs, _BLOCK, 3) uniform block its cells share
+_CHUNK = 1024
 
 
 class _Streams:
@@ -90,39 +93,65 @@ class BatchResult:
         return self.n_pulls.shape[0]
 
 
-def simulate_batch(
-    instance: Instance,
-    spec: PolicySpec,
-    budget: float,
-    runs: int,
-    master_seed: int,
-    run_start: int = 0,
-    cap: int | None = None,
-    p_default: np.ndarray | None = None,
-    bounds=None,
-    track_lcb: bool = False,
-    streams: _Streams | None = None,
-) -> BatchResult:
+def simulate_batch(instance: Instance, spec: PolicySpec, budget: float, runs: int,
+                   master_seed: int, run_start: int = 0, cap: int | None = None,
+                   p_default: np.ndarray | None = None, bounds=None,
+                   track_lcb: bool = False) -> BatchResult:
     """Simulate ``runs`` independent episodes of one policy at one budget.
 
     Episode i uses the streams of run index ``run_start + i``, so splitting a
     batch into consecutive sub-batches changes nothing in the results.
     ``track_lcb`` additionally records, for the online policy, whether the
     optimistic index stayed at or below the true-mean score for every arm at
-    every post-exploration decision.  ``streams`` (drawn for exactly these
-    runs) lets several calls share one seeding; by default a call draws its own.
+    every post-exploration decision.  This is :func:`simulate_cells` for one
+    cell.
+    """
+    return simulate_cells(instance, [(spec, budget)], runs, master_seed, run_start,
+                          cap=cap, p_default=p_default, bounds=bounds,
+                          track_lcb=track_lcb)[0]
+
+
+def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
+                   p_default=None, bounds=None, track_lcb=False) -> list[BatchResult]:
+    """One :class:`BatchResult` per (spec, budget) pair of the list ``cells``.
+
+    Every cell is checked before the first stream is drawn.  The runs then go
+    in chunks of ``_CHUNK`` whose streams every cell reads; the arguments are
+    as for :func:`simulate_batch`.
     """
     check_int(runs, "runs", 1)
     check_int(master_seed, "master_seed", 0)
     check_int(run_start, "run_start", 0)
-    cap = episode_cap(instance, budget, cap)
-    spec.check_arms(instance.n_arms)
-    key = (master_seed, run_start, runs)
-    if streams is None:
-        streams = _Streams(*key)
-    elif streams.key != key:
-        raise ValueError(f"streams drawn for {streams.key}, not for {key}")
-    m = runs
+    caps = [episode_cap(instance, budget, cap) for _, budget in cells]
+    for spec, budget in cells:
+        spec.check_arms(instance.n_arms)
+        # building runs every parameter check, DeltaOutOfRange included; each
+        # chunk builds its own rule, so no (m, K) rule state outlives its chunk
+        spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
+    parts = [[] for _ in cells]
+    end = run_start + runs
+    for start in range(run_start, end, _CHUNK):
+        streams = _Streams(master_seed, start, min(_CHUNK, end - start))
+        for (spec, budget), cell_cap, part in zip(cells, caps, parts):
+            part.append(_simulate_chunk(instance, spec, budget, cell_cap, streams,
+                                        p_default, bounds, track_lcb))
+        # released before the next chunk's streams are drawn
+        del streams
+    return [_concat(part) for part in parts]
+
+
+def _concat(parts: list[BatchResult]) -> BatchResult:
+    columns = {}
+    for f in fields(BatchResult):
+        values = [getattr(p, f.name) for p in parts]
+        columns[f.name] = None if values[0] is None else np.concatenate(values)
+    return BatchResult(**columns)
+
+
+def _simulate_chunk(instance, spec, budget, cap, streams, p_default, bounds,
+                    track_lcb) -> BatchResult:
+    """One cell over the runs of ``streams``, with its cap already resolved."""
+    m = streams.key[2]
     pulls = np.zeros((m, instance.n_arms))
     cost_arm = np.zeros((m, instance.n_arms))
     rule = spec.build(instance, budget, None, p_default=p_default, bounds=bounds)

@@ -3,21 +3,21 @@
 Regret is measured against the stationary-oracle lower bound r(p*) B, the
 violation is realized penalty per unit budget minus c, and the time
 allocation is each arm's share of consumed budget (with a pull-count share
-kept alongside).  Run indices are simulated in chunks; each chunk's random
-streams are seeded once and read by every (policy, budget) cell.
-Aggregation is a fixed-order fold over run indices, so results are
-byte-reproducible for a given master seed regardless of how the batch is
-chunked.
+kept alongside).  The harness solves the oracle, hands every (policy, budget)
+cell to :func:`~lybandit.engine.simulate_cells`, which chunks the runs and
+shares their streams, and aggregates what it returns.  Aggregation is a
+fixed-order fold over run indices, so results are byte-reproducible for a
+given master seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import BatchResult, _Streams, simulate_batch
+from .engine import BatchResult, simulate_cells
 from .model import EpisodeResult, Instance, check_int, check_real, derive_bounds
 from .model import episode_cap
 from .oracle import OracleSolution, solve_lfp
@@ -33,9 +33,6 @@ __all__ = [
     "sweep_scaling",
     "violation",
 ]
-
-# runs per chunk: bounds the (runs, 1024, 3) uniform block its cells share
-_CHUNK = 1024
 
 
 def pseudo_regret(result: EpisodeResult | BatchResult, r_star: float, budget: float):
@@ -169,48 +166,6 @@ def _aggregate_cell(
     )
 
 
-def _concat(parts: list[BatchResult]) -> BatchResult:
-    if len(parts) == 1:
-        return parts[0]
-    columns = {}
-    for f in fields(BatchResult):
-        values = [getattr(p, f.name) for p in parts]
-        columns[f.name] = None if values[0] is None else np.concatenate(values)
-    return BatchResult(**columns)
-
-
-def _simulate_cells(instance, cells, runs, master_seed, *, cap=None, p_default=None,
-                    bounds=None, track_lcb=False) -> list[BatchResult]:
-    """Run each (policy, budget) pair of ``cells`` in chunks of ``_CHUNK`` runs.
-
-    Each chunk's streams are drawn once and read by every cell.  They depend
-    only on the global run index, so neither chunking nor sharing can change
-    any output value.
-    """
-    check_int(runs, "runs", 1)
-    check_int(master_seed, "master_seed", 0)
-    parts = [[] for _ in cells]
-    for start in range(0, runs, _CHUNK):
-        streams = _Streams(master_seed, start, min(_CHUNK, runs - start))
-        for (spec, budget), part in zip(cells, parts):
-            part.append(simulate_batch(
-                instance, spec, budget, streams.key[2], master_seed,
-                run_start=start, cap=cap, p_default=p_default, bounds=bounds,
-                track_lcb=track_lcb, streams=streams,
-            ))
-        # released before the next chunk's streams are drawn
-        del streams
-    return [_concat(part) for part in parts]
-
-
-def simulate_cell(instance, spec, budget, runs, master_seed, *, cap=None,
-                  p_default=None, bounds=None, track_lcb=False) -> BatchResult:
-    """Run runs ``0 .. runs - 1`` of one (policy, budget) cell; ``cap``,
-    ``p_default``, ``bounds`` and ``track_lcb`` as for :func:`simulate_batch`."""
-    return _simulate_cells(instance, [(spec, budget)], runs, master_seed, cap=cap,
-                           p_default=p_default, bounds=bounds, track_lcb=track_lcb)[0]
-
-
 def run_batch(config: RunConfig) -> AggregateResult:
     """Simulate every (policy, budget) cell and aggregate in run-index order."""
     instance = config.instance
@@ -220,7 +175,7 @@ def run_batch(config: RunConfig) -> AggregateResult:
     theoretical = any(p.exploration == "theoretical" for p in config.policies)
     bounds = derive_bounds(instance) if theoretical else None
     cells = [(spec, budget) for spec in config.policies for budget in config.budgets]
-    batches = _simulate_cells(
+    batches = simulate_cells(
         instance, cells, config.runs, config.master_seed,
         cap=config.cap, p_default=oracle.p_star, bounds=bounds,
     )

@@ -16,7 +16,7 @@ import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Sized
 
 import numpy as np
 
@@ -79,11 +79,9 @@ def check_real(value, name: str, low: float, high: float = math.inf,
 
 def check_simplex(p, tol: float = _SIMPLEX_TOL) -> np.ndarray:
     """Validate and return ``p`` as a probability vector summing to 1 within ``tol``."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
+    if np.ndim(p) != 1 or len(p) < 1:
         raise ValueError("p must be a one-dimensional probability vector")
-    if not np.all(p >= 0.0):
-        raise ValueError("probabilities must be nonnegative")
+    p = np.array([check_real(v, "probability", 0.0) for v in p])
     if not abs(float(p.sum()) - 1.0) <= tol:
         raise ValueError(f"probabilities must sum to 1, got {float(p.sum())!r}")
     return p
@@ -142,6 +140,9 @@ class ArmSpec:
         if self.kind == KIND_JOINT_TABLE:
             if not self.atoms:
                 raise ValueError("joint-discrete-table arm needs at least one atom")
+            for atom in self.atoms:
+                if not (isinstance(atom, Sized) and len(atom) == 4):
+                    raise ValueError(f"a table atom is (prob, x, r, y), got {atom!r}")
             atoms = tuple(
                 tuple(check_real(v, "atom entry", 0.0, 1.0) for v in (p, x, r, y))
                 for p, x, r, y in self.atoms

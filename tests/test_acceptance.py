@@ -25,7 +25,7 @@ from lybandit import (
     sweep_scaling,
 )
 from lybandit.cli import main as cli_main
-from lybandit.harness import simulate_cell
+from lybandit.engine import simulate_batch
 from lybandit.model import derive_bounds
 from lybandit.policies import LyOffPolicy, confidence_radius
 
@@ -299,10 +299,10 @@ def test_criterion_9_invariant_suites(two_arm_instance, two_arm_oracle,
         [ArmSpec.bernoulli(0.4, 0.8, 0.0), ArmSpec.bernoulli(0.6, 0.6, 0.0)], c=C
     )
     sol = solve_lfp(zero_penalty)
-    a = simulate_cell(zero_penalty, PolicySpec("a", "lyon", delta0=0.1), 100.0, 50,
-                      9, p_default=sol.p_star)
-    b = simulate_cell(zero_penalty, PolicySpec("b", "ucb_bwi"), 100.0, 50,
-                      9, p_default=sol.p_star)
+    a = simulate_batch(zero_penalty, PolicySpec("a", "lyon", delta0=0.1), 100.0, 50,
+                       9, p_default=sol.p_star)
+    b = simulate_batch(zero_penalty, PolicySpec("b", "ucb_bwi"), 100.0, 50,
+                       9, p_default=sol.p_star)
     same = np.array_equal(a.pulls_per_arm, b.pulls_per_arm) and np.array_equal(
         a.total_reward, b.total_reward
     )
@@ -346,7 +346,7 @@ def test_criterion_9_invariant_suites(two_arm_instance, two_arm_oracle,
     # under-cover (~90%), two pulls per arm clear the bar.
     cov = {}
     for pulls in (1, 2):
-        batch = simulate_cell(
+        batch = simulate_batch(
             two_arm_instance,
             PolicySpec("lyon", "lyon", exploration=pulls),
             500.0,
@@ -376,7 +376,7 @@ def test_criterion_10_more_arms(two_arm_instance):
         inst = Instance(list(two_arm_instance.arms) + extra[: k - 2], c=C)
         sol = solve_lfp(inst)
         bounds = derive_bounds(inst)
-        batch = simulate_cell(
+        batch = simulate_batch(
             inst,
             PolicySpec("lyon", "lyon", v0=1.0, delta0=0.5),
             8000.0,

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lybandit.cli as cli
+import lybandit.engine as engine
 from lybandit.cli import load_config, main, results_header
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "example_config.json"
@@ -226,6 +228,40 @@ class TestRunCommand:
         )
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_infeasible_last_cell_exits_2_before_simulating(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_streams(*args):
+            pytest.fail("a stream was derived")
+        monkeypatch.setattr(engine, "episode_env_rng", no_streams)
+        # delta = 3 / sqrt(10) reaches c = 0.8 only in the last cell
+        policies = [{"name": "stat", "type": "stationary"},
+                    {"name": "lyon", "type": "lyon"},
+                    {"name": "tight", "type": "lyon", "delta0": 3.0}]
+        cfg = write_config(tmp_path, policies=policies, budgets=[10])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("infeasible: ")
+
+    @pytest.mark.parametrize("command, bad", [
+        (["run"], ["--out", "{missing}"]),
+        (["sweep"], ["--out", "{missing}"]),
+        (["sweep"], ["--out", "{ok}", "--scaling-out", "{missing}"]),
+    ], ids=["run-out", "sweep-out", "sweep-scaling-out"])
+    def test_unwritable_output_fails_before_simulating(self, tmp_path, capsys,
+                                                       monkeypatch, command, bad):
+        def no_run(config):
+            pytest.fail("run_batch was called")
+        monkeypatch.setattr(cli, "run_batch", no_run)
+        cfg = write_config(tmp_path, budgets=[40, 80, 160])
+        paths = {"missing": str(tmp_path / "missing" / "x.csv"),
+                 "ok": str(tmp_path / "ok.csv")}
+        args = [a.format(**paths) for a in bad]
+        assert main([*command, "--config", cfg, *args]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"io error: [Errno 2] No such file or directory: "
+                         f"'{paths['missing']}'"]
+        assert list(tmp_path.iterdir()) == [Path(cfg)]
+
 
 class TestSweepCommand:
     def test_requires_three_budgets(self, tmp_path, capsys):
@@ -289,6 +325,14 @@ class TestSchemaValidation:
             tmp_path, policies=[{"name": "s", "type": "stationary", "p": [0.5, 0.4]}]
         )
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("p", [["0.5", "0.5"], [True, False]], ids=["str", "bool"])
+    def test_stationary_p_entries_must_be_numbers(self, tmp_path, capsys, p):
+        cfg = write_config(tmp_path, policies=[{"name": "s", "type": "stationary", "p": p}])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: policies[0]: probability must be a finite number")
 
     @pytest.mark.parametrize(
         "field", [{"v0": 0}, {"alpha": -1}, {"delta0": -1}, {"index_variant": "nope"}]

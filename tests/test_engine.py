@@ -1,15 +1,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import lybandit.engine as engine
-import lybandit.harness as harness
 from lybandit import ArmSpec, Instance, PolicySpec, run_episode, solve_lfp
-from lybandit.engine import simulate_batch
-from lybandit.harness import simulate_cell
+from lybandit.engine import simulate_batch, simulate_cells
 from lybandit.model import derive_bounds, episode_env_rng, episode_policy_rng
 from lybandit.policies import StaticPolicy
 
@@ -141,20 +140,41 @@ def test_chunking_does_not_change_results(two_arm_instance, monkeypatch):
     spec = PolicySpec("lyon", "lyon", v0=1.0, delta0=0.5)
     whole = simulate_batch(two_arm_instance, spec, 50.0, 23, 3, p_default=sol.p_star)
 
-    monkeypatch.setattr(harness, "_CHUNK", 7)
-    cell = simulate_cell(two_arm_instance, spec, 50.0, 23, 3, p_default=sol.p_star)
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    cell = simulate_batch(two_arm_instance, spec, 50.0, 23, 3, p_default=sol.p_star)
     for field in ("n_pulls", "total_cost", "total_reward", "total_penalty",
                   "pulls_per_arm", "cost_per_arm", "q_final", "q_max"):
         assert np.array_equal(getattr(cell, field), getattr(whole, field))
 
 
-@pytest.mark.parametrize("key", [(2, 0, 4), (1, 1, 4), (1, 0, 3)])
-def test_streams_must_cover_the_batch(two_arm_instance, key):
-    streams = engine._Streams(1, 0, 4)
-    seed, start, runs = key
-    with pytest.raises(ValueError, match="streams drawn for"):
-        simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0,
-                       runs, seed, run_start=start, streams=streams)
+@pytest.mark.parametrize("spec", [s for s in SPECS if s.name in ("stationary", "lyon")],
+                         ids=lambda s: s.name)
+def test_mid_chunk_batch_equals_rows_of_one_chunk(two_arm_instance, monkeypatch, spec):
+    # chunks of 7 from run 5 (5-11, 12-14) do not line up with those of a
+    # batch from run 0; the rows depend only on their run indices
+    sol = solve_lfp(two_arm_instance)
+    kwargs = dict(p_default=sol.p_star, track_lcb=True)
+    whole = simulate_batch(two_arm_instance, spec, 40.0, 15, 4, **kwargs)
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    part = simulate_batch(two_arm_instance, spec, 40.0, 10, 4, run_start=5, **kwargs)
+    for f in fields(engine.BatchResult):
+        assert np.array_equal(getattr(part, f.name), getattr(whole, f.name)[5:]), f.name
+
+
+def test_streams_never_wider_than_a_chunk(two_arm_instance, monkeypatch):
+    widths = []
+
+    class Recorded(engine._Streams):
+        def __init__(self, master_seed, run_start, m):
+            widths.append((run_start, m))
+            super().__init__(master_seed, run_start, m)
+
+    monkeypatch.setattr(engine, "_Streams", Recorded)
+    monkeypatch.setattr(engine, "_CHUNK", 8)
+    batch = simulate_batch(two_arm_instance, PolicySpec("s", "stationary", p=(0.5, 0.5)),
+                           10.0, 20, 1, run_start=3)
+    assert widths == [(3, 8), (11, 8), (19, 4)]
+    assert batch.runs == 20
 
 
 @pytest.mark.parametrize("cap", [0, -5])
@@ -202,9 +222,11 @@ def test_infinite_budget_rejected(two_arm_instance, cap):
 )
 def test_runs_and_seed_must_be_integers(two_arm_instance, runs, seed, name):
     spec = PolicySpec("s", "static", arm=0)
-    for simulate in (simulate_batch, simulate_cell):
-        with pytest.raises(ValueError, match=f"{name} must be at least . and an integer"):
-            simulate(two_arm_instance, spec, 10.0, runs, seed)
+    match = f"{name} must be at least . and an integer"
+    with pytest.raises(ValueError, match=match):
+        simulate_batch(two_arm_instance, spec, 10.0, runs, seed)
+    with pytest.raises(ValueError, match=match):
+        simulate_cells(two_arm_instance, [(spec, 10.0)], runs, seed)
 
 
 @pytest.mark.parametrize("run_start", [-1, 1.5, True])
@@ -216,14 +238,7 @@ def test_run_start_must_be_a_nonnegative_integer(two_arm_instance, run_start):
 
 def test_empty_cell_rejected(two_arm_instance):
     with pytest.raises(ValueError, match="runs must be at least 1"):
-        simulate_cell(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0, 0, 1)
-
-
-@pytest.mark.parametrize("name", ["run_start", "streams"])
-def test_cell_owns_its_run_indices_and_streams(two_arm_instance, name):
-    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
-        simulate_cell(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0, 2, 1,
-                      **{name: 3})
+        simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0, 0, 1)
 
 
 def test_lcb_tracking_shape(two_arm_instance):

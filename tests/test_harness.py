@@ -12,6 +12,7 @@ import lybandit.harness as harness
 from lybandit import (
     ArmSpec,
     CellStats,
+    DeltaOutOfRange,
     EpisodeResult,
     Instance,
     PolicySpec,
@@ -110,10 +111,10 @@ class TestRunBatch:
 
     def test_grid_equals_per_cell_batches(self, two_arm_instance, monkeypatch):
         # the grid shares each 7-run chunk's streams among its nine cells; a
-        # batch of all 23 runs per cell draws its own
+        # one-cell batch draws its own
         instance = two_arm_instance
         sol, bounds = solve_lfp(instance), derive_bounds(instance)
-        monkeypatch.setattr(harness, "_CHUNK", 7)
+        monkeypatch.setattr(engine, "_CHUNK", 7)
         budgets = (5.0, 20.0, 60.0)
         grid = run_batch(RunConfig(instance, self.GRID, budgets, 23, 9))
         for spec in self.GRID:
@@ -134,7 +135,7 @@ class TestRunBatch:
                 calls[_name] += 1
                 return _derive(*args)
             monkeypatch.setattr(engine, name, counted)
-        monkeypatch.setattr(harness, "_CHUNK", 7)
+        monkeypatch.setattr(engine, "_CHUNK", 7)
         policies = self.GRID if with_stationary else self.GRID[1:]
         # episodes of at most about 80 epochs stay inside the shared block
         run_batch(RunConfig(two_arm_instance, policies, (5.0, 20.0, 40.0), 23, 9))
@@ -154,6 +155,20 @@ class TestRunBatch:
                     PolicySpec("lyoff", "lyoff"), PolicySpec("stat", "stationary"))
         run_batch(RunConfig(two_arm_instance, policies, (5.0,), 3, 9))
         assert len(calls) == derived
+
+    def test_infeasible_last_cell_fails_before_any_stream(self, two_arm_instance,
+                                                          monkeypatch):
+        derived = []
+        def counted(*args, _derive=engine.episode_env_rng):
+            derived.append(args)
+            return _derive(*args)
+        monkeypatch.setattr(engine, "episode_env_rng", counted)
+        # at B = 10 the last cell's delta = 3 / sqrt(10) reaches c = 0.8
+        policies = self.GRID + (PolicySpec("tight", "lyon", delta0=3.0),)
+        config = RunConfig(two_arm_instance, policies, (10.0,), 5, 9)
+        with pytest.raises(DeltaOutOfRange):
+            run_batch(config)
+        assert derived == []
 
     def test_cap_hits_counted_not_fatal(self):
         instance = Instance(
@@ -264,9 +279,7 @@ class TestRunBatch:
     def test_unconstrained_reduction_ignores_penalty(self, two_arm_instance):
         # with the queue pinned at zero the online rule chases pure reward
         # rate, so almost all budget ends up on the high-rate arm
-        from lybandit.harness import simulate_cell
-
-        batch = simulate_cell(
+        batch = simulate_batch(
             two_arm_instance,
             PolicySpec("ucb", "ucb_bwi", v0=1.0),
             5000.0,

@@ -18,7 +18,7 @@ from lybandit import (
     run_episode,
 )
 from lybandit.model import Bounds, Sampler, derive_bounds, episode_cap
-from lybandit.oracle import solve_lfp_grid, wald_interval
+from lybandit.oracle import penalty_rate, reward_rate, solve_lfp_grid, wald_interval
 from lybandit.policies import (
     LyOnPolicy,
     LyParams,
@@ -288,6 +288,7 @@ class TestRunEpisode:
 
 _ARM = ArmSpec.bernoulli(0.5, 0.5, 0.1)
 _INST = Instance([_ARM], c=0.5)
+_PAIR = Instance([_ARM, _ARM], c=0.5)
 _BOUNDS = dict(mu_min=0.5, r_max=1.0, y_max=0.2, epsilon=0.15)
 
 # every real-valued parameter: (name in the error, call with the value)
@@ -315,6 +316,11 @@ REAL_PARAMETERS = [
     ("delta0", lambda v: PolicySpec("p", "lyon", delta0=v)),
     ("alpha", lambda v: PolicySpec("p", "lyon", alpha=v)),
     ("budgets", lambda v: RunConfig(_INST, (), (10.0, v), 1, 0)),
+    # p = (True, 0) and ("1", 0) once passed as (1.0, 0.0)
+    ("probability", lambda v: PolicySpec("p", "stationary", p=(v, 0.0))),
+    ("probability", lambda v: StationaryPolicy((v, 0.0), rng())),
+    ("probability", lambda v: reward_rate((v, 0.0), _PAIR)),
+    ("probability", lambda v: penalty_rate((v, 0.0), _PAIR)),
 ]
 
 
@@ -325,6 +331,13 @@ REAL_PARAMETERS = [
 def test_real_parameter_refuses_non_finite_and_non_numbers(name, call, bad):
     with pytest.raises(ValueError, match=f"^{name} must be a finite number in "):
         call(bad)
+
+
+@pytest.mark.parametrize("atom", [(1.0, 0.5, 0.5), (1.0, 0.5, 0.5, 0.5, 0.5), 0.5],
+                         ids=["3-tuple", "5-tuple", "number"])
+def test_table_atom_of_the_wrong_arity_is_named(atom):
+    with pytest.raises(ValueError, match=r"^a table atom is \(prob, x, r, y\), got "):
+        ArmSpec.table([atom])
 
 
 def test_table_arm_means_come_from_its_atoms():

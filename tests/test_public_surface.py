@@ -108,3 +108,17 @@ def test_numeric_rule_lives_in_model():
     users = sorted(path.name for path in package.glob("*.py")
                    if rule.search(path.read_text(encoding="utf-8")))
     assert users == ["model.py"]
+
+
+def test_harness_uses_only_the_public_engine():
+    """``harness.py`` imports no underscore-prefixed name from ``engine``.
+
+    Chunking and stream sharing are the engine's; the harness only solves,
+    aggregates and reports, so it needs none of the engine's private names.
+    """
+    tree = ast.parse((ROOT / "src" / "lybandit" / "harness.py").read_text(encoding="utf-8"))
+    private = sorted(alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module
+                     and node.module.split(".")[-1] == "engine"
+                     for alias in node.names if alias.name.startswith("_"))
+    assert private == []
