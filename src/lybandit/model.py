@@ -16,7 +16,7 @@ import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import NamedTuple, Sequence, Sized
+from typing import Iterable, NamedTuple, Sequence, Sized
 
 import numpy as np
 
@@ -79,7 +79,8 @@ def check_real(value, name: str, low: float, high: float = math.inf,
 
 def check_simplex(p, tol: float = _SIMPLEX_TOL) -> np.ndarray:
     """Validate and return ``p`` as a probability vector summing to 1 within ``tol``."""
-    if np.ndim(p) != 1 or len(p) < 1:
+    # as objects, a ragged nest is a vector of sequences, not numpy's own error
+    if np.ndim(np.asarray(p, dtype=object)) != 1 or len(p) < 1 or any(map(np.ndim, p)):
         raise ValueError("p must be a one-dimensional probability vector")
     p = np.array([check_real(v, "probability", 0.0) for v in p])
     if not abs(float(p.sum()) - 1.0) <= tol:
@@ -138,15 +139,14 @@ class ArmSpec:
 
     def __post_init__(self):
         if self.kind == KIND_JOINT_TABLE:
-            if not self.atoms:
+            atoms = tuple(self.atoms) if isinstance(self.atoms, Iterable) else (self.atoms,)
+            if not atoms:
                 raise ValueError("joint-discrete-table arm needs at least one atom")
-            for atom in self.atoms:
+            for atom in atoms:
                 if not (isinstance(atom, Sized) and len(atom) == 4):
                     raise ValueError(f"a table atom is (prob, x, r, y), got {atom!r}")
-            atoms = tuple(
-                tuple(check_real(v, "atom entry", 0.0, 1.0) for v in (p, x, r, y))
-                for p, x, r, y in self.atoms
-            )
+            atoms = tuple(tuple(check_real(v, "atom entry", 0.0, 1.0) for v in atom)
+                          for atom in atoms)
             probs = check_simplex([a[0] for a in atoms])
             means = [float(np.dot(probs, [a[i] for a in atoms])) for i in (1, 2, 3)]
             object.__setattr__(self, "atoms", atoms)
@@ -168,7 +168,7 @@ class ArmSpec:
     @classmethod
     def table(cls, atoms: Sequence[tuple[float, float, float, float]]) -> "ArmSpec":
         # the means given here are replaced by those of the atoms
-        return cls(KIND_JOINT_TABLE, 0.0, 0.0, 0.0, atoms=tuple(atoms))
+        return cls(KIND_JOINT_TABLE, 0.0, 0.0, 0.0, atoms=atoms)
 
     @property
     def means(self) -> tuple[float, float, float]:
@@ -257,9 +257,10 @@ class Instance:
     c: float
 
     def __init__(self, arms: Sequence[ArmSpec], c: float):
-        if len(arms) < 1:
-            raise ValueError("instance needs at least one arm")
-        object.__setattr__(self, "arms", tuple(arms))
+        arm_specs = tuple(arms) if isinstance(arms, Iterable) else ()
+        if not arm_specs or not all(isinstance(arm, ArmSpec) for arm in arm_specs):
+            raise ValueError(f"arms must be a non-empty sequence of ArmSpec, got {arms!r}")
+        object.__setattr__(self, "arms", arm_specs)
         object.__setattr__(self, "c", check_real(c, "c", 0.0, open_low=True))
 
     @property

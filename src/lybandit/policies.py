@@ -13,7 +13,9 @@ with V trading reward against constraint pressure.  The offline rule uses
 true rates; the online rule replaces them with clamped empirical rates minus
 confidence-radius corrections so the score is an optimistic (low) estimate.
 Pinning the queue at zero turns the online rule into a plain budgeted UCB
-policy with no penalty constraint.
+policy with no penalty constraint.  Each rule takes its budget-resolved V and
+delta as plain arguments, which :meth:`PolicySpec.build` computes, and checks
+every argument when built, with one guard for 0 <= delta < c.
 
 The online index is computed in factored form,
 
@@ -46,7 +48,6 @@ from .model import _is_int, check_int, check_real
 
 __all__ = [
     "DeltaOutOfRange",
-    "LyParams",
     "LyOffPolicy",
     "LyOnPolicy",
     "PolicySpec",
@@ -71,7 +72,7 @@ _ONE_ROW = np.ones(1, dtype=bool)
 
 
 class DeltaOutOfRange(ValueError):
-    """Scheduled queue tightening delta reached or exceeded c."""
+    """Queue tightening delta reached or exceeded c."""
 
 
 # ---------------------------------------------------------------------------
@@ -161,23 +162,14 @@ def confidence_radius(t: int, n: float, alpha: float) -> float:
     return math.sqrt(math.log(n)) * float(_unit_radius(t, alpha))
 
 
-@dataclass(frozen=True)
-class LyParams:
-    """Design parameters of the drift-plus-penalty policies."""
-
-    v: float
-    delta: float = 0.0
-    alpha: float = 2.0
-    exploration_pulls: int = 1
-    index_variant: str = VARIANT_LCB_BOTH
-
-    def __post_init__(self):
-        for name, open_low in (("v", True), ("delta", False), ("alpha", True)):
-            value = check_real(getattr(self, name), name, 0.0, open_low=open_low)
-            object.__setattr__(self, name, value)
-        check_int(self.exploration_pulls, "exploration_pulls", 1)
-        if self.index_variant not in _VARIANTS:
-            raise ValueError(f"unknown index variant: {self.index_variant!r}")
+def _tightened(c: float, delta: float) -> float:
+    """Tightened penalty rate c - delta, for c > 0 and a queue tightening 0 <= delta < c."""
+    c = check_real(c, "c", 0.0, open_low=True)
+    delta = check_real(delta, "delta", 0.0)
+    if delta >= c:
+        raise DeltaOutOfRange(f"delta {delta:.6g} is not below c = {c}; "
+                              "lower delta0 or raise the budget")
+    return c - delta
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +216,7 @@ def param_schedule(
         delta = delta0 * math.sqrt(log_b / budget)
     else:
         raise ValueError(f"unknown schedule: {schedule!r}")
-    if delta >= c:
-        raise DeltaOutOfRange(
-            f"scheduled delta {delta:.6g} is not below c = {c}; "
-            "lower delta0 or raise the budget"
-        )
+    _tightened(c, delta)
     return v, delta
 
 
@@ -331,11 +319,9 @@ class LyOffPolicy(VectorPolicy):
     """Offline drift-plus-penalty policy driven by true rates."""
 
     def __init__(self, instance: Instance, v: float, delta: float):
-        if not 0.0 <= delta < instance.c:
-            raise DeltaOutOfRange(f"delta must lie in [0, c), got {delta}")
+        self._cd = _tightened(instance.c, delta)
         v = check_real(v, "v", 0.0, open_low=True)
         self._neg_vr, self._y_rates = _true_coefficients(instance, v)
-        self._cd = instance.c - delta
         super().__init__(instance.n_arms)
 
     def start(self, pulls, cost, truth: Instance | None = None) -> None:
@@ -358,10 +344,14 @@ class LyOnPolicy(VectorPolicy):
     """Online drift-plus-penalty policy with optimistic empirical indices.
 
     Pulls every arm ``exploration_pulls`` times round-robin, then minimizes
-    the confidence-adjusted index each epoch.  With ``queue_enabled=False``
-    the queue is pinned at zero, which is the unconstrained budgeted-UCB
-    reduction.  Per-arm reward and penalty sums are kept here; pull counts
-    and cost sums are the driver's tallies bound by :meth:`start`.
+    the confidence-adjusted index each epoch; ``v`` and ``delta`` are the
+    budget-resolved V and queue tightening.  ``queue_enabled=False`` pins
+    the queue at zero, the unconstrained budgeted-UCB reduction, which reads
+    neither ``c`` nor ``delta``.  The constructor checks that ``n_arms`` and
+    ``exploration_pulls`` are integers >= 1, ``budget``, ``v`` and ``alpha``
+    finite and positive, and, for a live queue, 0 <= ``delta`` < ``c``.
+    Per-arm reward and penalty sums are kept here; pull counts and cost sums
+    are the driver's tallies bound by :meth:`start`.
 
     The index is kept in factored form: ``terms`` holds the (m, K) arrays
     (A, B, C, D) of :func:`_index_terms`, built from the tallies in
@@ -372,22 +362,20 @@ class LyOnPolicy(VectorPolicy):
     decision it holds the index minimized.
     """
 
-    def __init__(
-        self,
-        n_arms: int,
-        c: float,
-        params: LyParams,
-        budget: float,
-        queue_enabled: bool = True,
-    ):
-        if queue_enabled and not 0.0 <= params.delta < c:
-            raise DeltaOutOfRange(f"delta must lie in [0, c), got {params.delta}")
+    def __init__(self, n_arms: int, c: float, budget: float, v: float, delta: float = 0.0,
+                 alpha: float = 2.0, exploration_pulls: int = 1,
+                 index_variant: str = VARIANT_LCB_BOTH, queue_enabled: bool = True):
+        check_int(n_arms, "n_arms", 1)
+        check_int(exploration_pulls, "exploration_pulls", 1)
+        self._floor = denominator_floor(check_real(budget, "budget", 0.0, open_low=True))
+        self._v = check_real(v, "v", 0.0, open_low=True)
+        self._alpha = check_real(alpha, "alpha", 0.0, open_low=True)
+        if index_variant not in _VARIANTS:
+            raise ValueError(f"unknown index variant: {index_variant!r}")
+        self._cd = _tightened(c, delta) if queue_enabled else None
         self._k = int(n_arms)
-        self._params = params
-        self._floor = denominator_floor(budget)
-        self._cd = c - params.delta
-        self._explore_total = self._k * params.exploration_pulls
-        self._queue_enabled = queue_enabled
+        self._variant = index_variant
+        self._explore_total = self._k * exploration_pulls
         super().__init__(self._k)
 
     def start(self, pulls, cost, truth: Instance | None = None) -> None:
@@ -405,20 +393,19 @@ class LyOnPolicy(VectorPolicy):
         self.index = np.empty((m, self._k))
         self._work = np.empty((m, self._k))
         if truth is not None:
-            self._true_rates = _true_coefficients(truth, self._params.v)
+            self._true_rates = _true_coefficients(truth, self._v)
 
     def _terms(self, t, sum_x, sum_r, sum_y):
         # an arm not yet pulled counts as one pull, so its terms stay finite;
         # after exploration only rows that ended inside it have such arms
-        params = self._params
         return _index_terms(np.maximum(t, 1.0), sum_x, sum_r, sum_y,
-                            params.v, params.alpha, self._floor)
+                            self._v, self._alpha, self._floor)
 
     def select_batch(self, n, live, u):
         if n < self._explore_total:
             return np.full(live.shape[0], n % self._k, dtype=np.int64)
-        q_col = self.q[:, None] if self._queue_enabled else None
-        gamma = _combine(self.terms, q_col, math.log(n), self._params.index_variant,
+        q_col = None if self._cd is None else self.q[:, None]
+        gamma = _combine(self.terms, q_col, math.log(n), self._variant,
                          self.index, self._work)
         if self.lcb_ok is not None:
             psi_true = _score(self._true_rates[0], self.q[:, None], self._true_rates[1])
@@ -434,7 +421,7 @@ class LyOnPolicy(VectorPolicy):
         fresh = self._terms(*(a.take(flat) for a in tallies))
         for term, value in zip(self.terms, fresh):
             term.put(flat, value)
-        if self._queue_enabled:
+        if self._cd is not None:
             self.q = _queue_step(self.q, x, y, self._cd)
 
 
@@ -453,14 +440,13 @@ class PolicySpec:
     (static) is a zero-based index.  ``exploration`` is a fixed per-arm pull
     count or the string ``"theoretical"``.
 
-    ``schedule`` picks the budget-indexed (V, delta) forms for the online
-    policy: ``"sqrt"`` (default) uses V = v0 sqrt(B), delta = delta0/sqrt(B);
-    ``"sqrt-log"`` uses the log-augmented V = v0 sqrt(B ln B),
-    delta = delta0 sqrt(ln B / B).  The default reproduces the reference
+    ``schedule`` names the :func:`param_schedule` forms of (V, delta) for the
+    online policy.  The default ``"sqrt"`` reproduces the reference
     experiment behavior: with the log-augmented delta, any delta0 large
     enough to drive the violation negative makes the tightened constraint
     infeasible outright at desk-scale budgets, collapsing the policy onto
-    the lowest-penalty arm.  The offline policy always uses the sqrt forms.
+    the lowest-penalty arm.  The offline policy always uses the sqrt forms,
+    and ``ucb_bwi`` uses delta0 = 0.
     """
 
     name: str
@@ -509,20 +495,6 @@ class PolicySpec:
                 f"policy {self.name!r}: p has {len(self.p)} entries for {n_arms} arms"
             )
 
-    def ly_params(self, budget: float, c: float, bounds: Bounds | None) -> LyParams:
-        """Resolve (V, delta, exploration) for the given budget."""
-        schedule = SCHEDULE_SQRT if self.type == "lyoff" else self.schedule
-        # the unconstrained reduction does not tighten its (pinned) queue
-        delta0 = 0.0 if self.type == "ucb_bwi" else self.delta0
-        v, delta = param_schedule(budget, self.v0, delta0, schedule, c)
-        pulls = self.exploration
-        if pulls == "theoretical":
-            if bounds is None:
-                raise ValueError("theoretical exploration needs derived bounds")
-            pulls = exploration_schedule(budget, bounds, self.alpha)
-        return LyParams(v=v, delta=delta, alpha=self.alpha, exploration_pulls=pulls,
-                        index_variant=self.index_variant)
-
     def build(
         self,
         instance: Instance,
@@ -543,13 +515,15 @@ class PolicySpec:
             if p is None:
                 raise ValueError("stationary policy needs p or an oracle default")
             return StationaryPolicy(p, policy_rng)
-        params = self.ly_params(budget, instance.c, bounds)
+        schedule = SCHEDULE_SQRT if self.type == "lyoff" else self.schedule
+        delta0 = 0.0 if self.type == "ucb_bwi" else self.delta0
+        v, delta = param_schedule(budget, self.v0, delta0, schedule, instance.c)
         if self.type == "lyoff":
-            return LyOffPolicy(instance, params.v, params.delta)
-        return LyOnPolicy(
-            instance.n_arms,
-            instance.c,
-            params,
-            budget,
-            queue_enabled=(self.type == "lyon"),
-        )
+            return LyOffPolicy(instance, v, delta)
+        pulls = self.exploration
+        if pulls == "theoretical":
+            if bounds is None:
+                raise ValueError("theoretical exploration needs derived bounds")
+            pulls = exploration_schedule(budget, bounds, self.alpha)
+        return LyOnPolicy(instance.n_arms, instance.c, budget, v, delta, self.alpha, pulls,
+                          self.index_variant, queue_enabled=(self.type == "lyon"))

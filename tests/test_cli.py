@@ -334,6 +334,13 @@ class TestSchemaValidation:
         assert len(lines) == 1
         assert lines[0].startswith("error: policies[0]: probability must be a finite number")
 
+    def test_ragged_stationary_p(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, policies=[{"name": "s", "type": "stationary",
+                                                "p": [[0.5], 0.5]}])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: policies[0]: p must be a one-dimensional probability vector"]
+
     @pytest.mark.parametrize(
         "field", [{"v0": 0}, {"alpha": -1}, {"delta0": -1}, {"index_variant": "nope"}]
     )

@@ -20,8 +20,8 @@ from lybandit import (
 from lybandit.model import Bounds, Sampler, derive_bounds, episode_cap
 from lybandit.oracle import penalty_rate, reward_rate, solve_lfp_grid, wald_interval
 from lybandit.policies import (
+    LyOffPolicy,
     LyOnPolicy,
-    LyParams,
     PolicySpec,
     StaticPolicy,
     confidence_radius,
@@ -121,6 +121,13 @@ class TestArmSampling:
 
 
 class TestInstance:
+    @pytest.mark.parametrize("arms", [[1, 2], 5, [ArmSpec.bernoulli(0.5, 0.5, 0.1), None]],
+                             ids=["ints", "int", "none"])
+    def test_arms_must_be_arm_specs(self, arms):
+        # [1, 2] once built and failed at the first solve_lfp with an AttributeError
+        with pytest.raises(ValueError, match="^arms must be a non-empty sequence of ArmSpec"):
+            Instance(arms, 0.5)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Instance([], c=0.5)
@@ -265,7 +272,7 @@ class TestRunEpisode:
         """Changing an epoch's outcome after selection leaves earlier picks alone."""
 
         def drive(outcomes):
-            pol = LyOnPolicy(2, 0.8, LyParams(v=5.0, delta=0.01), budget=100.0)
+            pol = LyOnPolicy(2, 0.8, budget=100.0, v=5.0, delta=0.01)
             picks = []
             for o in outcomes:
                 k = pol.select()
@@ -306,9 +313,9 @@ REAL_PARAMETERS = [
     ("t", lambda v: confidence_radius(v, 2.0, 2.0)),
     ("n", lambda v: confidence_radius(1, v, 2.0)),
     ("alpha", lambda v: confidence_radius(1, 2.0, v)),
-    ("v", lambda v: LyParams(v=v)),
-    ("delta", lambda v: LyParams(v=1.0, delta=v)),
-    ("alpha", lambda v: LyParams(v=1.0, alpha=v)),
+    ("v", lambda v: LyOnPolicy(2, 0.8, 100.0, v=v)),
+    ("delta", lambda v: LyOnPolicy(2, 0.8, 100.0, v=1.0, delta=v)),
+    ("alpha", lambda v: LyOnPolicy(2, 0.8, 100.0, v=1.0, alpha=v)),
     ("budget", lambda v: param_schedule(v, 1.0, 0.5, "sqrt", 0.8)),
     ("v0", lambda v: param_schedule(100.0, v, 0.5, "sqrt", 0.8)),
     ("delta0", lambda v: param_schedule(100.0, 1.0, v, "sqrt", 0.8)),
@@ -321,6 +328,11 @@ REAL_PARAMETERS = [
     ("probability", lambda v: StationaryPolicy((v, 0.0), rng())),
     ("probability", lambda v: reward_rate((v, 0.0), _PAIR)),
     ("probability", lambda v: penalty_rate((v, 0.0), _PAIR)),
+    # the drift rules check their own arguments: delta = True once passed as
+    # 1.0, and a NaN budget or c built a rule that always picked arm 0
+    ("delta", lambda v: LyOffPolicy(_INST, v=1.0, delta=v)),
+    ("budget", lambda v: LyOnPolicy(2, 0.8, v, v=1.0)),
+    ("c", lambda v: LyOnPolicy(2, v, 100.0, v=1.0)),
 ]
 
 
@@ -338,6 +350,29 @@ def test_real_parameter_refuses_non_finite_and_non_numbers(name, call, bad):
 def test_table_atom_of_the_wrong_arity_is_named(atom):
     with pytest.raises(ValueError, match=r"^a table atom is \(prob, x, r, y\), got "):
         ArmSpec.table([atom])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ArmSpec("joint-discrete-table", 0, 0, 0, atoms=5),
+    lambda: ArmSpec.table(5),
+], ids=["direct", "table"])
+def test_table_atoms_that_are_not_a_list_are_named(make):
+    with pytest.raises(ValueError, match=r"^a table atom is \(prob, x, r, y\), got 5$"):
+        make()
+
+
+@pytest.mark.parametrize("delta", [None, "0.1"])
+def test_lyoff_delta_must_be_a_number(delta):
+    # both once ended in a raw TypeError
+    with pytest.raises(ValueError, match="^delta must be a finite number in "):
+        LyOffPolicy(_INST, v=1.0, delta=delta)
+
+
+@pytest.mark.parametrize("n_arms", [0, 2.5, True])
+def test_lyon_n_arms_must_be_a_positive_integer(n_arms):
+    # 0 once failed at the first select, and 2.5 was truncated to 2
+    with pytest.raises(ValueError, match="^n_arms must be at least 1 and an integer"):
+        LyOnPolicy(n_arms, 0.8, 100.0, v=1.0)
 
 
 def test_table_arm_means_come_from_its_atoms():

@@ -11,7 +11,6 @@ from lybandit.model import episode_env_rng
 from lybandit.policies import (
     LyOffPolicy,
     LyOnPolicy,
-    LyParams,
     _combine,
     _empirical_rates,
     _index_terms,
@@ -39,7 +38,7 @@ def lyon_select(stats, q, n, v, queue_enabled=True):
     reach the rule as one observation of that arm.
     """
     t, sum_x = (np.array([[s[i] for s in stats]]) for i in range(2))
-    pol = LyOnPolicy(len(stats), 0.8, LyParams(v=v), 1e6, queue_enabled=queue_enabled)
+    pol = LyOnPolicy(len(stats), 0.8, 1e6, v=v, queue_enabled=queue_enabled)
     pol.start(t, sum_x)
     for arm, (_, _, sum_r, sum_y) in enumerate(stats):
         r, y = np.array([sum_r]), np.array([sum_y])
@@ -160,7 +159,7 @@ class TestEmpiricalRates:
 
     def test_update_accumulates(self):
         # at m = 1 the pull and cost tallies are the scalar runner's own
-        pol = LyOnPolicy(2, 0.8, LyParams(v=1.0), budget=100.0)
+        pol = LyOnPolicy(2, 0.8, budget=100.0, v=1.0)
         pol.observe(0, Outcome(0.5, 1.0, 0.0))
         pol.observe(0, Outcome(0.5, 0.2, 0.6))
         assert pol.pulls[0, 0] == 2
@@ -215,7 +214,7 @@ class TestGammaIndex:
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            LyParams(v=1.0, index_variant="nope")
+            LyOnPolicy(2, 0.8, budget=100.0, v=1.0, index_variant="nope")
 
     def test_matches_unfactored_formula(self):
         rng = np.random.default_rng(29)
@@ -245,9 +244,9 @@ class TestGammaIndex:
         # pulled, and every fifth decision is followed by two observations
         rng = np.random.default_rng(30)
         m, k = 8, 7
-        params = LyParams(v=3.0, alpha=2.0, exploration_pulls=2)
+        params = dict(v=3.0, alpha=2.0, exploration_pulls=2)
         floor = denominator_floor(50.0)
-        pol = LyOnPolicy(k, 0.8, params, 50.0)
+        pol = LyOnPolicy(k, 0.8, 50.0, **params)
         pulls, cost = np.zeros((m, k)), np.zeros((m, k))
         pol.start(pulls, cost)
         live = np.ones(m, dtype=bool)
@@ -257,7 +256,7 @@ class TestGammaIndex:
             live[:2] = n < 5
             pol.select_batch(n, live, None)
             rebuilt = _index_terms(np.maximum(pulls, 1.0), cost, pol.sum_r,
-                                   pol.sum_y, params.v, params.alpha, floor)
+                                   pol.sum_y, params["v"], params["alpha"], floor)
             for term, want in zip(pol.terms, rebuilt):
                 assert np.array_equal(term, want)
             checked += 1
@@ -272,15 +271,15 @@ class TestGammaIndex:
     def test_scalar_refresh_matches_rebuild(self):
         # at m = 1 the wrapper's own tallies must hold each pull before the
         # rule observes it, or the refreshed entry reads the previous counts
-        params = LyParams(v=3.0, alpha=2.0, exploration_pulls=2)
+        params = dict(v=3.0, alpha=2.0, exploration_pulls=2)
         floor = denominator_floor(50.0)
-        pol = LyOnPolicy(3, 0.8, params, 50.0)
+        pol = LyOnPolicy(3, 0.8, 50.0, **params)
         rng = np.random.default_rng(31)
         for _ in range(60):
             arm = pol.select()
             pol.observe(arm, Outcome(*rng.random(3)))
             rebuilt = _index_terms(np.maximum(pol.pulls, 1.0), pol.cost, pol.sum_r,
-                                   pol.sum_y, params.v, params.alpha, floor)
+                                   pol.sum_y, params["v"], params["alpha"], floor)
             for term, want in zip(pol.terms, rebuilt):
                 assert np.array_equal(term, want)
 
@@ -357,12 +356,12 @@ class TestSchedules:
     @pytest.mark.parametrize("field", ["v", "delta", "alpha"])
     def test_nan_params_rejected(self, field):
         with pytest.raises(ValueError):
-            LyParams(**{"v": 1.0, field: math.nan})
+            LyOnPolicy(2, 0.8, 100.0, **{"v": 1.0, field: math.nan})
 
     @pytest.mark.parametrize("pulls", [1.5, True])
     def test_non_integer_exploration_pulls_rejected(self, pulls):
         with pytest.raises(ValueError):
-            LyParams(v=1.0, exploration_pulls=pulls)
+            LyOnPolicy(2, 0.8, 100.0, v=1.0, exploration_pulls=pulls)
 
 
 class TestStationarySelect:
@@ -430,8 +429,15 @@ class TestPolicyObjects:
                            track_lcb=True)
 
     def test_lyon_delta_guard(self):
+        for delta in (0.9, 0.8):
+            with pytest.raises(DeltaOutOfRange):
+                LyOnPolicy(2, c=0.8, budget=100.0, v=1.0, delta=delta)
+        # a pinned queue is never tightened
+        LyOnPolicy(2, c=0.8, budget=100.0, v=1.0, delta=0.9, queue_enabled=False)
+
+    def test_lyoff_delta_guard(self, two_arm_instance):
         with pytest.raises(DeltaOutOfRange):
-            LyOnPolicy(2, c=0.8, params=LyParams(v=1.0, delta=0.9), budget=100.0)
+            LyOffPolicy(two_arm_instance, v=1.0, delta=two_arm_instance.c)
 
     def test_policy_spec_validation(self):
         with pytest.raises(ValueError):
@@ -461,6 +467,11 @@ class TestPolicyObjects:
             with pytest.raises(ValueError):
                 PolicySpec("x", "lyon", **fields)
 
+    def test_ragged_stationary_p_is_named(self):
+        # numpy's shape inference once refused it with its own message
+        with pytest.raises(ValueError, match="^p must be a one-dimensional probability"):
+            PolicySpec("s", "stationary", p=[[0.5], 0.5])
+
     @pytest.mark.parametrize("arm", [1.5, True, "1", -0.0])
     def test_policy_spec_arm_must_be_int(self, arm):
         with pytest.raises(ValueError, match="arm must be an integer"):
@@ -470,9 +481,11 @@ class TestPolicyObjects:
     def test_policy_spec_schedules(self):
         spec_sqrt = PolicySpec("a", "lyon", v0=1.0, delta0=0.5)
         spec_log = PolicySpec("b", "lyon", v0=1.0, delta0=0.5, schedule="sqrt-log")
-        p_sqrt = spec_sqrt.ly_params(10_000.0, c=0.8, bounds=None)
-        p_log = spec_log.ly_params(10_000.0, c=0.8, bounds=None)
-        assert p_sqrt.v == pytest.approx(100.0)
-        assert p_sqrt.delta == pytest.approx(0.005)
-        assert p_log.v == pytest.approx(303.49, abs=0.01)
-        assert p_log.delta == pytest.approx(0.0151747, abs=1e-6)
+        v_sqrt, delta_sqrt = param_schedule(10_000.0, spec_sqrt.v0, spec_sqrt.delta0,
+                                            spec_sqrt.schedule, c=0.8)
+        v_log, delta_log = param_schedule(10_000.0, spec_log.v0, spec_log.delta0,
+                                          spec_log.schedule, c=0.8)
+        assert v_sqrt == pytest.approx(100.0)
+        assert delta_sqrt == pytest.approx(0.005)
+        assert v_log == pytest.approx(303.49, abs=0.01)
+        assert delta_log == pytest.approx(0.0151747, abs=1e-6)

@@ -110,6 +110,18 @@ def test_numeric_rule_lives_in_model():
     assert users == ["model.py"]
 
 
+def test_delta_guard_lives_in_one_place():
+    """``raise DeltaOutOfRange`` occurs once in the package.
+
+    Every drift rule and the budget schedule tighten c through one guard, so
+    the rule 0 <= delta < c has one implementation and one message.
+    """
+    package = ROOT / "src" / "lybandit"
+    count = sum(path.read_text(encoding="utf-8").count("raise DeltaOutOfRange")
+                for path in package.glob("*.py"))
+    assert count == 1
+
+
 def test_harness_uses_only_the_public_engine():
     """``harness.py`` imports no underscore-prefixed name from ``engine``.
 
