@@ -7,10 +7,11 @@ episode's trajectory depends only on its own streams, running episodes in
 lockstep (one shared epoch counter, vectorized across runs) produces results
 bitwise identical to the sequential per-episode runner; tests assert this.
 
-:func:`simulate_cells` walks the run indices in chunks; each chunk's
-streams are seeded and their first block drawn once (a ``_Streams``) for
-every (policy, budget) cell to read.  Past it, a cell re-derives a running
-episode's generators and advances them over that block.
+:func:`simulate_cells` walks the run indices in chunks and each chunk
+block by block: every (policy, budget) cell runs to the end of a block of
+the chunk's streams (a ``_Streams``), which then draw the next block once
+for the episodes that any cell still runs, and every cell writes its rows
+in place into its one result.
 
 The engine does not know any policy rule.  It builds the rule from the
 :class:`~lybandit.policies.PolicySpec` and drives its vector form
@@ -41,14 +42,15 @@ _CHUNK = 1024
 
 
 class _Streams:
-    """Block 0 of the streams of runs ``run_start .. run_start + m - 1``.
+    """The current block of the streams of runs ``run_start .. run_start + m - 1``.
 
-    The (m, ``_BLOCK``, 3) env block is drawn here, the (m, ``_BLOCK``)
-    policy block at the first read of :attr:`policy`.
+    ``env`` (m, ``_BLOCK``, 3) and ``policy`` (m, ``_BLOCK``), drawn at its
+    first read, hold block 0 of every row until :meth:`advance` moves rows on.
     """
 
     def __init__(self, master_seed: int, run_start: int, m: int):
         self.key = (master_seed, run_start, m)
+        self._gens = [None] * m
         self.env = self._draw(episode_env_rng, (_BLOCK, 3))
 
     def _draw(self, derive, shape) -> np.ndarray:
@@ -62,15 +64,23 @@ class _Streams:
     def policy(self) -> np.ndarray:
         return self._draw(episode_policy_rng, (_BLOCK,))
 
-    def resume(self, e: int, policy: bool) -> list:
-        """Row e's env (and policy) generator, advanced past block 0."""
-        seed, run = self.key[0], self.key[1] + e
-        gens = [episode_env_rng(seed, run)]
-        gens[0].bit_generator.advance(3 * _BLOCK)
-        if policy:
-            gens.append(episode_policy_rng(seed, run))
-            gens[1].bit_generator.advance(_BLOCK)
-        return gens
+    def advance(self, rows) -> None:
+        """Overwrite each of ``rows``' current block with that row's next block.
+
+        A row's generators are derived and moved past block 0 the first time
+        it is asked for.  Running masks only shrink, so a row left out of a
+        call is never asked for again.
+        """
+        seed, start, _ = self.key
+        blocks = [self.env, *([self.policy] if "policy" in vars(self) else [])]
+        for e in rows:
+            if self._gens[e] is None:
+                derive = (episode_env_rng, episode_policy_rng)[:len(blocks)]
+                self._gens[e] = [d(seed, start + e) for d in derive]
+                for gen, block in zip(self._gens[e], blocks):
+                    gen.bit_generator.advance(block[e].size)
+            for gen, block in zip(self._gens[e], blocks):
+                gen.random(out=block[e])
 
 
 @dataclass
@@ -91,6 +101,12 @@ class BatchResult:
     @property
     def runs(self) -> int:
         return self.n_pulls.shape[0]
+
+
+def _rows(result: BatchResult, rows: slice) -> BatchResult:
+    """The given rows of every array of ``result``, as views."""
+    values = (getattr(result, f.name) for f in fields(result))
+    return BatchResult(*(None if v is None else v[rows] for v in values))
 
 
 def simulate_batch(instance: Instance, spec: PolicySpec, budget: float, runs: int,
@@ -116,8 +132,10 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     """One :class:`BatchResult` per (spec, budget) pair of the list ``cells``.
 
     Every cell is checked before the first stream is drawn.  The runs then go
-    in chunks of ``_CHUNK`` whose streams every cell reads; the arguments are
-    as for :func:`simulate_batch`.
+    in chunks of ``_CHUNK``, and within a chunk block by block: every cell
+    runs to the end of a block, then the chunk's streams draw the next block
+    once for the rows that any cell still runs.  The arguments are as for
+    :func:`simulate_batch`.
     """
     check_int(runs, "runs", 1)
     check_int(master_seed, "master_seed", 0)
@@ -126,98 +144,79 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     for spec, budget in cells:
         spec.check_arms(instance.n_arms)
         # building runs every parameter check, DeltaOutOfRange included; each
-        # chunk builds its own rule, so no (m, K) rule state outlives its chunk
+        # chunk builds its own rules, so no (m, K) rule state outlives its runs
         spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
-    parts = [[] for _ in cells]
-    end = run_start + runs
-    for start in range(run_start, end, _CHUNK):
-        streams = _Streams(master_seed, start, min(_CHUNK, end - start))
-        for (spec, budget), cell_cap, part in zip(cells, caps, parts):
-            part.append(_simulate_chunk(instance, spec, budget, cell_cap, streams,
-                                        p_default, bounds, track_lcb))
+    per_arm = (runs, instance.n_arms)
+    results = [BatchResult(
+        n_pulls=np.zeros(runs, dtype=np.int64),
+        **{name: np.zeros(runs) for name in ("total_cost", "total_reward", "total_penalty",
+                                             "q_final", "q_max")},
+        pulls_per_arm=np.zeros(per_arm), cost_per_arm=np.zeros(per_arm),
+        capped=np.ones(runs, dtype=bool), lcb_ok=np.ones(runs, dtype=bool) if track_lcb else None,
+    ) for _ in cells]
+    for start in range(0, runs, _CHUNK):
+        rows = slice(start, min(start + _CHUNK, runs))
+        streams = _Streams(master_seed, run_start + start, rows.stop - start)
+        # each rule lives in its cell's generator, as long as the cell runs
+        rules = (spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
+                 for spec, budget in cells)
+        running = [_simulate_chunk(instance, rule, budget, cell_cap, streams, _rows(result, rows))
+                   for rule, (_, budget), cell_cap, result in zip(rules, cells, caps, results)]
+        while running:
+            masks = [next(cell, None) for cell in running]
+            running = [cell for cell, mask in zip(running, masks) if mask is not None]
+            masks = [mask for mask in masks if mask is not None]
+            if masks:
+                streams.advance(np.flatnonzero(np.any(masks, axis=0)))
         # released before the next chunk's streams are drawn
         del streams
-    return [_concat(part) for part in parts]
+    return results
 
 
-def _concat(parts: list[BatchResult]) -> BatchResult:
-    columns = {}
-    for f in fields(BatchResult):
-        values = [getattr(p, f.name) for p in parts]
-        columns[f.name] = None if values[0] is None else np.concatenate(values)
-    return BatchResult(**columns)
+def _simulate_chunk(instance, rule, budget, cap, streams, out):
+    """One cell's built ``rule`` over the runs of ``streams``, with its cap resolved.
 
-
-def _simulate_chunk(instance, spec, budget, cap, streams, p_default, bounds,
-                    track_lcb) -> BatchResult:
-    """One cell over the runs of ``streams``, with its cap already resolved."""
-    m = streams.key[2]
-    pulls = np.zeros((m, instance.n_arms))
-    cost_arm = np.zeros((m, instance.n_arms))
-    rule = spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
-    rule.start(pulls, cost_arm, instance if track_lcb else None)
+    ``out`` holds the chunk's rows of the cell's result, as views, and the
+    rule binds its per-arm arrays as the tallies.  A generator: at each block
+    boundary it yields the running mask, and it goes on once ``streams`` hold
+    the next block of those rows.
+    """
+    rule.start(out.pulls_per_arm, out.cost_per_arm, None if out.lcb_ok is None else instance)
     sampler = Sampler(instance.arms)
-
-    env_buf = streams.env
     pol_buf = streams.policy if rule.uses_stream else None
-
-    active = np.ones(m, dtype=bool)
-    row_base = np.arange(m) * instance.n_arms
-    n_pulls = np.zeros(m, dtype=np.int64)
-    total_cost = np.zeros(m)
-    total_reward = np.zeros(m)
-    total_penalty = np.zeros(m)
-    q_max = np.zeros(m)
-    u = None
+    active = out.capped
+    row_base = np.arange(active.size) * instance.n_arms
 
     for epoch in range(cap):
         off = epoch % _BLOCK
         if off == 0 and epoch > 0:
-            live = np.flatnonzero(active)
-            if epoch == _BLOCK:
-                # later blocks go to buffers of this batch's own, so the
-                # shared block stays intact; finished rows read zeros
-                env_buf = np.zeros_like(env_buf)
-                pol_buf = None if pol_buf is None else np.zeros_like(pol_buf)
-                gens = {e: streams.resume(e, pol_buf is not None) for e in live}
-            for e in live:
-                for gen, buf in zip(gens[e], (env_buf, pol_buf)):
-                    gen.random(out=buf[e])
-        if pol_buf is not None:
-            u = pol_buf[:, off]
+            yield active
+        u = None if pol_buf is None else pol_buf[:, off]
 
         # selection sees only outcomes of earlier epochs
         arms = rule.select_batch(epoch, active, u)
-        outcome = sampler.draw(arms, env_buf[:, off, :])
-        # finished episodes observe zero outcomes, which change no state
+        # finished rows read stale uniforms or another cell's live ones; their
+        # outcome is zeroed, and a zero outcome changes no state
+        outcome = sampler.draw(arms, streams.env[:, off, :])
         outcome[~active] = 0.0
         x, r, y = outcome.T
 
         # each row pulls one arm: scatter at its flat (row, arm) entry; the
         # rule reads these tallies, so they take the pull before it observes
         flat = row_base + arms
-        pulls.reshape(-1)[flat] += active
-        cost_arm.reshape(-1)[flat] += x
+        out.pulls_per_arm.reshape(-1)[flat] += active
+        out.cost_per_arm.reshape(-1)[flat] += x
         rule.observe_batch(arms, x, r, y)
-        total_cost += x
-        total_reward += r
-        total_penalty += y
-        n_pulls += active
-        np.maximum(q_max, rule.q, out=q_max)
+        out.total_cost += x
+        out.total_reward += r
+        out.total_penalty += y
+        out.n_pulls += active
+        np.maximum(out.q_max, rule.q, out=out.q_max)
 
-        active &= ~(total_cost > budget)
+        active &= ~(out.total_cost > budget)
         if not active.any():
             break
 
-    return BatchResult(
-        n_pulls=n_pulls,
-        total_cost=total_cost,
-        total_reward=total_reward,
-        total_penalty=total_penalty,
-        pulls_per_arm=pulls,
-        cost_per_arm=cost_arm,
-        q_final=rule.q.copy(),
-        q_max=q_max,
-        capped=active.copy(),
-        lcb_ok=rule.lcb_ok,
-    )
+    out.q_final[:] = rule.q
+    if out.lcb_ok is not None:
+        out.lcb_ok[:] = rule.lcb_ok

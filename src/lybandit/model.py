@@ -40,7 +40,8 @@ KIND_BERNOULLI = "independent-bernoulli"
 KIND_SCALED_UNIFORM = "independent-scaled-uniform"
 KIND_JOINT_TABLE = "joint-discrete-table"
 
-_SIMPLEX_TOL = 1e-12
+# tolerance on the sum of every probability vector
+_SIMPLEX_TOL = 1e-9
 _MEANS = ("x_mean", "r_mean", "y_mean")
 
 
@@ -77,13 +78,13 @@ def check_real(value, name: str, low: float, high: float = math.inf,
     raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
 
 
-def check_simplex(p, tol: float = _SIMPLEX_TOL) -> np.ndarray:
-    """Validate and return ``p`` as a probability vector summing to 1 within ``tol``."""
+def check_simplex(p) -> np.ndarray:
+    """Validate and return ``p`` as a probability vector summing to 1 within 1e-9."""
     # as objects, a ragged nest is a vector of sequences, not numpy's own error
     if np.ndim(np.asarray(p, dtype=object)) != 1 or len(p) < 1 or any(map(np.ndim, p)):
         raise ValueError("p must be a one-dimensional probability vector")
     p = np.array([check_real(v, "probability", 0.0) for v in p])
-    if not abs(float(p.sum()) - 1.0) <= tol:
+    if not abs(float(p.sum()) - 1.0) <= _SIMPLEX_TOL:
         raise ValueError(f"probabilities must sum to 1, got {float(p.sum())!r}")
     return p
 

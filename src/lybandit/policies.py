@@ -65,8 +65,6 @@ VARIANT_LITERAL = "literal-paper"
 _VARIANTS = (VARIANT_LCB_BOTH, VARIANT_LITERAL)
 SCHEDULE_SQRT = "sqrt"
 SCHEDULE_SQRT_LOG = "sqrt-log"
-# tolerance on the sum of a stationary mixture p
-_PROB_TOL = 1e-9
 _LCB_TOL = 1e-9
 _ONE_ROW = np.ones(1, dtype=bool)
 
@@ -183,16 +181,14 @@ def exploration_schedule(budget: float, bounds: Bounds, alpha: float) -> int:
     Sizes the phase as ceil(beta0 ln(2 B / mu_min)) with
     beta0 = 32 alpha (1 + y_max)^2 / (mu_min^2 eps^2), clamped to at least
     one pull.  The count is orders of magnitude beyond desk-scale budgets and
-    exists for fidelity experiments.
+    exists for fidelity experiments; a count too large for a float (its
+    denominator may underflow to zero) raises ValueError.
     """
-    beta0 = (
-        32.0
-        * alpha
-        * (1.0 + bounds.y_max) ** 2
-        / (bounds.mu_min**2 * bounds.epsilon**2)
-    )
-    count = math.ceil(beta0 * math.log(2.0 * budget / bounds.mu_min))
-    return max(1, count)
+    scale = bounds.mu_min**2 * bounds.epsilon**2
+    beta0 = 32.0 * alpha * (1.0 + bounds.y_max) ** 2 / scale if scale > 0.0 else math.inf
+    count = beta0 * math.log(2.0 * budget / bounds.mu_min)
+    # max(count, 1.0) keeps a NaN count for check_real to refuse
+    return math.ceil(check_real(max(count, 1.0), "theoretical exploration count", 1.0))
 
 
 def param_schedule(
@@ -295,7 +291,7 @@ class StationaryPolicy(VectorPolicy):
     uses_stream = True
 
     def __init__(self, p, rng: np.random.Generator | None):
-        self._cum = np.cumsum(check_simplex(p, _PROB_TOL))
+        self._cum = np.cumsum(check_simplex(p))
         super().__init__(self._cum.size, rng)
 
     def select_batch(self, n, live, u):
@@ -461,6 +457,8 @@ class PolicySpec:
     schedule: str = SCHEDULE_SQRT
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if self.type not in POLICY_TYPES:
             raise ValueError(f"unknown policy type: {self.type!r}")
         if self.type == "static" and self.arm is None:
@@ -475,7 +473,7 @@ class PolicySpec:
             if self.type != "stationary":
                 raise ValueError("p is only valid for stationary policies")
             # stored as a tuple of floats, so a spec given a list stays hashable
-            p = check_simplex(self.p, _PROB_TOL)
+            p = check_simplex(self.p)
             object.__setattr__(self, "p", tuple(p.tolist()))
         for name, open_low in (("v0", True), ("delta0", False), ("alpha", True)):
             value = check_real(getattr(self, name), name, 0.0, open_low=open_low)

@@ -220,6 +220,16 @@ class TestRunCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("infeasible: ")
 
+    def test_theoretical_exploration_beyond_a_float_is_one_error_line(self, tmp_path, capsys):
+        # mu_min^2 eps^2 underflows to zero: the count cannot be formed
+        instance = {"arms": [{"x_mean": 1e-300, "r_mean": 0.5, "y_mean": 0.0},
+                             {"x_mean": 0.5, "r_mean": 0.5, "y_mean": 0.0}], "c": 1e-10}
+        lyon = {"name": "lyon", "type": "lyon", "delta0": 0, "exploration": "theoretical"}
+        cfg = write_config(tmp_path, instance=instance, policies=[lyon], budgets=[20])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: theoretical exploration count")
+
     def test_delta_out_of_range_exits_2(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -175,6 +176,28 @@ def test_streams_never_wider_than_a_chunk(two_arm_instance, monkeypatch):
                            10.0, 20, 1, run_start=3)
     assert widths == [(3, 8), (11, 8), (19, 4)]
     assert batch.runs == 20
+
+
+def test_memory_peak_is_the_shared_stream_blocks(two_arm_instance):
+    # at B = 700 every episode of the four rule types runs 1,100-1,800
+    # epochs, into a second block: each later block is drawn into the
+    # chunk's own stream arrays, with no per-cell copy of them
+    specs = [PolicySpec("stationary", "stationary"), PolicySpec("static", "static", arm=0),
+             PolicySpec("lyoff", "lyoff"), PolicySpec("lyon", "lyon")]
+    cells = [(spec, 700.0) for spec in specs]
+    p_default = solve_lfp(two_arm_instance).p_star
+    # a first call imports what numpy loads lazily, outside the trace
+    simulate_cells(two_arm_instance, cells, 1, 5, p_default=p_default)
+    runs = 64
+    stream_blocks = runs * engine._BLOCK * (3 + 1) * 8  # env and policy, float64
+    tracemalloc.start()
+    try:
+        results = simulate_cells(two_arm_instance, cells, runs, 5, p_default=p_default)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all((r.n_pulls > engine._BLOCK).all() for r in results)
+    assert peak < 1.5 * stream_blocks, peak
 
 
 @pytest.mark.parametrize("cap", [0, -5])

@@ -111,36 +111,60 @@ class TestRunBatch:
 
     def test_grid_equals_per_cell_batches(self, two_arm_instance, monkeypatch):
         # the grid shares each 7-run chunk's streams among its nine cells; a
-        # one-cell batch draws its own
+        # one-cell batch draws its own.  With 16-epoch blocks the cells cross
+        # block boundaries at different epochs, and every later block is drawn
+        # once for the rows that any cell still runs
         instance = two_arm_instance
         sol, bounds = solve_lfp(instance), derive_bounds(instance)
         monkeypatch.setattr(engine, "_CHUNK", 7)
         budgets = (5.0, 20.0, 60.0)
-        grid = run_batch(RunConfig(instance, self.GRID, budgets, 23, 9))
-        for spec in self.GRID:
-            for budget in budgets:
-                batch = simulate_batch(instance, spec, budget, 23, 9,
-                                       p_default=sol.p_star, bounds=bounds)
-                want = harness._aggregate_cell(spec, budget, batch, sol.r_star, instance.c)
-                got = grid.cell(spec.name, budget)
-                for f in fields(CellStats):
-                    assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
+        for block in (engine._BLOCK, 16):
+            monkeypatch.setattr(engine, "_BLOCK", block)
+            grid = run_batch(RunConfig(instance, self.GRID, budgets, 23, 9))
+            for spec in self.GRID:
+                for budget in budgets:
+                    batch = simulate_batch(instance, spec, budget, 23, 9,
+                                           p_default=sol.p_star, bounds=bounds)
+                    want = harness._aggregate_cell(spec, budget, batch, sol.r_star,
+                                                   instance.c)
+                    got = grid.cell(spec.name, budget)
+                    for f in fields(CellStats):
+                        assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
+
+    @staticmethod
+    def count_derivations(monkeypatch) -> Counter:
+        """Counter of (stream, run index) over every stream the engine derives."""
+        calls = Counter()
+        for name in ("episode_env_rng", "episode_policy_rng"):
+            def counted(seed, run, _name=name, _derive=getattr(engine, name)):
+                calls[_name, run] += 1
+                return _derive(seed, run)
+            monkeypatch.setattr(engine, name, counted)
+        return calls
 
     @pytest.mark.parametrize("with_stationary", [True, False])
     def test_streams_seeded_once_per_run(self, two_arm_instance, monkeypatch,
                                          with_stationary):
-        calls = Counter()
-        for name in ("episode_env_rng", "episode_policy_rng"):
-            def counted(*args, _name=name, _derive=getattr(engine, name)):
-                calls[_name] += 1
-                return _derive(*args)
-            monkeypatch.setattr(engine, name, counted)
+        calls = self.count_derivations(monkeypatch)
         monkeypatch.setattr(engine, "_CHUNK", 7)
         policies = self.GRID if with_stationary else self.GRID[1:]
         # episodes of at most about 80 epochs stay inside the shared block
         run_batch(RunConfig(two_arm_instance, policies, (5.0, 20.0, 40.0), 23, 9))
-        assert calls["episode_env_rng"] == 23
-        assert calls["episode_policy_rng"] == (23 if with_stationary else 0)
+        streams = ("episode_env_rng", "episode_policy_rng")[:2 if with_stationary else 1]
+        assert calls == {(name, run): 1 for name in streams for run in range(23)}
+
+    def test_streams_derived_at_most_twice_per_run_past_block_0(self, two_arm_instance,
+                                                                monkeypatch):
+        # 16-epoch blocks: every episode outlives block 0, in nine cells that
+        # end at different epochs; a run's streams are derived for block 0
+        # and once more for all later blocks, whatever the number of cells
+        calls = self.count_derivations(monkeypatch)
+        monkeypatch.setattr(engine, "_CHUNK", 7)
+        monkeypatch.setattr(engine, "_BLOCK", 16)
+        run_batch(RunConfig(two_arm_instance, self.GRID, (5.0, 20.0, 60.0), 23, 9))
+        names = ("episode_env_rng", "episode_policy_rng")
+        assert set(calls) == {(name, run) for name in names for run in range(23)}
+        assert max(calls.values()) == 2
 
     @pytest.mark.parametrize("exploration, derived", [(1, 0), ("theoretical", 1)])
     def test_bounds_derived_only_for_theoretical_exploration(

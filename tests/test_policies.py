@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from lybandit import ArmSpec, DeltaOutOfRange, Instance, Outcome, PolicySpec, StationaryPolicy
+from lybandit import wald_interval
 from lybandit.engine import simulate_batch
-from lybandit.model import episode_env_rng
+from lybandit.model import derive_bounds, episode_env_rng
 from lybandit.policies import (
     LyOffPolicy,
     LyOnPolicy,
@@ -325,6 +326,13 @@ class TestSchedules:
         budget = two_arm_bounds.mu_min / 2.0  # ln(1) = 0
         assert exploration_schedule(budget, two_arm_bounds, 2.0) == 1
 
+    def test_exploration_count_beyond_a_float_rejected(self):
+        # mu_min^2 eps^2 underflows to zero, which once raised ZeroDivisionError
+        instance = Instance([ArmSpec.bernoulli(1e-300, 0.5, 0.0),
+                             ArmSpec.bernoulli(0.5, 0.5, 0.0)], c=1e-10)
+        with pytest.raises(ValueError, match="^theoretical exploration count must be"):
+            exploration_schedule(20.0, derive_bounds(instance), 2.0)
+
     def test_offline_schedule(self):
         v, delta = param_schedule(10_000.0, 1.0, 0.5, "sqrt", c=0.8)
         assert v == pytest.approx(100.0)
@@ -466,6 +474,25 @@ class TestPolicyObjects:
         ):
             with pytest.raises(ValueError):
                 PolicySpec("x", "lyon", **fields)
+
+    @pytest.mark.parametrize("name", [["a"], 3, None])
+    def test_policy_spec_name_must_be_a_string(self, name):
+        # a list name once built and broke RunConfig's duplicate-name set
+        with pytest.raises(ValueError, match="^name must be a string"):
+            PolicySpec(name, "lyon")
+
+    def test_one_tolerance_for_every_probability_vector(self, two_arm_instance):
+        near = (0.3333333333, 0.6666666666)  # sums to 1 - 1e-10
+        assert PolicySpec("s", "stationary", p=near).p == near
+        wald_interval(near, two_arm_instance, 10.0)
+        off = (0.333334, 0.666667)  # sums to 1 + 1e-6
+        messages = []
+        for check in (lambda p: PolicySpec("s", "stationary", p=p),
+                      lambda p: wald_interval(p, two_arm_instance, 10.0)):
+            with pytest.raises(ValueError, match="^probabilities must sum to 1") as err:
+                check(off)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
     def test_ragged_stationary_p_is_named(self):
         # numpy's shape inference once refused it with its own message

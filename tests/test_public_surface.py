@@ -134,3 +134,19 @@ def test_harness_uses_only_the_public_engine():
                      and node.module.split(".")[-1] == "engine"
                      for alias in node.names if alias.name.startswith("_"))
     assert private == []
+
+
+def test_streams_are_derived_in_one_place():
+    """``engine.py`` names ``episode_env_rng`` / ``episode_policy_rng`` only in ``_Streams``.
+
+    A chunk's streams are derived, drawn and advanced there once for every
+    cell, so no cell gets a stream path of its own.
+    """
+    tree = ast.parse((ROOT / "src" / "lybandit" / "engine.py").read_text(encoding="utf-8"))
+    streams = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_Streams")
+    inside = {id(node) for node in ast.walk(streams)}
+    uses = [(node.lineno, id(node) in inside) for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and node.id in ("episode_env_rng", "episode_policy_rng")]
+    assert uses and all(within for _, within in uses), uses
