@@ -1,8 +1,8 @@
 """Command-line frontend: oracle / run / sweep over a JSON experiment config.
 
-Exit codes: 0 success, 1 usage, schema or I/O error or any other input the
-library refuses (one ``error:`` line), 2 infeasible model (no admissible
-mixture, no Slater arm, or a scheduled delta reaching c).
+Exit codes: 0 success, 1 usage, schema or I/O error, out of memory or any
+other input the library refuses (one ``error:`` line), 2 infeasible model
+(no admissible mixture, no Slater arm, or a scheduled delta reaching c).
 
 Config document::
 
@@ -23,8 +23,8 @@ Config document::
 Arm means lie in [0, 1], with x_mean in (0, 1].  Policy types: stationary
 (optional "p", default is the oracle mixture), lyoff, lyon, ucb_bwi, and
 static:<k> with a 1-based arm index.  Omitted policy fields take the
-PolicySpec defaults.  Arm ids in all output (alloc columns, oracle support)
-are 1-based.
+PolicySpec defaults.  A key not shown above is refused.  Arm ids in all
+output (alloc columns, oracle support) are 1-based.
 """
 
 from __future__ import annotations
@@ -53,6 +53,14 @@ from .policies import DeltaOutOfRange, PolicySpec
 __all__ = ["ConfigError", "load_config", "main", "write_results_csv"]
 
 _ARM_KINDS = (KIND_BERNOULLI, KIND_SCALED_UNIFORM)
+# optional policy fields, passed to PolicySpec as given; it owns their
+# defaults and checks
+_POLICY_FIELDS = ("p", "v0", "delta0", "alpha", "index_variant", "exploration", "schedule")
+# the keys each config object may have
+_CONFIG_KEYS = ("instance", "policies", "budgets", "runs", "seed")
+_INSTANCE_KEYS = ("arms", "c")
+_ARM_KEYS = ("x_mean", "r_mean", "y_mean", "kind")
+_POLICY_KEYS = ("type", "name", *_POLICY_FIELDS)
 
 
 class ConfigError(ValueError):
@@ -68,23 +76,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _need(doc, key: str, where: str):
+def _need(doc, key: str, where: str, keys: tuple[str, ...]):
+    """``doc[key]``, where ``doc`` must be a JSON object with only the given ``keys``."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
+    unknown = [k for k in doc if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
     if key not in doc:
         raise ConfigError(f"missing {key!r} in {where}")
     return doc[key]
 
 
 def _parse_instance(doc: dict) -> Instance:
-    inst = _need(doc, "instance", "config")
-    arms_doc = _need(inst, "arms", "instance")
+    inst = _need(doc, "instance", "config", _CONFIG_KEYS)
+    arms_doc = _need(inst, "arms", "instance", _INSTANCE_KEYS)
     if not isinstance(arms_doc, list) or not arms_doc:
         raise ConfigError("instance.arms must be a non-empty list")
     arms = []
     for i, arm in enumerate(arms_doc):
         where = f"instance.arms[{i}]"
-        means = [_need(arm, key, where) for key in ("x_mean", "r_mean", "y_mean")]
+        means = [_need(arm, key, where, _ARM_KEYS) for key in ("x_mean", "r_mean", "y_mean")]
         kind = arm.get("kind", KIND_BERNOULLI)
         if kind not in _ARM_KINDS:
             raise ConfigError(
@@ -97,21 +109,16 @@ def _parse_instance(doc: dict) -> Instance:
             arms.append(ArmSpec(kind, *means))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-    c = _need(inst, "c", "instance")
+    c = _need(inst, "c", "instance", _INSTANCE_KEYS)
     try:
         return Instance(arms, check_real(c, "instance.c", 0.0, 1.0, open_low=True))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-# optional policy fields, passed to PolicySpec as given; it owns their
-# defaults and checks
-_POLICY_FIELDS = ("p", "v0", "delta0", "alpha", "index_variant", "exploration", "schedule")
-
-
 def _parse_policy(doc, index: int, n_arms: int) -> PolicySpec:
     where = f"policies[{index}]"
-    ptype = _need(doc, "type", where)
+    ptype = _need(doc, "type", where, _POLICY_KEYS)
     arm = None
     if isinstance(ptype, str) and ptype.startswith("static:"):
         try:
@@ -142,9 +149,6 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-
     instance = _parse_instance(doc)
     policies_doc = doc.get("policies", [])
     if not isinstance(policies_doc, list):
@@ -344,6 +348,9 @@ def main(argv=None) -> int:
     # a config error, or any other input the library refuses during the run
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -26,7 +26,6 @@ and reads, so each pull enters them before the rule observes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -44,25 +43,24 @@ _CHUNK = 1024
 class _Streams:
     """The current block of the streams of runs ``run_start .. run_start + m - 1``.
 
-    ``env`` (m, ``_BLOCK``, 3) and ``policy`` (m, ``_BLOCK``), drawn at its
-    first read, hold block 0 of every row until :meth:`advance` moves rows on.
+    ``env`` (m, ``_BLOCK``, 3) and ``policy`` (m, ``_BLOCK``; None unless the
+    ``policy`` flag is set) hold block 0 of every row until :meth:`advance` moves rows on.
     """
 
-    def __init__(self, master_seed: int, run_start: int, m: int):
+    def __init__(self, master_seed: int, run_start: int, m: int, policy: bool):
         self.key = (master_seed, run_start, m)
         self._gens = [None] * m
+        self._blocks = []  # (derive, block) of each stream drawn
         self.env = self._draw(episode_env_rng, (_BLOCK, 3))
+        self.policy = self._draw(episode_policy_rng, (_BLOCK,)) if policy else None
 
     def _draw(self, derive, shape) -> np.ndarray:
         seed, start, m = self.key
         out = np.empty((m, *shape))
         for e in range(m):
             derive(seed, start + e).random(out=out[e])
+        self._blocks.append((derive, out))
         return out
-
-    @cached_property
-    def policy(self) -> np.ndarray:
-        return self._draw(episode_policy_rng, (_BLOCK,))
 
     def advance(self, rows) -> None:
         """Overwrite each of ``rows``' current block with that row's next block.
@@ -72,14 +70,12 @@ class _Streams:
         call is never asked for again.
         """
         seed, start, _ = self.key
-        blocks = [self.env, *([self.policy] if "policy" in vars(self) else [])]
         for e in rows:
             if self._gens[e] is None:
-                derive = (episode_env_rng, episode_policy_rng)[:len(blocks)]
-                self._gens[e] = [d(seed, start + e) for d in derive]
-                for gen, block in zip(self._gens[e], blocks):
+                self._gens[e] = [derive(seed, start + e) for derive, _ in self._blocks]
+                for gen, (_, block) in zip(self._gens[e], self._blocks):
                     gen.bit_generator.advance(block[e].size)
-            for gen, block in zip(self._gens[e], blocks):
+            for gen, (_, block) in zip(self._gens[e], self._blocks):
                 gen.random(out=block[e])
 
 
@@ -131,21 +127,21 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
                    p_default=None, bounds=None, track_lcb=False) -> list[BatchResult]:
     """One :class:`BatchResult` per (spec, budget) pair of the list ``cells``.
 
-    Every cell is checked before the first stream is drawn.  The runs then go
-    in chunks of ``_CHUNK``, and within a chunk block by block: every cell
-    runs to the end of a block, then the chunk's streams draw the next block
-    once for the rows that any cell still runs.  The arguments are as for
-    :func:`simulate_batch`.
+    Every cell is checked, by building its rule, before the first stream is
+    drawn; policy streams are drawn only if some rule uses them.  The runs
+    then go in chunks of ``_CHUNK``, and within a chunk block by block: every
+    cell runs to the end of a block, then the chunk's streams draw the next
+    block once for the rows that any cell still runs.  The arguments are as
+    for :func:`simulate_batch`.
     """
     check_int(runs, "runs", 1)
     check_int(master_seed, "master_seed", 0)
     check_int(run_start, "run_start", 0)
     caps = [episode_cap(instance, budget, cap) for _, budget in cells]
-    for spec, budget in cells:
-        spec.check_arms(instance.n_arms)
-        # building runs every parameter check, DeltaOutOfRange included; each
-        # chunk builds its own rules, so no (m, K) rule state outlives its runs
-        spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
+    # building runs every check of a cell; a list, so any() builds every cell. No
+    # rule is kept: each chunk builds its own, so no (m, K) rule state outlives its runs
+    uses_stream = any([spec.build(instance, budget, None, p_default=p_default,
+                                  bounds=bounds).uses_stream for spec, budget in cells])
     per_arm = (runs, instance.n_arms)
     results = [BatchResult(
         n_pulls=np.zeros(runs, dtype=np.int64),
@@ -156,7 +152,7 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     ) for _ in cells]
     for start in range(0, runs, _CHUNK):
         rows = slice(start, min(start + _CHUNK, runs))
-        streams = _Streams(master_seed, run_start + start, rows.stop - start)
+        streams = _Streams(master_seed, run_start + start, rows.stop - start, uses_stream)
         # each rule lives in its cell's generator, as long as the cell runs
         rules = (spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
                  for spec, budget in cells)

@@ -4,8 +4,8 @@ Regret is measured against the stationary-oracle lower bound r(p*) B, the
 violation is realized penalty per unit budget minus c, and the time
 allocation is each arm's share of consumed budget (with a pull-count share
 kept alongside).  The harness solves the oracle, hands every (policy, budget)
-cell to :func:`~lybandit.engine.simulate_cells`, which chunks the runs and
-shares their streams, and aggregates what it returns.  Aggregation is a
+cell to :func:`~lybandit.engine.simulate_cells` (each spec meets the instance
+in :meth:`PolicySpec.build`) and aggregates what it returns.  Aggregation is a
 fixed-order fold over run indices, so results are byte-reproducible for a
 given master seed.
 """
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import BatchResult, simulate_cells
-from .model import EpisodeResult, Instance, check_int, check_real, derive_bounds
-from .model import episode_cap
+from .model import EpisodeResult, Instance, check_int, check_real, episode_cap
 from .oracle import OracleSolution, solve_lfp
 from .policies import PolicySpec
 
@@ -167,17 +166,16 @@ def _aggregate_cell(
 
 
 def run_batch(config: RunConfig) -> AggregateResult:
-    """Simulate every (policy, budget) cell and aggregate in run-index order."""
+    """Simulate every (policy, budget) cell and aggregate in run-index order.
+
+    A stationary spec without its own ``p`` runs the oracle mixture.
+    """
     instance = config.instance
     oracle = solve_lfp(instance)
-    # only theoretical exploration sizing reads the problem constants; there a
-    # missing Slater arm surfaces as that error, not a generic one
-    theoretical = any(p.exploration == "theoretical" for p in config.policies)
-    bounds = derive_bounds(instance) if theoretical else None
     cells = [(spec, budget) for spec in config.policies for budget in config.budgets]
     batches = simulate_cells(
         instance, cells, config.runs, config.master_seed,
-        cap=config.cap, p_default=oracle.p_star, bounds=bounds,
+        cap=config.cap, p_default=oracle.p_star,
     )
     stats = [_aggregate_cell(spec, budget, batch, oracle.r_star, instance.c)
              for (spec, budget), batch in zip(cells, batches)]

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BanditPolicy, Bounds, Instance, Outcome, categorical, check_simplex
-from .model import _is_int, check_int, check_real
+from .model import _is_int, check_int, check_real, derive_bounds
 
 __all__ = [
     "DeltaOutOfRange",
@@ -432,9 +432,9 @@ POLICY_TYPES = ("stationary", "lyoff", "lyon", "ucb_bwi", "static")
 class PolicySpec:
     """Everything needed to build a fresh policy for one episode.
 
-    ``p`` (stationary) may be left None to use the oracle mixture; ``arm``
-    (static) is a zero-based index.  ``exploration`` is a fixed per-arm pull
-    count or the string ``"theoretical"``.
+    ``p`` (stationary only) may be left None to use the oracle mixture;
+    ``arm`` (static only) is a zero-based index.  ``exploration`` is a fixed
+    per-arm pull count or the string ``"theoretical"``.
 
     ``schedule`` names the :func:`param_schedule` forms of (V, delta) for the
     online policy.  The default ``"sqrt"`` reproduces the reference
@@ -463,6 +463,8 @@ class PolicySpec:
             raise ValueError(f"unknown policy type: {self.type!r}")
         if self.type == "static" and self.arm is None:
             raise ValueError("static policy needs an arm index")
+        if self.arm is not None and self.type != "static":
+            raise ValueError("arm is only valid for static policies")
         if not (self.arm is None or _is_int(self.arm)):
             raise ValueError(f"arm must be an integer index, got {self.arm!r}")
         if self.exploration != "theoretical":
@@ -481,16 +483,17 @@ class PolicySpec:
         if self.index_variant not in _VARIANTS:
             raise ValueError(f"unknown index variant: {self.index_variant!r}")
 
-    def check_arms(self, n_arms: int) -> None:
-        """Raise ValueError unless the static arm and ``p`` fit ``n_arms`` arms."""
+    def check_arms(self, n_arms: int, p=None) -> None:
+        """Raise ValueError unless the static arm and ``p`` (else the spec's) fit ``n_arms``."""
+        p = self.p if p is None else p
         if self.type == "static" and not 0 <= self.arm < n_arms:
             raise ValueError(
                 f"policy {self.name!r}: static arm index {self.arm} is out of "
                 f"range for {n_arms} arms"
             )
-        if self.p is not None and len(self.p) != n_arms:
+        if p is not None and len(p) != n_arms:
             raise ValueError(
-                f"policy {self.name!r}: p has {len(self.p)} entries for {n_arms} arms"
+                f"policy {self.name!r}: p has {len(p)} entries for {n_arms} arms"
             )
 
     def build(
@@ -501,15 +504,17 @@ class PolicySpec:
         p_default: np.ndarray | None = None,
         bounds: Bounds | None = None,
     ) -> VectorPolicy:
-        """Construct a per-episode policy object.
+        """Construct a per-episode policy object, the one place a spec meets its instance.
 
-        ``policy_rng`` feeds the scalar ``select`` of the stationary policy;
-        a lockstep driver passes None and supplies uniforms per batch.
+        Refuses a static arm or mixture (``p``, else ``p_default``) that does not fit the
+        instance; theoretical exploration derives ``bounds`` when None.  ``policy_rng``
+        feeds the scalar stationary ``select``; a lockstep driver passes None.
         """
+        p = p_default if self.p is None and self.type == "stationary" else self.p
+        self.check_arms(instance.n_arms, p)
         if self.type == "static":
             return StaticPolicy(self.arm)
         if self.type == "stationary":
-            p = self.p if self.p is not None else p_default
             if p is None:
                 raise ValueError("stationary policy needs p or an oracle default")
             return StationaryPolicy(p, policy_rng)
@@ -520,8 +525,7 @@ class PolicySpec:
             return LyOffPolicy(instance, v, delta)
         pulls = self.exploration
         if pulls == "theoretical":
-            if bounds is None:
-                raise ValueError("theoretical exploration needs derived bounds")
+            bounds = derive_bounds(instance) if bounds is None else bounds
             pulls = exploration_schedule(budget, bounds, self.alpha)
         return LyOnPolicy(instance.n_arms, instance.c, budget, v, delta, self.alpha, pulls,
                           self.index_variant, queue_enabled=(self.type == "lyon"))

@@ -389,6 +389,35 @@ class TestSchemaValidation:
         assert main(["run"]) == 1  # --config and --out missing
         assert main(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize("path, where", [
+        (("sed",), "config"),
+        (("instance", "arm"), "instance"),
+        (("instance", "arms", 1, "y_maen"), "instance.arms[1]"),
+        (("policies", 2, "detla0"), "policies[2]"),
+    ], ids=["top", "instance", "arm", "policy"])
+    def test_unknown_key_is_one_error_line(self, tmp_path, capsys, path, where):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps(_with(path, 0.1)))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: unknown key {path[-1]!r} in {where}"]
+
+    @pytest.mark.parametrize("doc", [[], "x", 3], ids=["list", "str", "int"])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, doc):
+        config = tmp_path / "top.json"
+        config.write_text(json.dumps(doc))
+        assert main(["oracle", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: config must be a JSON object"]
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        monkeypatch.setattr(cli, "run_batch", exhausted)
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: out of memory: Unable to allocate 7.28 TiB for an array"]
+
 
 # a small valid document; every field the property test below breaks is set
 TINY_DOC = {
@@ -547,6 +576,10 @@ _BROKEN_FIELDS = [
     (("budgets", 0), _number_outside(1.0, lo_open=True)),
     (("runs",), st.one_of(_NON_INT, st.integers(max_value=0))),
     (("seed",), st.one_of(_NON_INT, st.integers(max_value=-1))),
+    # an unknown key at each level of the document, whatever its value
+    *(((*where, key), st.one_of(_NON_NUMBER, st.floats()))
+      for where, key in (((), "sed"), (("instance",), "arm"), (_ARM, "y_maen"),
+                         (_LYON, "detla0"))),
 ]
 
 

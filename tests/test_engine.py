@@ -136,6 +136,21 @@ def test_spec_checked_against_instance(two_arm_instance, spec):
         simulate_batch(two_arm_instance, spec, 10.0, 2, 1)
 
 
+@pytest.mark.parametrize("p_default", [[1.0], [0.2, 0.3, 0.5]], ids=["short", "long"])
+def test_oracle_mixture_checked_before_any_stream(two_arm_instance, monkeypatch, p_default):
+    # a one-entry default once ran every pull on arm 0, and a three-entry one
+    # died mid-run in an IndexError
+    derived = []
+    def counted(*args, _derive=engine.episode_env_rng):
+        derived.append(args)
+        return _derive(*args)
+    monkeypatch.setattr(engine, "episode_env_rng", counted)
+    with pytest.raises(ValueError, match=f"p has {len(p_default)} entries for 2 arms"):
+        simulate_batch(two_arm_instance, PolicySpec("s", "stationary"), 10.0, 2, 1,
+                       p_default=np.array(p_default))
+    assert derived == []
+
+
 def test_chunking_does_not_change_results(two_arm_instance, monkeypatch):
     sol = solve_lfp(two_arm_instance)
     spec = PolicySpec("lyon", "lyon", v0=1.0, delta0=0.5)
@@ -166,9 +181,9 @@ def test_streams_never_wider_than_a_chunk(two_arm_instance, monkeypatch):
     widths = []
 
     class Recorded(engine._Streams):
-        def __init__(self, master_seed, run_start, m):
+        def __init__(self, master_seed, run_start, m, policy):
             widths.append((run_start, m))
-            super().__init__(master_seed, run_start, m)
+            super().__init__(master_seed, run_start, m, policy)
 
     monkeypatch.setattr(engine, "_Streams", Recorded)
     monkeypatch.setattr(engine, "_CHUNK", 8)

@@ -9,6 +9,7 @@ import pytest
 
 import lybandit.engine as engine
 import lybandit.harness as harness
+import lybandit.policies as policies
 from lybandit import (
     ArmSpec,
     CellStats,
@@ -170,15 +171,23 @@ class TestRunBatch:
     def test_bounds_derived_only_for_theoretical_exploration(
         self, two_arm_instance, monkeypatch, exploration, derived
     ):
-        calls = []
-        def counted(instance, _derive=harness.derive_bounds):
+        # the bounds are derived in PolicySpec.build: once per build of the
+        # theoretical cell, never for the others
+        calls, lyon_builds = [], []
+        def counted(instance, _derive=policies.derive_bounds):
             calls.append(instance)
             return _derive(instance)
-        monkeypatch.setattr(harness, "derive_bounds", counted)
-        policies = (PolicySpec("lyon", "lyon", exploration=exploration),
-                    PolicySpec("lyoff", "lyoff"), PolicySpec("stat", "stationary"))
-        run_batch(RunConfig(two_arm_instance, policies, (5.0,), 3, 9))
-        assert len(calls) == derived
+        def build(spec, *args, _build=PolicySpec.build, **kwargs):
+            if spec.name == "lyon":
+                lyon_builds.append(spec)
+            return _build(spec, *args, **kwargs)
+        monkeypatch.setattr(policies, "derive_bounds", counted)
+        monkeypatch.setattr(PolicySpec, "build", build)
+        specs = (PolicySpec("lyon", "lyon", exploration=exploration),
+                 PolicySpec("lyoff", "lyoff"), PolicySpec("stat", "stationary"))
+        run_batch(RunConfig(two_arm_instance, specs, (5.0,), 3, 9))
+        assert lyon_builds
+        assert calls == [two_arm_instance] * (derived * len(lyon_builds))
 
     def test_infeasible_last_cell_fails_before_any_stream(self, two_arm_instance,
                                                           monkeypatch):
@@ -193,6 +202,14 @@ class TestRunBatch:
         with pytest.raises(DeltaOutOfRange):
             run_batch(config)
         assert derived == []
+
+    def test_missing_cell_is_a_key_error(self, two_arm_instance):
+        spec = PolicySpec("stat", "stationary")
+        result = run_batch(RunConfig(two_arm_instance, (spec,), (5.0,), 2, 9))
+        assert result.cell("stat", 5.0).runs == 2
+        for policy, budget in (("stat", 6.0), ("other", 5.0)):
+            with pytest.raises(KeyError, match="no cell for policy"):
+                result.cell(policy, budget)
 
     def test_cap_hits_counted_not_fatal(self):
         instance = Instance(
@@ -387,6 +404,10 @@ class TestSweepScaling:
         report = sweep_scaling(synthetic_cells(self.budgets, regrets))
         assert report.loglog_slope == pytest.approx(1.0, abs=1e-9)
         assert (report.mean_regret < 0).all()
+
+    def test_slope_is_nan_below_two_nonzero_regrets(self):
+        report = sweep_scaling(synthetic_cells(self.budgets[:3], [0.0, 0.0, 2.0]))
+        assert math.isnan(report.loglog_slope)
 
     def test_needs_three_budgets(self):
         with pytest.raises(ValueError, match="3 budgets"):

@@ -112,6 +112,8 @@ class TestArmSampling:
             ArmSpec.table([(0.5, 0.1, 0.1, 0.1), (0.5, 1.5, 0.0, 0.0)])
         with pytest.raises(ValueError):
             ArmSpec("no-such-kind", 0.5, 0.5, 0.5)
+        with pytest.raises(ValueError, match="needs at least one atom"):
+            ArmSpec.table([])
 
     @pytest.mark.parametrize("bad", ["0.5", None, [0.5], True, math.nan])
     def test_non_number_mean_names_field(self, bad):
@@ -291,6 +293,18 @@ class TestRunEpisode:
     def test_invalid_budget(self, two_arm_instance):
         with pytest.raises(ValueError):
             run_episode(two_arm_instance, StaticPolicy(0), 0.0, rng())
+
+    @pytest.mark.parametrize("arm", [-1, 2])
+    def test_arm_outside_the_instance_refused(self, two_arm_instance, arm):
+        class Stray(BanditPolicy):
+            def select(self):
+                return arm
+
+            def observe(self, arm, outcome):
+                raise AssertionError("a stray arm was pulled")
+
+        with pytest.raises(IndexError, match=rf"^policy selected arm {arm} outside \[0, 2\)"):
+            run_episode(two_arm_instance, Stray(), 10.0, rng())
 
 
 _ARM = ArmSpec.bernoulli(0.5, 0.5, 0.1)

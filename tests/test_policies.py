@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lybandit import ArmSpec, DeltaOutOfRange, Instance, Outcome, PolicySpec, StationaryPolicy
-from lybandit import wald_interval
+from lybandit import SlaterViolation, wald_interval
 from lybandit.engine import simulate_batch
 from lybandit.model import derive_bounds, episode_env_rng
 from lybandit.policies import (
@@ -353,6 +353,10 @@ class TestSchedules:
         with pytest.raises(ValueError):
             param_schedule(1.0, 1.0, 0.5, "sqrt", c=0.8)
 
+    def test_unknown_schedule_rejected(self):
+        with pytest.raises(ValueError, match="^unknown schedule: 'cubic'"):
+            param_schedule(100.0, 1.0, 0.5, "cubic", c=0.8)
+
     @pytest.mark.parametrize(
         "args",
         [(math.nan, 1.0, 0.5), (100.0, math.nan, 0.5), (100.0, 1.0, math.nan)],
@@ -474,6 +478,46 @@ class TestPolicyObjects:
         ):
             with pytest.raises(ValueError):
                 PolicySpec("x", "lyon", **fields)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(type="static", arm=0, p=(0.5, 0.5)), "p is only valid for stationary policies"),
+        (dict(type="lyon", arm=1), "arm is only valid for static policies"),
+        (dict(type="stationary", arm=0), "arm is only valid for static policies"),
+    ], ids=["p-on-static", "arm-on-lyon", "arm-on-stationary"])
+    def test_field_of_another_policy_type_refused(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PolicySpec("a", **fields)
+
+    def test_stationary_build_needs_a_mixture(self, two_arm_instance):
+        with pytest.raises(ValueError, match="^stationary policy needs p or an oracle default"):
+            PolicySpec("s", "stationary").build(two_arm_instance, 10.0, None)
+
+    @pytest.mark.parametrize("p_default", [[1.0], [0.2, 0.3, 0.5]], ids=["short", "long"])
+    def test_build_refuses_an_oracle_mixture_that_does_not_fit(self, two_arm_instance,
+                                                               p_default):
+        spec = PolicySpec("s", "stationary")
+        with pytest.raises(ValueError, match=f"p has {len(p_default)} entries for 2 arms"):
+            spec.build(two_arm_instance, 10.0, None, p_default=np.array(p_default))
+        # a spec's own p is the mixture; the default is then not read
+        own = PolicySpec("s", "stationary", p=(0.5, 0.5))
+        own.build(two_arm_instance, 10.0, None, p_default=np.array(p_default))
+
+    def test_build_refuses_a_static_arm_that_does_not_fit(self, two_arm_instance):
+        with pytest.raises(ValueError, match="static arm index 2 is out of range for 2 arms"):
+            PolicySpec("s", "static", arm=2).build(two_arm_instance, 10.0, None)
+
+    def test_build_derives_bounds_for_theoretical_exploration(self, two_arm_instance):
+        spec = PolicySpec("on", "lyon", exploration="theoretical")
+        bounds = derive_bounds(two_arm_instance)
+        derived = spec.build(two_arm_instance, 50.0, None)
+        given = spec.build(two_arm_instance, 50.0, None, bounds=bounds)
+        pulls = exploration_schedule(50.0, bounds, spec.alpha)
+        assert derived._explore_total == given._explore_total == 2 * pulls
+        no_slater = Instance([ArmSpec.bernoulli(0.5, 0.5, 0.5)], c=0.5)
+        with pytest.raises(SlaterViolation):
+            spec.build(no_slater, 50.0, None)
+        # a fixed pull count reads no problem constant
+        PolicySpec("on", "lyon").build(no_slater, 50.0, None)
 
     @pytest.mark.parametrize("name", [["a"], 3, None])
     def test_policy_spec_name_must_be_a_string(self, name):

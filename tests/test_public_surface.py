@@ -150,3 +150,29 @@ def test_streams_are_derived_in_one_place():
             if isinstance(node, ast.Name)
             and node.id in ("episode_env_rng", "episode_policy_rng")]
     assert uses and all(within for _, within in uses), uses
+
+
+def test_specs_meet_their_instance_in_build():
+    """Only ``PolicySpec.build`` resolves a spec against its instance.
+
+    It checks the arm fit and derives the bounds for theoretical exploration,
+    so the harness reads no exploration setting and derives no bounds, and
+    the engine checks no arm and needs no lazily drawn policy block.
+    """
+    def names(module):
+        tree = ast.parse((ROOT / "src" / "lybandit" / module).read_text(encoding="utf-8"))
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add("." + node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                found.add(node.func.id + "(")
+        return found
+
+    assert not names("harness.py") & {"derive_bounds", ".derive_bounds", ".exploration"}
+    assert not names("engine.py") & {"check_arms", ".check_arms", "cached_property",
+                                     ".cached_property", "vars("}
