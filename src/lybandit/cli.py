@@ -23,8 +23,10 @@ Config document::
 Arm means lie in [0, 1], with x_mean in (0, 1].  Policy types: stationary
 (optional "p", default is the oracle mixture), lyoff, lyon, ucb_bwi, and
 static:<k> with a 1-based arm index.  Omitted policy fields take the
-PolicySpec defaults.  A key not shown above is refused.  Arm ids in all
-output (alloc columns, oracle support) are 1-based.
+PolicySpec defaults.  A key not shown above is refused.  "policies" and
+"budgets" are required, with at least one policy and distinct budgets; the
+config and the output files must be distinct files.  Arm ids in all output
+(alloc columns, oracle support) are 1-based.
 """
 
 from __future__ import annotations
@@ -150,14 +152,14 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     instance = _parse_instance(doc)
-    policies_doc = doc.get("policies", [])
+    policies_doc = _need(doc, "policies", "config", _CONFIG_KEYS)
     if not isinstance(policies_doc, list):
         raise ConfigError("policies must be a list")
     policies = tuple(
         _parse_policy(p, i, instance.n_arms) for i, p in enumerate(policies_doc)
     )
 
-    budgets = doc.get("budgets", [])
+    budgets = _need(doc, "budgets", "config", _CONFIG_KEYS)
     if not isinstance(budgets, list):
         raise ConfigError("budgets must be a list of numbers")
     try:
@@ -281,6 +283,15 @@ def cmd_run(args) -> int:
     if sweep and len(config.budgets) < 3:
         raise ConfigError("need >=3 budgets")
     scaling_path = (args.scaling_out or _default_scaling_path(args.out)) if sweep else None
+    # no output may overwrite the config or the other output
+    named = {}
+    for flag, path in (("--config", args.config), ("--out", args.out),
+                       ("--scaling-out", scaling_path)):
+        if path is None:
+            continue
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ConfigError(f"{other} and {flag} name the same file {path!r}")
     # an output that cannot be written fails here, not after the simulation;
     # the probe leaves no file that was not there
     for path in filter(None, (args.out, scaling_path)):

@@ -8,10 +8,11 @@ lockstep (one shared epoch counter, vectorized across runs) produces results
 bitwise identical to the sequential per-episode runner; tests assert this.
 
 :func:`simulate_cells` walks the run indices in chunks and each chunk
-block by block: every (policy, budget) cell runs to the end of a block of
-the chunk's streams (a ``_Streams``), which then draw the next block once
-for the episodes that any cell still runs, and every cell writes its rows
-in place into its one result.
+block by block: each chunk builds every (policy, budget) cell's rule once,
+then every cell runs to the end of a block of the chunk's streams (a
+``_Streams``), which then draw the next block once for the episodes that
+any cell still runs, and every cell writes its rows in place into its one
+result.
 
 The engine does not know any policy rule.  It builds the rule from the
 :class:`~lybandit.policies.PolicySpec` and drives its vector form
@@ -20,7 +21,8 @@ runner calls through the m = 1 ``select`` / ``observe``; the engine itself
 refills the random streams, draws outcomes through the same
 :class:`~lybandit.model.Sampler` as the sequential runner, and keeps the
 episode totals and the per-arm tallies, which the rule binds at the start
-and reads, so each pull enters them before the rule observes it.
+and reads.  Each pull enters the tallies at its flat (row, arm) index
+before the rule observes it at that same index.
 """
 
 from __future__ import annotations
@@ -125,23 +127,22 @@ def simulate_batch(instance: Instance, spec: PolicySpec, budget: float, runs: in
 
 def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
                    p_default=None, bounds=None, track_lcb=False) -> list[BatchResult]:
-    """One :class:`BatchResult` per (spec, budget) pair of the list ``cells``.
+    """One :class:`BatchResult` per (spec, budget) pair of the non-empty list ``cells``.
 
-    Every cell is checked, by building its rule, before the first stream is
-    drawn; policy streams are drawn only if some rule uses them.  The runs
-    then go in chunks of ``_CHUNK``, and within a chunk block by block: every
-    cell runs to the end of a block, then the chunk's streams draw the next
-    block once for the rows that any cell still runs.  The arguments are as
-    for :func:`simulate_batch`.
+    The runs go in chunks of ``_CHUNK``.  Each chunk builds every cell's rule
+    once, which runs every check of the cell, before it derives its streams,
+    so every cell is checked before the first stream is drawn; the chunk
+    draws policy streams only if some rule uses them.  Within a chunk the
+    cells go block by block: every cell runs to the end of a block, then the
+    chunk's streams draw the next block once for the rows that any cell
+    still runs.  The arguments are as for :func:`simulate_batch`.
     """
     check_int(runs, "runs", 1)
     check_int(master_seed, "master_seed", 0)
     check_int(run_start, "run_start", 0)
+    if not cells:
+        raise ValueError("cells must name at least one (spec, budget) pair")
     caps = [episode_cap(instance, budget, cap) for _, budget in cells]
-    # building runs every check of a cell; a list, so any() builds every cell. No
-    # rule is kept: each chunk builds its own, so no (m, K) rule state outlives its runs
-    uses_stream = any([spec.build(instance, budget, None, p_default=p_default,
-                                  bounds=bounds).uses_stream for spec, budget in cells])
     per_arm = (runs, instance.n_arms)
     results = [BatchResult(
         n_pulls=np.zeros(runs, dtype=np.int64),
@@ -152,12 +153,17 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     ) for _ in cells]
     for start in range(0, runs, _CHUNK):
         rows = slice(start, min(start + _CHUNK, runs))
-        streams = _Streams(master_seed, run_start + start, rows.stop - start, uses_stream)
-        # each rule lives in its cell's generator, as long as the cell runs
-        rules = (spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
-                 for spec, budget in cells)
+        # building runs every check of a cell, so chunk 0 checks them all
+        # before its streams are derived
+        rules = [spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
+                 for spec, budget in cells]
+        streams = _Streams(master_seed, run_start + start, rows.stop - start,
+                           any(rule.uses_stream for rule in rules))
         running = [_simulate_chunk(instance, rule, budget, cell_cap, streams, _rows(result, rows))
                    for rule, (_, budget), cell_cap, result in zip(rules, cells, caps, results)]
+        # each rule now lives only in its cell's generator, as long as the cell
+        # runs, so a finished cell's (m, K) state is freed before the others end
+        del rules
         while running:
             masks = [next(cell, None) for cell in running]
             running = [cell for cell, mask in zip(running, masks) if mask is not None]
@@ -179,7 +185,6 @@ def _simulate_chunk(instance, rule, budget, cap, streams, out):
     """
     rule.start(out.pulls_per_arm, out.cost_per_arm, None if out.lcb_ok is None else instance)
     sampler = Sampler(instance.arms)
-    pol_buf = streams.policy if rule.uses_stream else None
     active = out.capped
     row_base = np.arange(active.size) * instance.n_arms
 
@@ -187,7 +192,8 @@ def _simulate_chunk(instance, rule, budget, cap, streams, out):
         off = epoch % _BLOCK
         if off == 0 and epoch > 0:
             yield active
-        u = None if pol_buf is None else pol_buf[:, off]
+        # rules that draw no policy uniform ignore u
+        u = None if streams.policy is None else streams.policy[:, off]
 
         # selection sees only outcomes of earlier epochs
         arms = rule.select_batch(epoch, active, u)
@@ -202,7 +208,7 @@ def _simulate_chunk(instance, rule, budget, cap, streams, out):
         flat = row_base + arms
         out.pulls_per_arm.reshape(-1)[flat] += active
         out.cost_per_arm.reshape(-1)[flat] += x
-        rule.observe_batch(arms, x, r, y)
+        rule.observe_batch(flat, x, r, y)
         out.total_cost += x
         out.total_reward += r
         out.total_penalty += y

@@ -53,7 +53,11 @@ def violation(result: EpisodeResult | BatchResult, c: float, budget: float):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment grid: policies x budgets, many runs each."""
+    """One experiment grid: policies x budgets, many runs each.
+
+    Both tuples must be non-empty, the budgets distinct and the policy names
+    unique, so every (policy, budget) cell is one row of the report.
+    """
 
     instance: Instance
     policies: tuple[PolicySpec, ...]
@@ -72,6 +76,10 @@ class RunConfig:
         object.__setattr__(self, "budgets", budgets)
         for budget in budgets:  # checks the cap, and that every episode is bounded
             episode_cap(self.instance, budget, self.cap)
+        if len(set(budgets)) != len(budgets):
+            raise ValueError("budgets must be distinct")
+        if not self.policies:
+            raise ValueError("at least one policy is required")
         names = [p.name for p in self.policies]
         if len(set(names)) != len(names):
             raise ValueError("policy names must be unique")

@@ -143,9 +143,7 @@ def _combine(terms, q, log_n_prev, variant, out=None, work=None):
     unc = np.multiply(q, d, out=work)
     unc = (np.add if variant == VARIANT_LCB_BOTH else np.subtract)(c, unc, out=work)
     unc = np.multiply(unc, s, out=work)
-    gamma = np.multiply(q, b, out=out)
-    gamma = np.add(gamma, a, out=out)
-    return np.subtract(gamma, unc, out=out)
+    return np.subtract(_score(a, q, b, out), unc, out=out)
 
 
 def denominator_floor(budget: float) -> float:
@@ -227,15 +225,17 @@ class VectorPolicy(BanditPolicy):
     A driver calls :meth:`start` once with its (m, K) per-arm pull and cost
     tallies, which the policy keeps as ``pulls`` and ``cost`` and reads, then
     per epoch :meth:`select_batch` and :meth:`observe_batch`.  The driver adds
-    each epoch's pulls to its tallies *before* it calls ``observe_batch``;
-    rows whose episode has ended add no pull and receive zero outcomes, which
-    leave every rule's state unchanged.  ``q`` holds each row's virtual queue,
-    which starts at zero (and stays there for rules without one).
+    each epoch's pulls to its tallies *before* it calls ``observe_batch``,
+    which receives the flat (row, arm) index of each pull; rows whose episode
+    has ended add no pull and receive zero outcomes, which leave every rule's
+    state unchanged.  ``q`` holds each row's virtual queue, which starts at
+    zero (and stays there for rules without one).
 
     The scalar :meth:`select` / :meth:`observe` are the m = 1 case over a
     (1, K) tally pair bound at construction.  Rules with ``uses_stream``
     consume one policy uniform per row and epoch, drawn at m = 1 from
-    ``rng``; drivers open policy streams only for them.
+    ``rng``; drivers open policy streams only for them, and other rules
+    ignore any ``u`` they are passed.
     """
 
     uses_stream = False
@@ -266,8 +266,12 @@ class VectorPolicy(BanditPolicy):
         policy uniforms (None unless ``uses_stream``).
         """
 
-    def observe_batch(self, arms, x, r, y) -> None:
-        """Record the (m,) outcomes of the pulled ``arms``, already in the tallies."""
+    def observe_batch(self, flat, x, r, y) -> None:
+        """Record the (m,) outcomes of the pulls, already in the tallies.
+
+        ``flat`` holds each row's pull as its flat index row * K + arm into
+        the (m, K) tallies, the index the driver scattered the pull at.
+        """
 
     @property
     def queue(self) -> float:
@@ -281,6 +285,7 @@ class VectorPolicy(BanditPolicy):
         self.pulls[0, arm] += 1.0
         self.cost[0, arm] += outcome.x
         x, r, y = (np.array([value]) for value in outcome)
+        # row 0's flat (row, arm) index is the arm itself
         self.observe_batch(np.array([arm]), x, r, y)
         self._n += 1
 
@@ -332,7 +337,7 @@ class LyOffPolicy(VectorPolicy):
     def select_batch(self, n, live, u):
         return np.argmin(self.scores(), axis=1)
 
-    def observe_batch(self, arms, x, r, y):
+    def observe_batch(self, flat, x, r, y):
         self.q = _queue_step(self.q, x, y, self._cd)
 
 
@@ -377,7 +382,6 @@ class LyOnPolicy(VectorPolicy):
     def start(self, pulls, cost, truth: Instance | None = None) -> None:
         super().start(pulls, cost, truth)
         m = pulls.shape[0]
-        self._row_base = np.arange(m) * self._k
         self.sum_r = np.zeros((m, self._k))
         self.sum_y = np.zeros((m, self._k))
         self.terms = self._terms(pulls, cost, self.sum_r, self.sum_y)
@@ -408,8 +412,7 @@ class LyOnPolicy(VectorPolicy):
             self.lcb_ok &= (gamma <= psi_true + _LCB_TOL).all(axis=1) | ~live
         return np.argmin(gamma, axis=1)
 
-    def observe_batch(self, arms, x, r, y):
-        flat = self._row_base + arms
+    def observe_batch(self, flat, x, r, y):
         self.sum_r.reshape(-1)[flat] += r
         self.sum_y.reshape(-1)[flat] += y
         # the driver's tallies already hold this pull

@@ -272,6 +272,30 @@ class TestRunCommand:
                          f"'{paths['missing']}'"]
         assert list(tmp_path.iterdir()) == [Path(cfg)]
 
+    @pytest.mark.parametrize("command, args, flags", [
+        (["run"], ["--out", "{cfg}"], "--config and --out"),
+        (["sweep"], ["--out", "{cfg}"], "--config and --out"),
+        (["sweep"], ["--out", "r.csv", "--scaling-out", "{cfg}"], "--config and --scaling-out"),
+        (["sweep"], ["--out", "r.csv", "--scaling-out", "sub/../r.csv"],
+         "--out and --scaling-out"),
+    ], ids=["run-out", "sweep-out", "sweep-scaling-out", "out-is-scaling-out"])
+    def test_output_naming_an_input_or_output_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                         command, args, flags):
+        # both cases once exited 0: one replaced the config, the other the results
+        def no_run(config):
+            pytest.fail("run_batch was called")
+        monkeypatch.setattr(cli, "run_batch", no_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        cfg = write_config(tmp_path, budgets=[40, 80, 160])
+        before = Path(cfg).read_bytes()
+        argv = [*command, "--config", cfg, *(a.format(cfg=cfg) for a in args)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flags} name the same file")
+        assert Path(cfg).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+
 
 class TestSweepCommand:
     def test_requires_three_budgets(self, tmp_path, capsys):
@@ -401,6 +425,30 @@ class TestSchemaValidation:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"error: unknown key {path[-1]!r} in {where}"]
+
+    @pytest.mark.parametrize("key", ["policies", "budgets"])
+    def test_policies_and_budgets_are_required(self, tmp_path, capsys, key):
+        # a config without policies once ran and wrote header-only CSVs
+        doc = copy.deepcopy(TINY_DOC)
+        del doc[key]
+        config = tmp_path / "partial.json"
+        config.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: missing {key!r} in config"]
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("policies",), [], "at least one policy is required"),
+        (("budgets",), [5, 5.0, 10], "budgets must be distinct"),
+    ], ids=["no-policy", "duplicate-budget"])
+    def test_unreportable_grid_is_one_error_line(self, tmp_path, capsys, path, value,
+                                                 message):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(_with(path, value)))
+        out = tmp_path / "x.csv"
+        for command in ("run", "sweep"):
+            assert main([command, "--config", str(config), "--out", str(out)]) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc", [[], "x", 3], ids=["list", "str", "int"])
     def test_top_level_must_be_an_object(self, tmp_path, capsys, doc):
@@ -555,7 +603,7 @@ _BROKEN_FIELDS = [
     ((*_ARM, "y_mean"), _number_outside(0.0, 1.0)),
     ((*_ARM, "kind"), _word_other_than("independent-bernoulli",
                                        "independent-scaled-uniform")),
-    (("policies",), st.one_of(st.none(), st.integers(), st.text(max_size=4))),
+    (("policies",), st.one_of(st.none(), st.integers(), st.text(max_size=4), st.just([]))),
     (("policies", 1), st.one_of(_NON_NUMBER, st.integers())),
     ((*_LYON, "type"), _word_other_than("stationary", "lyoff", "lyon", "ucb_bwi")
      .filter(lambda v: not (isinstance(v, str) and v.startswith("static:")))),
@@ -574,6 +622,8 @@ _BROKEN_FIELDS = [
     (("policies", 2, "type"), st.sampled_from(["static:0", "static:3", "static:x"])),
     (("budgets",), st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.just([]))),
     (("budgets", 0), _number_outside(1.0, lo_open=True)),
+    # TINY_DOC's budgets are [5, 10]
+    (("budgets", 1), st.sampled_from([5, 5.0])),
     (("runs",), st.one_of(_NON_INT, st.integers(max_value=0))),
     (("seed",), st.one_of(_NON_INT, st.integers(max_value=-1))),
     # an unknown key at each level of the document, whatever its value

@@ -279,6 +279,34 @@ def test_empty_cell_rejected(two_arm_instance):
         simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), 10.0, 0, 1)
 
 
+def test_empty_cell_list_rejected_before_any_stream(two_arm_instance, monkeypatch):
+    # an empty list once derived every run's streams and returned []
+    derived = []
+    def counted(*args, _derive=engine.episode_env_rng):
+        derived.append(args)
+        return _derive(*args)
+    monkeypatch.setattr(engine, "episode_env_rng", counted)
+    with pytest.raises(ValueError, match="cells must name at least one"):
+        simulate_cells(two_arm_instance, [], 5, 1)
+    assert derived == []
+
+
+def test_each_cell_built_once_per_chunk(two_arm_instance, monkeypatch):
+    # 23 runs in chunks of 7 are 4 chunks; a separate check pass once made
+    # it 15 builds for 3 cells
+    built = []
+    def build(spec, *args, _build=PolicySpec.build, **kwargs):
+        built.append(spec.name)
+        return _build(spec, *args, **kwargs)
+    monkeypatch.setattr(PolicySpec, "build", build)
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    cells = [(PolicySpec("stationary", "stationary"), 20.0),
+             (PolicySpec("lyon", "lyon"), 20.0), (PolicySpec("lyon", "lyon"), 40.0)]
+    p_default = solve_lfp(two_arm_instance).p_star
+    simulate_cells(two_arm_instance, cells, 23, 9, p_default=p_default)
+    assert built == ["stationary", "lyon", "lyon"] * 4
+
+
 def test_lcb_tracking_shape(two_arm_instance):
     sol = solve_lfp(two_arm_instance)
     spec = PolicySpec("lyon", "lyon")

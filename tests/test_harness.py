@@ -251,7 +251,21 @@ class TestRunBatch:
     def test_bad_cap_rejected(self, two_arm_instance, cap):
         with pytest.raises(ValueError, match="cap"):
             RunConfig(two_arm_instance, (), (10.0,), 1, 0, cap=cap)
-        assert RunConfig(two_arm_instance, (), (10.0,), 1, 0, cap=1).cap == 1
+        spec = PolicySpec("s", "static", arm=0)
+        assert RunConfig(two_arm_instance, (spec,), (10.0,), 1, 0, cap=1).cap == 1
+
+    def test_empty_policy_grid_rejected(self, two_arm_instance):
+        # an empty grid once ran and reported header-only CSVs
+        with pytest.raises(ValueError, match="^at least one policy is required$"):
+            RunConfig(two_arm_instance, (), (10.0,), 1, 0)
+
+    @pytest.mark.parametrize("budgets", [(20, 20.0, 40), (20.0, 40.0, 20.0)])
+    def test_duplicate_budgets_rejected(self, two_arm_instance, budgets):
+        # 20 and 20.0 once gave two identical rows, and the scaling fit
+        # counted the repeated budget as two points
+        spec = PolicySpec("s", "static", arm=0)
+        with pytest.raises(ValueError, match="^budgets must be distinct$"):
+            RunConfig(two_arm_instance, (spec,), budgets, 1, 0)
 
     @pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
     def test_bad_master_seed_rejected(self, two_arm_instance, seed):

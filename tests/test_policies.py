@@ -266,7 +266,7 @@ class TestGammaIndex:
                 x, r, y = rng.random((3, m)) * live
                 pulls[rows, arms] += live
                 cost[rows, arms] += x
-                pol.observe_batch(arms, x, r, y)
+                pol.observe_batch(rows * k + arms, x, r, y)
         assert checked == 200
 
     def test_scalar_refresh_matches_rebuild(self):

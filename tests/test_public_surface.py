@@ -176,3 +176,29 @@ def test_specs_meet_their_instance_in_build():
     assert not names("harness.py") & {"derive_bounds", ".derive_bounds", ".exploration"}
     assert not names("engine.py") & {"check_arms", ".check_arms", "cached_property",
                                      ".cached_property", "vars("}
+
+
+def test_engine_hands_rules_the_flat_pull_index():
+    """The engine builds each cell's rule in one place and owns the row index.
+
+    ``engine.py`` makes exactly one ``.build(`` call, so a chunk builds every
+    cell once with no separate check pass; ``policies.py`` calls no
+    ``np.arange``, because the flat (row, arm) index of each pull comes from
+    the engine; and ``_combine`` adds the queue term through ``_score``, the
+    one drift-plus-penalty score.
+    """
+    def calls(tree):
+        return [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def source(module):
+        return ast.parse((ROOT / "src" / "lybandit" / module).read_text(encoding="utf-8"))
+
+    engine = calls(source("engine.py"))
+    assert sum(isinstance(f, ast.Attribute) and f.attr == "build" for f in engine) == 1
+    policies = source("policies.py")
+    assert not [f for f in calls(policies) if isinstance(f, ast.Attribute)
+                and f.attr == "arange" and isinstance(f.value, ast.Name)
+                and f.value.id == "np"]
+    combine = next(node for node in policies.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_combine")
+    assert any(isinstance(f, ast.Name) and f.id == "_score" for f in calls(combine))
