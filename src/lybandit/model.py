@@ -11,6 +11,7 @@ integer and real-valued inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from abc import ABC, abstractmethod
@@ -33,6 +34,7 @@ __all__ = [
     "derive_bounds",
     "episode_env_rng",
     "episode_policy_rng",
+    "episode_rngs",
     "run_episode",
 ]
 
@@ -362,14 +364,112 @@ class BanditPolicy(ABC):
         """Record the outcome of the pull chosen by the last ``select``."""
 
 
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe hash, pool of 4 words)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence makes of ``n`` (0 is one word)."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_seeds(entropy: list) -> np.ndarray:
+    """(n, 4) uint64 ``SeedSequence(entropy_i).generate_state(4, uint64)`` of n rows.
+
+    ``entropy`` holds the assembled uint32 words, each a scalar or an (n,)
+    array: the hash runs on all rows at once.  Its multipliers depend only on
+    the number of words, so they stay Python ints.
+    """
+    n = max(np.size(word) for word in entropy)
+    # entropy shorter than the pool hashes zeros into the rest of it
+    entropy = [np.broadcast_to(np.uint32(word), n)
+               for word in entropy + [0] * (4 - len(entropy))]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value *= np.uint32(const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ (out >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((n, 8), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value *= np.uint32(const)
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seeded():
+    """A seed sequence type whose state is already generated: one row of :func:`_pcg64_seeds`.
+
+    Made on first use, so importing the package does not load ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return Seeded
+
+
+def episode_rngs(master_seed: int, run_start: int, m: int,
+                 stream: int) -> list[np.random.Generator]:
+    """Stream ``stream`` (0 environment, 1 policy) of runs ``run_start .. run_start + m - 1``.
+
+    Run i's generator is ``default_rng(SeedSequence((master_seed, i, stream)))``,
+    bit for bit; the seed hash runs on all m rows in one vectorized pass.  The
+    rows are hashed in stretches that do not cross a multiple of 2**32, so the
+    high words of the run index are the same within each.
+    """
+    seed, stream = _words(int(master_seed)), _words(int(stream))
+    seeded, gens = _seeded(), []
+    run, stop = int(run_start), int(run_start) + m
+    while run < stop:
+        end = min(stop, (run | _MASK32) + 1)
+        first = run & _MASK32
+        low = np.arange(first, first + end - run, dtype=np.uint32)
+        high = _words(run >> 32) if run >> 32 else []
+        for state in _pcg64_seeds(seed + [low] + high + stream):
+            gens.append(np.random.Generator(np.random.PCG64(seeded(state))))
+        run = end
+    return gens
+
+
 def episode_env_rng(master_seed: int, run_index: int) -> np.random.Generator:
     """Environment stream for one episode, a pure function of (seed, run)."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, run_index, 0)))
+    return episode_rngs(master_seed, run_index, 1, 0)[0]
 
 
 def episode_policy_rng(master_seed: int, run_index: int) -> np.random.Generator:
     """Policy-side stream for one episode (e.g. randomized selection)."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, run_index, 1)))
+    return episode_rngs(master_seed, run_index, 1, 1)[0]
 
 
 def episode_cap(instance: Instance, budget: float, cap: int | None) -> int:

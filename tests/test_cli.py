@@ -242,7 +242,7 @@ class TestRunCommand:
                                                             monkeypatch):
         def no_streams(*args):
             pytest.fail("a stream was derived")
-        monkeypatch.setattr(engine, "episode_env_rng", no_streams)
+        monkeypatch.setattr(engine, "episode_rngs", no_streams)
         # delta = 3 / sqrt(10) reaches c = 0.8 only in the last cell
         policies = [{"name": "stat", "type": "stationary"},
                     {"name": "lyon", "type": "lyon"},

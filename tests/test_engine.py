@@ -26,21 +26,22 @@ SPECS = [
 ]
 
 
-def assert_batch_matches_sequential(instance, spec, budget, runs, seed):
+def assert_batch_matches_sequential(instance, spec, budget, runs, seed, run_start=0):
     sol = solve_lfp(instance)
     bounds = derive_bounds(instance)
     batch = simulate_batch(
-        instance, spec, budget, runs, seed, p_default=sol.p_star, bounds=bounds
+        instance, spec, budget, runs, seed, run_start=run_start, p_default=sol.p_star,
+        bounds=bounds
     )
     for e in range(runs):
         policy = spec.build(
             instance,
             budget,
-            episode_policy_rng(seed, e),
+            episode_policy_rng(seed, run_start + e),
             p_default=sol.p_star,
             bounds=bounds,
         )
-        res = run_episode(instance, policy, budget, episode_env_rng(seed, e))
+        res = run_episode(instance, policy, budget, episode_env_rng(seed, run_start + e))
         assert res.n_pulls == batch.n_pulls[e]
         assert res.total_cost == batch.total_cost[e]
         assert res.total_reward == batch.total_reward[e]
@@ -58,11 +59,19 @@ def test_lockstep_equals_sequential(two_arm_instance, spec):
 
 def test_lockstep_equals_sequential_across_blocks(two_arm_instance, monkeypatch):
     # 16-epoch blocks: episodes of about 65-100 epochs refill several times
-    # past the shared block 0, from generators advanced over it, while rows
+    # past the shared block 0, from the generators that drew it, while rows
     # that ended earlier stop refilling
     monkeypatch.setattr(engine, "_BLOCK", 16)
     for spec in SPECS:
         assert_batch_matches_sequential(two_arm_instance, spec, 40.0, 12, 77)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_lockstep_equals_sequential_across_run_index_words(two_arm_instance, spec):
+    # runs 2**32 - 3 .. 2**32 + 2: the chunk's run indices go from one uint32
+    # word to two, so its streams are hashed in two stretches
+    assert_batch_matches_sequential(two_arm_instance, spec, 60.0, 6, 20260810,
+                                    run_start=2**32 - 3)
 
 
 def test_lockstep_equality_on_mixed_kind_instance():
@@ -141,10 +150,10 @@ def test_oracle_mixture_checked_before_any_stream(two_arm_instance, monkeypatch,
     # a one-entry default once ran every pull on arm 0, and a three-entry one
     # died mid-run in an IndexError
     derived = []
-    def counted(*args, _derive=engine.episode_env_rng):
+    def counted(*args, _derive=engine.episode_rngs):
         derived.append(args)
         return _derive(*args)
-    monkeypatch.setattr(engine, "episode_env_rng", counted)
+    monkeypatch.setattr(engine, "episode_rngs", counted)
     with pytest.raises(ValueError, match=f"p has {len(p_default)} entries for 2 arms"):
         simulate_batch(two_arm_instance, PolicySpec("s", "stationary"), 10.0, 2, 1,
                        p_default=np.array(p_default))
@@ -193,10 +202,13 @@ def test_streams_never_wider_than_a_chunk(two_arm_instance, monkeypatch):
     assert batch.runs == 20
 
 
-def test_memory_peak_is_the_shared_stream_blocks(two_arm_instance):
+def test_memory_peak_is_the_shared_stream_blocks(two_arm_instance, monkeypatch):
     # at B = 700 every episode of the four rule types runs 1,100-1,800
     # epochs, into a second block: each later block is drawn into the
-    # chunk's own stream arrays, with no per-cell copy of them
+    # chunk's own stream arrays, with no per-cell copy of them.  1,024-epoch
+    # blocks keep the blocks, not the fixed cost of the cells' state, the
+    # bulk of the peak at 64 runs
+    monkeypatch.setattr(engine, "_BLOCK", 1024)
     specs = [PolicySpec("stationary", "stationary"), PolicySpec("static", "static", arm=0),
              PolicySpec("lyoff", "lyoff"), PolicySpec("lyon", "lyon")]
     cells = [(spec, 700.0) for spec in specs]
@@ -282,10 +294,10 @@ def test_empty_cell_rejected(two_arm_instance):
 def test_empty_cell_list_rejected_before_any_stream(two_arm_instance, monkeypatch):
     # an empty list once derived every run's streams and returned []
     derived = []
-    def counted(*args, _derive=engine.episode_env_rng):
+    def counted(*args, _derive=engine.episode_rngs):
         derived.append(args)
         return _derive(*args)
-    monkeypatch.setattr(engine, "episode_env_rng", counted)
+    monkeypatch.setattr(engine, "episode_rngs", counted)
     with pytest.raises(ValueError, match="cells must name at least one"):
         simulate_cells(two_arm_instance, [], 5, 1)
     assert derived == []

@@ -136,11 +136,10 @@ class TestRunBatch:
     def count_derivations(monkeypatch) -> Counter:
         """Counter of (stream, run index) over every stream the engine derives."""
         calls = Counter()
-        for name in ("episode_env_rng", "episode_policy_rng"):
-            def counted(seed, run, _name=name, _derive=getattr(engine, name)):
-                calls[_name, run] += 1
-                return _derive(seed, run)
-            monkeypatch.setattr(engine, name, counted)
+        def counted(seed, run_start, m, stream, _derive=engine.episode_rngs):
+            calls.update((stream, run) for run in range(run_start, run_start + m))
+            return _derive(seed, run_start, m, stream)
+        monkeypatch.setattr(engine, "episode_rngs", counted)
         return calls
 
     @pytest.mark.parametrize("with_stationary", [True, False])
@@ -151,21 +150,19 @@ class TestRunBatch:
         policies = self.GRID if with_stationary else self.GRID[1:]
         # episodes of at most about 80 epochs stay inside the shared block
         run_batch(RunConfig(two_arm_instance, policies, (5.0, 20.0, 40.0), 23, 9))
-        streams = ("episode_env_rng", "episode_policy_rng")[:2 if with_stationary else 1]
-        assert calls == {(name, run): 1 for name in streams for run in range(23)}
+        streams = (0, 1)[:2 if with_stationary else 1]
+        assert calls == {(stream, run): 1 for stream in streams for run in range(23)}
 
-    def test_streams_derived_at_most_twice_per_run_past_block_0(self, two_arm_instance,
-                                                                monkeypatch):
+    def test_streams_derived_once_per_run_across_blocks(self, two_arm_instance, monkeypatch):
         # 16-epoch blocks: every episode outlives block 0, in nine cells that
-        # end at different epochs; a run's streams are derived for block 0
-        # and once more for all later blocks, whatever the number of cells
+        # end at different epochs; a run's streams are derived once, for all
+        # its blocks, whatever the number of cells
         calls = self.count_derivations(monkeypatch)
         monkeypatch.setattr(engine, "_CHUNK", 7)
         monkeypatch.setattr(engine, "_BLOCK", 16)
         run_batch(RunConfig(two_arm_instance, self.GRID, (5.0, 20.0, 60.0), 23, 9))
-        names = ("episode_env_rng", "episode_policy_rng")
-        assert set(calls) == {(name, run) for name in names for run in range(23)}
-        assert max(calls.values()) == 2
+        assert set(calls) == {(stream, run) for stream in (0, 1) for run in range(23)}
+        assert max(calls.values()) == 1
 
     @pytest.mark.parametrize("exploration, derived", [(1, 0), ("theoretical", 1)])
     def test_bounds_derived_only_for_theoretical_exploration(
@@ -192,10 +189,10 @@ class TestRunBatch:
     def test_infeasible_last_cell_fails_before_any_stream(self, two_arm_instance,
                                                           monkeypatch):
         derived = []
-        def counted(*args, _derive=engine.episode_env_rng):
+        def counted(*args, _derive=engine.episode_rngs):
             derived.append(args)
             return _derive(*args)
-        monkeypatch.setattr(engine, "episode_env_rng", counted)
+        monkeypatch.setattr(engine, "episode_rngs", counted)
         # at B = 10 the last cell's delta = 3 / sqrt(10) reaches c = 0.8
         policies = self.GRID + (PolicySpec("tight", "lyon", delta0=3.0),)
         config = RunConfig(two_arm_instance, policies, (10.0,), 5, 9)

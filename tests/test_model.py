@@ -17,7 +17,7 @@ from lybandit import (
     episode_policy_rng,
     run_episode,
 )
-from lybandit.model import Bounds, Sampler, derive_bounds, episode_cap
+from lybandit.model import Bounds, Sampler, derive_bounds, episode_cap, episode_rngs
 from lybandit.oracle import penalty_rate, reward_rate, solve_lfp_grid, wald_interval
 from lybandit.policies import (
     LyOffPolicy,
@@ -181,6 +181,19 @@ class TestDeriveBounds:
         values = dict(mu_min=0.4, r_max=2.0, y_max=1.5, epsilon=0.18)
         with pytest.raises(ValueError):
             Bounds(**{**values, field: math.nan})
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 11, 20260810])
+def test_episode_rngs_are_their_seed_sequences(seed):
+    # seeds of three and four words make more entropy words than the pool's
+    # four; runs 2**32 - 400 .. 2**32 + 399 go from one run word to two
+    for start, m in ((0, 100), (2**32 - 400, 800)):
+        for stream in (0, 1):
+            gens = episode_rngs(seed, start, m, stream)
+            assert len(gens) == m
+            for run, gen in enumerate(gens, start):
+                want = np.random.default_rng(np.random.SeedSequence((seed, run, stream)))
+                assert gen.bit_generator.state == want.bit_generator.state, (run, stream)
 
 
 def constant_cost_instance(x: float, r: float = 0.5, y: float = 0.0) -> Instance:

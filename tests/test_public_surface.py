@@ -137,19 +137,22 @@ def test_harness_uses_only_the_public_engine():
 
 
 def test_streams_are_derived_in_one_place():
-    """``engine.py`` names ``episode_env_rng`` / ``episode_policy_rng`` only in ``_Streams``.
+    """``engine.py`` derives streams only through ``episode_rngs``, only in ``_Streams``.
 
-    A chunk's streams are derived, drawn and advanced there once for every
-    cell, so no cell gets a stream path of its own.
+    A chunk's streams are derived there once, for every cell and every
+    block, so no cell gets a stream path of its own.
     """
     tree = ast.parse((ROOT / "src" / "lybandit" / "engine.py").read_text(encoding="utf-8"))
     streams = next(node for node in tree.body
                    if isinstance(node, ast.ClassDef) and node.name == "_Streams")
     inside = {id(node) for node in ast.walk(streams)}
-    uses = [(node.lineno, id(node) in inside) for node in ast.walk(tree)
-            if isinstance(node, ast.Name)
-            and node.id in ("episode_env_rng", "episode_policy_rng")]
-    assert uses and all(within for _, within in uses), uses
+    derivers = ("episode_rngs", "episode_env_rng", "episode_policy_rng", "SeedSequence",
+                "default_rng", "PCG64")
+    uses = [(node.lineno, name, id(node) in inside) for node in ast.walk(tree)
+            for name in [getattr(node, "id", getattr(node, "attr", None))]
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in derivers]
+    assert {name for _, name, _ in uses} == {"episode_rngs"}, uses
+    assert all(within for _, _, within in uses), uses
 
 
 def test_specs_meet_their_instance_in_build():
