@@ -372,35 +372,32 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _words(n: int) -> list[int]:
-    """The little-endian uint32 words SeedSequence makes of ``n`` (0 is one word)."""
+    """The little-endian uint32 words SeedSequence makes of ``n`` >= 0 (0 is one word)."""
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
     return words
 
 
-def _pcg64_seeds(entropy: list) -> np.ndarray:
+def _pcg64_seeds(entropy: list, n: int) -> np.ndarray:
     """(n, 4) uint64 ``SeedSequence(entropy_i).generate_state(4, uint64)`` of n rows.
 
-    ``entropy`` holds the assembled uint32 words, each a scalar or an (n,)
-    array: the hash runs on all rows at once.  Its multipliers depend only on
-    the number of words, so they stay Python ints.
+    ``entropy`` holds the assembled uint32 words, each a Python int or an (n,)
+    uint64 array: the hash runs on all rows at once, in 64-bit arithmetic
+    masked to 32 bits.  With ints only it is plain Python and n is 1.
     """
-    n = max(np.size(word) for word in entropy)
-    # entropy shorter than the pool hashes zeros into the rest of it
-    entropy = [np.broadcast_to(np.uint32(word), n)
-               for word in entropy + [0] * (4 - len(entropy))]
+    entropy = entropy + [0] * (4 - len(entropy))  # short entropy hashes zeros into the pool
     const = _INIT_A
 
     def hashmix(value):
         nonlocal const
-        value = value ^ np.uint32(const)
+        value = value ^ const
         const = const * _MULT_A & _MASK32
-        value *= np.uint32(const)
+        value = value * const & _MASK32
         return value ^ (value >> 16)
 
     def mix(x, y):
-        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        out = (_MIX_L * x - _MIX_R * y) & _MASK32
         return out ^ (out >> 16)
 
     pool = [hashmix(word) for word in entropy[:4]]
@@ -411,54 +408,82 @@ def _pcg64_seeds(entropy: list) -> np.ndarray:
     for word in entropy[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
-    state = np.empty((n, 8), dtype=np.uint32)
-    const = _INIT_B
+    words, const = [], _INIT_B
     for i in range(8):
-        value = pool[i % 4] ^ np.uint32(const)
+        value = pool[i % 4] ^ const
         const = const * _MULT_B & _MASK32
-        value *= np.uint32(const)
-        state[:, i] = value ^ (value >> 16)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+        value = value * const & _MASK32
+        words.append(value ^ (value >> 16))
+    seeds = np.empty((n, 4), dtype=np.uint64)
+    for i in range(4):
+        seeds[:, i] = words[2 * i] | words[2 * i + 1] << 32
+    return seeds
 
 
 @functools.cache
-def _seeded():
-    """A seed sequence type whose state is already generated: one row of :func:`_pcg64_seeds`.
+def _seeded_type() -> type:
+    """The seed sequence type of :func:`episode_rngs`' generators.
 
-    Made on first use, so importing the package does not load ``numpy.random``.
+    Made on first use, so importing the package does not load
+    ``numpy.random``; the module's ``__getattr__`` names it for pickle.
     """
-    from numpy.random.bit_generator import ISeedSequence
+    from numpy.random.bit_generator import ISpawnableSeedSequence
 
-    class Seeded(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
+    class _Seeded(ISpawnableSeedSequence):
+        """``SeedSequence(entropy)`` whose PCG64 seed, ``state``, is already hashed."""
+
+        def __init__(self, entropy: tuple, state: np.ndarray):
+            self.entropy, self.state, self.n_children_spawned = entropy, state, 0
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
+            if n_words == 4 and dtype is np.uint64:  # as PCG64 asks
+                return self.state
+            return np.random.SeedSequence(self.entropy).generate_state(n_words, dtype)
 
-    return Seeded
+        def spawn(self, n_children):
+            seq = np.random.SeedSequence(self.entropy,
+                                         n_children_spawned=self.n_children_spawned)
+            self.n_children_spawned += n_children
+            return seq.spawn(n_children)
+
+    _Seeded.__qualname__ = "_Seeded"
+    return _Seeded
+
+
+def __getattr__(name: str):
+    # pickle finds the generators' seed sequence type by its name here
+    if name == "_Seeded":
+        return _seeded_type()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def episode_rngs(master_seed: int, run_start: int, m: int,
                  stream: int) -> list[np.random.Generator]:
     """Stream ``stream`` (0 environment, 1 policy) of runs ``run_start .. run_start + m - 1``.
 
-    Run i's generator is ``default_rng(SeedSequence((master_seed, i, stream)))``,
-    bit for bit; the seed hash runs on all m rows in one vectorized pass.  The
-    rows are hashed in stretches that do not cross a multiple of 2**32, so the
-    high words of the run index are the same within each.
+    Run i's generator is ``default_rng(SeedSequence((master_seed, i, stream)))``:
+    its state, ``spawn`` and seed sequence's ``generate_state`` are those of
+    that call, and it pickles.  The seed hash runs on all m rows in one
+    vectorized pass, or in plain Python for one row.  The rows are hashed in
+    stretches that do not cross a multiple of 2**32, so the high words of the
+    run index are the same within each.
     """
-    seed, stream = _words(int(master_seed)), _words(int(stream))
-    seeded, gens = _seeded(), []
-    run, stop = int(run_start), int(run_start) + m
+    check_int(master_seed, "master_seed", 0)
+    check_int(run_start, "run_start", 0)
+    check_int(m, "m", 1)
+    check_int(stream, "stream", 0)
+    master_seed, run, m, stream = map(int, (master_seed, run_start, m, stream))
+    seeded, gens, stop = _seeded_type(), [], run + m
     while run < stop:
-        end = min(stop, (run | _MASK32) + 1)
+        n = min(stop, (run | _MASK32) + 1) - run
         first = run & _MASK32
-        low = np.arange(first, first + end - run, dtype=np.uint32)
+        low = first if n == 1 else np.arange(first, first + n, dtype=np.uint64)
         high = _words(run >> 32) if run >> 32 else []
-        for state in _pcg64_seeds(seed + [low] + high + stream):
-            gens.append(np.random.Generator(np.random.PCG64(seeded(state))))
-        run = end
+        states = _pcg64_seeds(_words(master_seed) + [low] + high + _words(stream), n)
+        for i, state in enumerate(states, run):
+            entropy = (master_seed, i, stream)
+            gens.append(np.random.Generator(np.random.PCG64(seeded(entropy, state))))
+        run += n
     return gens
 
 

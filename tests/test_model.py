@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -186,14 +187,48 @@ class TestDeriveBounds:
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 11, 20260810])
 def test_episode_rngs_are_their_seed_sequences(seed):
     # seeds of three and four words make more entropy words than the pool's
-    # four; runs 2**32 - 400 .. 2**32 + 399 go from one run word to two
-    for start, m in ((0, 100), (2**32 - 400, 800)):
+    # four; runs 2**32 - 400 .. 2**32 + 399 go from one run word to two; one
+    # row, alone or in a one-row stretch, is hashed in plain Python
+    for start, m in ((0, 100), (2**32 - 400, 800), (2**32 - 1, 2), (7, 1)):
         for stream in (0, 1):
             gens = episode_rngs(seed, start, m, stream)
             assert len(gens) == m
             for run, gen in enumerate(gens, start):
                 want = np.random.default_rng(np.random.SeedSequence((seed, run, stream)))
                 assert gen.bit_generator.state == want.bit_generator.state, (run, stream)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: episode_env_rng(-1, 0),
+    lambda: episode_env_rng(0, -1),
+    lambda: episode_env_rng(1.5, 0),
+    lambda: episode_policy_rng(0, 2.0),
+    lambda: episode_rngs(True, 0, 4, 0),
+    lambda: episode_rngs(0, 0, 0, 0),
+    lambda: episode_rngs(0, 0, 4, -1),
+], ids=["negative-seed", "negative-run", "float-seed", "float-run", "bool-seed", "no-rows",
+        "negative-stream"])
+def test_episode_rngs_reject_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_episode_rngs_behave_as_their_seed_sequences(m):
+    # beyond the state: the seed sequence's other words, spawning and pickle
+    gen = episode_rngs(11, 2**32 + 5, m, 1)[-1]
+    want = np.random.default_rng(np.random.SeedSequence((11, 2**32 + 4 + m, 1)))
+    seq, want_seq = gen.bit_generator.seed_seq, want.bit_generator.seed_seq
+    assert np.array_equal(seq.generate_state(8), want_seq.generate_state(8))
+    assert np.array_equal(seq.generate_state(4, np.uint64), want_seq.generate_state(4, np.uint64))
+    for n in (2, 1):  # a second spawn goes on from the first
+        kids, want_kids = gen.spawn(n), want.spawn(n)
+        assert [k.random() for k in kids] == [k.random() for k in want_kids]
+    again = pickle.loads(pickle.dumps(gen))
+    first = want.random(5)
+    assert np.array_equal(gen.random(5), first)
+    assert np.array_equal(again.random(5), first)
+    assert again.spawn(1)[0].random() == want.spawn(1)[0].random()
 
 
 def constant_cost_instance(x: float, r: float = 0.5, y: float = 0.0) -> Instance:
