@@ -14,9 +14,12 @@ then every cell runs to the end of a block of the chunk's streams (a
 any cell still runs, and every cell writes its rows in place into its one
 result.  A ``_Streams`` derives each run's generators once, for all its
 blocks, in one vectorized pass per stream
-(:func:`~lybandit.model.episode_rngs`).  At 128 epochs a block of a
-1,024-run chunk's environment stream is 3 MB, and a run that every cell
-has ended draws fewer than 128 epochs past its end.
+(:func:`~lybandit.model.episode_rngs`).  A block is epoch-major: a
+1,024-run chunk's environment block is (128, 1,024, 3), 3 MiB, and its
+policy block (128, 1,024), 1 MiB, so each epoch's uniforms are one
+contiguous slab that every cell reads.  Rows are drawn through a tile of
+about 256 KiB per stream, and a run that every cell has ended draws fewer
+than 128 epochs past its end.
 
 The engine does not know any policy rule.  It builds the rule from the
 :class:`~lybandit.policies.PolicySpec` and drives its vector form
@@ -41,32 +44,49 @@ from .policies import PolicySpec
 __all__ = ["BatchResult", "simulate_batch", "simulate_cells"]
 
 _BLOCK = 128
-# runs per chunk: bounds the (runs, _BLOCK, 3) uniform block its cells share
+# runs per chunk: bounds the (_BLOCK, runs, 3) uniform block its cells share
 _CHUNK = 1024
+# bytes of the row-major tile through which each stream's block is drawn
+_TILE = 1 << 18
 
 
 class _Streams:
     """The current block of the streams of runs ``run_start .. run_start + m - 1``.
 
-    ``env`` (m, ``_BLOCK``, 3) and ``policy`` (m, ``_BLOCK``; None unless the
+    ``env`` (``_BLOCK``, m, 3) and ``policy`` (``_BLOCK``, m; None unless the
     ``policy`` flag is set) hold block 0 of every row until :meth:`advance`
-    moves rows on.  Each row's generators are derived once, here, in one
+    moves rows on.  They are epoch-major, so each epoch's uniforms are one
+    contiguous slab.  Each row's generators are derived once, here, in one
     vectorized pass per stream, and kept for the later blocks.
     """
 
     def __init__(self, master_seed: int, run_start: int, m: int, policy: bool):
-        self.env = np.empty((m, _BLOCK, 3))
-        self.policy = np.empty((m, _BLOCK)) if policy else None
-        self._streams = [(episode_rngs(master_seed, run_start, m, stream), block)
-                         for stream, block in enumerate((self.env, self.policy))
-                         if block is not None]
-        self.advance(range(m))
+        self.env = np.empty((_BLOCK, m, 3))
+        self.policy = np.empty((_BLOCK, m)) if policy else None
+        self._streams = []
+        for stream, block in enumerate((self.env, self.policy)):
+            if block is not None:
+                # a generator fills only a contiguous array, so rows are drawn
+                # row-major into a tile of about _TILE bytes and copied across
+                row = block[:, 0]
+                tile = np.zeros((min(m, max(1, _TILE // row.nbytes)), *row.shape))
+                self._streams.append((episode_rngs(master_seed, run_start, m, stream),
+                                      block, tile))
+        self.advance(np.ones(m, dtype=bool))
 
-    def advance(self, rows) -> None:
-        """Overwrite each of ``rows``' current block with that row's next block."""
-        for gens, block in self._streams:
-            for e in rows:
-                gens[e].random(out=block[e])
+    def advance(self, running: np.ndarray) -> None:
+        """Overwrite each ``running`` row's current block with that row's next block.
+
+        The other rows of a tile that holds a running row get stale values.
+        """
+        for gens, block, tile in self._streams:
+            for start in range(0, running.size, len(tile)):
+                rows = np.flatnonzero(running[start:start + len(tile)])
+                if rows.size:
+                    for e in rows.tolist():
+                        gens[start + e].random(out=tile[e])
+                    part = block[:, start:start + len(tile)]
+                    part[...] = tile[:part.shape[1]].swapaxes(0, 1)
 
 
 @dataclass
@@ -157,7 +177,7 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
             running = [cell for cell, mask in zip(running, masks) if mask is not None]
             masks = [mask for mask in masks if mask is not None]
             if masks:
-                streams.advance(np.flatnonzero(np.any(masks, axis=0)))
+                streams.advance(np.any(masks, axis=0))
         # released before the next chunk's streams are drawn
         del streams
     return results
@@ -181,13 +201,15 @@ def _simulate_chunk(instance, rule, budget, cap, streams, out):
         if off == 0 and epoch > 0:
             yield active
         # rules that draw no policy uniform ignore u
-        u = None if streams.policy is None else streams.policy[:, off]
+        u = None if streams.policy is None else streams.policy[off]
 
         # selection sees only outcomes of earlier epochs
         arms = rule.select_batch(epoch, active, u)
-        # finished rows read stale uniforms or another cell's live ones; their
-        # outcome is zeroed, and a zero outcome changes no state
-        outcome = sampler.draw(arms, streams.env[:, off, :])
+        # finished rows read stale uniforms (a skipped row's old block, or
+        # another row's values left in the tile it was drawn through) or
+        # another cell's live ones; their outcome is zeroed, and a zero
+        # outcome changes no state
+        outcome = sampler.draw(arms, streams.env[off])
         outcome[~active] = 0.0
         x, r, y = outcome.T
 

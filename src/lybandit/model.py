@@ -209,30 +209,35 @@ class Sampler:
             if arm.kind == KIND_JOINT_TABLE
         }
         kinds = {arm.kind for arm in self.arms}
-        # one vectorized expression when every arm shares a parametric kind
+        # one vectorized pass when every arm shares a parametric kind
         self._kind = kinds.pop() if len(kinds) == 1 and not self._tables else None
+        # the kept (m, 3) result and scratch buffers of draw
+        self._out = self._tmp = np.empty((0, 3))
 
     def draw(self, pulled: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """New (m, 3) array of the outcomes of arms ``pulled`` from (m, 3) uniforms."""
+        """(m, 3) outcomes of arms ``pulled`` from (m, 3) uniforms; the next call overwrites it."""
+        if len(self._out) != len(pulled):
+            self._out, self._tmp = np.empty((2, len(pulled), 3))
         if self._kind is not None:
-            return self._draw(self._kind, pulled, u)
-        v = np.empty_like(u)
+            return self._fill(self._kind, pulled, u, self._out, self._tmp)
         for k, arm in enumerate(self.arms):
             mask = pulled == k
             if mask.any():
-                v[mask] = self._draw(arm.kind, k, u[mask])
-        return v
+                self._out[mask] = self._fill(arm.kind, pulled[mask], u[mask])
+        return self._out
 
     def sample(self, arm: int, rng: np.random.Generator) -> Outcome:
         """One outcome of ``arm``; consumes exactly three uniforms from ``rng``."""
         return Outcome(*self.draw(np.array([arm]), rng.random((1, 3)))[0].tolist())
 
-    def _draw(self, kind: str, pulled, u: np.ndarray) -> np.ndarray:
+    def _fill(self, kind: str, pulled: np.ndarray, u: np.ndarray, out=None, tmp=None):
+        """Outcomes of arms ``pulled``, all of ``kind``, written into ``out`` (new if None)."""
         if kind == KIND_BERNOULLI:
-            return (u < self._means[pulled]).astype(np.float64)
+            return np.less(u, np.take(self._means, pulled, axis=0, out=tmp), out=out)
         if kind == KIND_SCALED_UNIFORM:
-            return self._lo[pulled] + self._width[pulled] * u
-        cum, values = self._tables[pulled]  # a table arm is drawn alone
+            tmp = np.multiply(np.take(self._width, pulled, axis=0, out=tmp), u, out=tmp)
+            return np.add(np.take(self._lo, pulled, axis=0, out=out), tmp, out=out)
+        cum, values = self._tables[pulled[0]]  # a table arm is drawn alone
         return values[categorical(cum, u[:, 0])]
 
 

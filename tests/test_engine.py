@@ -202,6 +202,28 @@ def test_streams_never_wider_than_a_chunk(two_arm_instance, monkeypatch):
     assert batch.runs == 20
 
 
+def test_stream_blocks_are_epoch_major_and_each_row_its_own_stream(monkeypatch):
+    # 16-epoch blocks drawn through tiles of 2 env rows and 7 policy rows, so
+    # 23 runs end in a partial tile of each stream; the second advance skips
+    # whole tiles (rows 4-7) and part of others
+    monkeypatch.setattr(engine, "_BLOCK", 16)
+    monkeypatch.setattr(engine, "_TILE", 1_000)
+    seed, run_start, m = 91, 40, 23
+    streams = engine._Streams(seed, run_start, m, policy=True)
+    envs = [episode_env_rng(seed, run_start + e) for e in range(m)]
+    pols = [episode_policy_rng(seed, run_start + e) for e in range(m)]
+    running = np.ones(m, dtype=bool)
+    for cut in (None, lambda e: e % 3 == 1, lambda e: 4 <= e < 8):
+        if cut is not None:
+            running &= [not cut(e) for e in range(m)]
+            streams.advance(running)
+        for e in np.flatnonzero(running):
+            assert np.array_equal(streams.env[:, e], envs[e].random((16, 3))), e
+            assert np.array_equal(streams.policy[:, e], pols[e].random(16)), e
+        assert all(streams.env[t].flags.c_contiguous and streams.policy[t].flags.c_contiguous
+                   for t in range(16))
+
+
 def test_memory_peak_is_the_shared_stream_blocks(two_arm_instance, monkeypatch):
     # at B = 700 every episode of the four rule types runs 1,100-1,800
     # epochs, into a second block: each later block is drawn into the

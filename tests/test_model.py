@@ -104,6 +104,28 @@ class TestArmSampling:
                 expect = atoms[np.searchsorted(cum, u[i, 0], "right")][1:]
             assert np.array_equal(v[i], expect), i
 
+    @pytest.mark.parametrize("arms", [
+        [ArmSpec.bernoulli(0.4, 0.8, 0.6), ArmSpec.bernoulli(0.6, 0.6, 0.3)],
+        [ArmSpec.scaled_uniform(0.3, 0.7, 0.5), ArmSpec.scaled_uniform(0.9, 0.2, 0.5)],
+        [ArmSpec.bernoulli(0.4, 0.8, 0.6), ArmSpec.scaled_uniform(0.3, 0.7, 0.5),
+         ArmSpec.table([(0.25, 0.1, 1.0, 0.0), (0.75, 0.9, 0.2, 0.5)])],
+    ], ids=["bernoulli", "scaled-uniform", "mixed"])
+    def test_repeated_draws_equal_a_fresh_sampler(self, arms):
+        # draw writes into buffers the sampler keeps: each call, including
+        # one at another width, must still equal a first draw
+        kept = Sampler(arms)
+        r = rng(31)
+        last = None
+        for m in (300, 300, 7, 7, 300, 1):
+            pulled = r.integers(len(arms), size=m)
+            u = r.random((m, 3))
+            v = kept.draw(pulled, u)
+            assert v.dtype == np.float64 and v.shape == (m, 3)
+            assert np.array_equal(v, Sampler(arms).draw(pulled, u)), m
+            if last is not None and len(last) == m:
+                assert v is last
+            last = v
+
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             ArmSpec.bernoulli(1.2, 0.5, 0.5)
