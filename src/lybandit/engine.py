@@ -11,15 +11,23 @@ bitwise identical to the sequential per-episode runner; tests assert this.
 block by block: each chunk builds every (policy, budget) cell's rule once,
 then every cell runs to the end of a block of the chunk's streams (a
 ``_Streams``), which then draw the next block once for the episodes that
-any cell still runs, and every cell writes its rows in place into its one
-result.  A ``_Streams`` derives each run's generators once, for all its
-blocks, in one vectorized pass per stream
+any cell still runs, and every cell writes its rows into its one result.
+A ``_Streams`` derives each run's generators once, for all its blocks, in
+one vectorized pass per stream
 (:func:`~lybandit.model.episode_rngs`).  A block is epoch-major: a
 1,024-run chunk's environment block is (128, 1,024, 3), 3 MiB, and its
 policy block (128, 1,024), 1 MiB, so each epoch's uniforms are one
 contiguous slab that every cell reads.  Rows are drawn through a tile of
 about 256 KiB per stream, and a run that every cell has ended draws fewer
 than 128 epochs past its end.
+
+A cell stops computing the episodes it has finished: once half the rows it
+holds have ended, it writes them to its result and keeps only the running
+rows, in its own arrays and, through
+:meth:`~lybandit.policies.VectorPolicy.keep`, in the rule's, and it reads
+the shared block through its map of kept rows.  Every per-row operation is
+elementwise or a per-row reduction, and ln n is shared by all rows, so
+which rows a cell holds changes no value.
 
 The engine does not know any policy rule.  It builds the rule from the
 :class:`~lybandit.policies.PolicySpec` and drives its vector form
@@ -48,6 +56,9 @@ _BLOCK = 128
 _CHUNK = 1024
 # bytes of the row-major tile through which each stream's block is drawn
 _TILE = 1 << 18
+# a cell drops its finished rows once its live rows fall to this share of
+# the rows it holds, so at 0.5 at most log2(_CHUNK) times per chunk
+_COMPACT = 0.5
 
 
 class _Streams:
@@ -186,22 +197,53 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
 def _simulate_chunk(instance, rule, budget, cap, streams, out):
     """One cell's built ``rule`` over the runs of ``streams``, with its cap resolved.
 
-    ``out`` holds the chunk's rows of the cell's result, as views, and the
-    rule binds its per-arm arrays as the tallies.  A generator: at each block
-    boundary it yields the running mask, and it goes on once ``streams`` hold
-    the next block of those rows.
+    ``out`` holds the chunk's rows of the cell's result, as views.  The cell
+    holds its rows compacted: ``held`` maps each of them to its row of the
+    chunk.  Once the live rows fall to ``_COMPACT`` of the rows it holds, it
+    writes every held row to ``out`` (the totals, both tallies, ``q_max``,
+    ``capped``, ``q_final`` and ``lcb_ok``) and keeps only the live rows, in
+    its own arrays and, through ``rule.keep``, in the rule's.  A generator:
+    at each block boundary it yields the chunk-wide running mask, and it goes
+    on once ``streams`` hold the next block of those rows.
     """
-    rule.start(out.pulls_per_arm, out.cost_per_arm, None if out.lcb_ok is None else instance)
+    m, k = out.pulls_per_arm.shape
+    held = np.arange(m)
+    # the tallies start as views of the result and become compacted copies
+    pulls, cost = out.pulls_per_arm, out.cost_per_arm
+    rule.start(pulls, cost, None if out.lcb_ok is None else instance)
     sampler = Sampler(instance.arms)
-    active = out.capped
-    row_base = np.arange(active.size) * instance.n_arms
+    active = np.ones(m, dtype=bool)
+    n_pulls = np.zeros(m, dtype=np.int64)
+    # running (cost, reward, penalty) of each row
+    totals = np.zeros((m, 3))
+    q_max = np.zeros(m)
+    row_base = np.arange(m) * k
+
+    # finished rows stay as they ended, so writing every held row is exact
+    def write_back():
+        out.n_pulls[held] = n_pulls
+        out.total_cost[held], out.total_reward[held], out.total_penalty[held] = totals.T
+        if pulls is not out.pulls_per_arm:
+            out.pulls_per_arm[held] = pulls
+            out.cost_per_arm[held] = cost
+        out.q_max[held] = q_max
+        out.capped[held] = active
+        out.q_final[held] = rule.q
+        if out.lcb_ok is not None:
+            out.lcb_ok[held] = rule.lcb_ok
 
     for epoch in range(cap):
         off = epoch % _BLOCK
         if off == 0 and epoch > 0:
-            yield active
+            running = np.zeros(m, dtype=bool)
+            running[held] = active
+            yield running
+        env = streams.env[off]
         # rules that draw no policy uniform ignore u
         u = None if streams.policy is None else streams.policy[off]
+        if held.size < m:
+            env = env[held]
+            u = None if u is None else u[held]
 
         # selection sees only outcomes of earlier epochs
         arms = rule.select_batch(epoch, active, u)
@@ -209,26 +251,30 @@ def _simulate_chunk(instance, rule, budget, cap, streams, out):
         # another row's values left in the tile it was drawn through) or
         # another cell's live ones; their outcome is zeroed, and a zero
         # outcome changes no state
-        outcome = sampler.draw(arms, streams.env[off])
+        outcome = sampler.draw(arms, env)
         outcome[~active] = 0.0
         x, r, y = outcome.T
 
         # each row pulls one arm: scatter at its flat (row, arm) entry; the
         # rule reads these tallies, so they take the pull before it observes
         flat = row_base + arms
-        out.pulls_per_arm.reshape(-1)[flat] += active
-        out.cost_per_arm.reshape(-1)[flat] += x
+        pulls.reshape(-1)[flat] += active
+        cost.reshape(-1)[flat] += x
         rule.observe_batch(flat, x, r, y)
-        out.total_cost += x
-        out.total_reward += r
-        out.total_penalty += y
-        out.n_pulls += active
-        np.maximum(out.q_max, rule.q, out=out.q_max)
+        totals += outcome
+        n_pulls += active
+        np.maximum(q_max, rule.q, out=q_max)
 
-        active &= ~(out.total_cost > budget)
-        if not active.any():
+        active &= ~(totals[:, 0] > budget)
+        live = np.count_nonzero(active)
+        if not live:
             break
+        if live <= _COMPACT * held.size:
+            write_back()
+            rows = np.flatnonzero(active)
+            held, active, n_pulls, totals, q_max, pulls, cost = (
+                a[rows] for a in (held, active, n_pulls, totals, q_max, pulls, cost))
+            rule.keep(rows, pulls, cost)
+            row_base = row_base[:live]
 
-    out.q_final[:] = rule.q
-    if out.lcb_ok is not None:
-        out.lcb_ok[:] = rule.lcb_ok
+    write_back()

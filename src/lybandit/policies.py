@@ -231,6 +231,12 @@ class VectorPolicy(BanditPolicy):
     state unchanged.  ``q`` holds each row's virtual queue, which starts at
     zero (and stays there for rules without one).
 
+    A rule names its per-row arrays once: ``_rows`` lists those that carry
+    state from epoch to epoch (an entry may be a tuple of arrays) and
+    ``_buffers`` the work buffers that every call writes before it reads
+    them.  :meth:`keep` narrows both to the rows still running, so the
+    engine can drop finished episodes mid-batch.
+
     The scalar :meth:`select` / :meth:`observe` are the m = 1 case over a
     (1, K) tally pair bound at construction.  Rules with ``uses_stream``
     consume one policy uniform per row and epoch, drawn at m = 1 from
@@ -239,6 +245,8 @@ class VectorPolicy(BanditPolicy):
     """
 
     uses_stream = False
+    _rows = ("q", "lcb_ok")
+    _buffers = ()
 
     def __init__(self, n_arms: int, rng: np.random.Generator | None = None):
         self._rng = rng
@@ -257,6 +265,28 @@ class VectorPolicy(BanditPolicy):
         m = pulls.shape[0]
         self.q = np.zeros(m)
         self.lcb_ok = None if truth is None else np.ones(m, dtype=bool)
+
+    def keep(self, rows, pulls, cost) -> None:
+        """Keep only the given ``rows`` of every per-row array; rebind the tallies.
+
+        ``rows`` indexes the current rows in increasing order, and ``pulls``
+        and ``cost`` are the caller's tallies narrowed to them.  The arrays
+        in ``_rows`` keep those rows (as copies, so they stay contiguous);
+        the buffers in ``_buffers`` are reallocated at the new width, each
+        freed first, so that narrowing never holds two copies of a buffer.
+        """
+        self.pulls, self.cost = pulls, cost
+        for name in self._buffers:
+            shape = getattr(self, name).shape[1:]
+            setattr(self, name, None)
+            setattr(self, name, np.empty((len(rows), *shape)))
+        for name in self._rows:
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                value = tuple(a[rows] for a in value)
+            elif value is not None:
+                value = value[rows]
+            setattr(self, name, value)
 
     @abstractmethod
     def select_batch(self, n: int, live, u) -> np.ndarray:
@@ -319,6 +349,8 @@ class StaticPolicy(VectorPolicy):
 class LyOffPolicy(VectorPolicy):
     """Offline drift-plus-penalty policy driven by true rates."""
 
+    _buffers = ("_scores",)
+
     def __init__(self, instance: Instance, v: float, delta: float):
         self._cd = _tightened(instance.c, delta)
         v = check_real(v, "v", 0.0, open_low=True)
@@ -362,6 +394,9 @@ class LyOnPolicy(VectorPolicy):
     entries.  ``index`` is the buffer the combine step writes, so after a
     decision it holds the index minimized.
     """
+
+    _rows = (*VectorPolicy._rows, "sum_r", "sum_y", "terms")
+    _buffers = ("index", "_work")
 
     def __init__(self, n_arms: int, c: float, budget: float, v: float, delta: float = 0.0,
                  alpha: float = 2.0, exploration_pulls: int = 1,

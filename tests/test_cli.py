@@ -649,3 +649,83 @@ def test_any_single_broken_field_is_one_error_line(tmp_path, capsys, doc):
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# whole configs: every field drawn at once, means at the edges of their ranges.
+# A cost mean is 0 (refused) or at least 0.1: the expected episode length is
+# B / E[X], and no bound on the work of a run is enforced yet
+_MEAN = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_COST_MEAN = st.one_of(st.floats(0.1, 1.0), st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.0]))
+_POSITIVE = st.one_of(st.sampled_from([1e-3, 1.0]), st.floats(1e-3, 10.0))
+
+
+@st.composite
+def _whole_docs(draw):
+    n_arms = draw(st.integers(1, 5))
+    arms = [{"x_mean": draw(_COST_MEAN), "r_mean": draw(_MEAN), "y_mean": draw(_MEAN),
+             "kind": draw(st.sampled_from(["independent-bernoulli",
+                                           "independent-scaled-uniform"]))}
+            for _ in range(n_arms)]
+    policies = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["stationary", "static", "lyoff", "lyon", "ucb_bwi"]))
+        doc = {"type": f"static:{draw(st.integers(1, n_arms))}" if kind == "static" else kind}
+        # a missing name defaults to the type, which two policies may share
+        if draw(st.booleans()):
+            doc["name"] = f"p{i}"
+        if kind == "stationary" and draw(st.booleans()):
+            weights = draw(st.lists(st.integers(0, 3), min_size=n_arms, max_size=n_arms))
+            doc["p"] = [w / sum(weights) for w in weights] if sum(weights) else weights
+        if kind in ("lyoff", "lyon", "ucb_bwi"):
+            doc["v0"] = draw(_POSITIVE)
+        if kind in ("lyoff", "lyon"):
+            doc["delta0"] = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+        if kind in ("lyon", "ucb_bwi"):
+            doc["alpha"] = draw(_POSITIVE)
+            doc["exploration"] = draw(st.one_of(st.integers(1, 3), st.just("theoretical")))
+        if kind == "lyon":
+            doc["index_variant"] = draw(st.sampled_from(["lcb-both", "literal-paper"]))
+            doc["schedule"] = draw(st.sampled_from(["sqrt", "sqrt-log"]))
+        policies.append(doc)
+    budget = st.one_of(st.integers(2, 50), st.floats(1.0, 50.0))
+    return {
+        "instance": {"arms": arms, "c": draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))},
+        "policies": policies,
+        "budgets": draw(st.lists(budget, min_size=1, max_size=3)),
+        "runs": draw(st.integers(1, 20)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+
+
+def _check_rows(text, doc):
+    """One well-formed results row per (policy, budget) cell, in grid order."""
+    n_arms = len(doc["instance"]["arms"])
+    header, *rows = list(csv.reader(text.splitlines()))
+    assert header == results_header(n_arms).split(",")
+    names = [p.get("name", p["type"]) for p in doc["policies"]]
+    cells = [(name, budget) for name in names for budget in doc["budgets"]]
+    assert len(rows) == len(cells)
+    for row, (name, budget) in zip(rows, cells):
+        assert len(row) == len(header) and row[0] == name
+        assert float(row[1]) == pytest.approx(budget, rel=1e-8)
+        assert int(row[2]) == doc["runs"] and 0 <= int(row[10]) <= doc["runs"]
+        assert all(math.isfinite(float(v)) for v in row[3:])
+        alloc = [float(v) for v in row[11:]]
+        assert all(0.0 <= a <= 1.0 for a in alloc)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_whole_docs())
+def test_any_whole_config_runs_or_is_one_error_line(tmp_path, capsys, doc):
+    path, out = tmp_path / "whole.json", tmp_path / "whole.csv"
+    out.unlink(missing_ok=True)
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert err == []
+        _check_rows(out.read_text(encoding="utf-8"), doc)
+    else:
+        assert code in (1, 2) and len(err) == 1, (code, err)
+        assert not out.exists()

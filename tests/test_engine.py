@@ -11,7 +11,7 @@ import lybandit.engine as engine
 from lybandit import ArmSpec, Instance, PolicySpec, run_episode, solve_lfp
 from lybandit.engine import simulate_batch, simulate_cells
 from lybandit.model import derive_bounds, episode_env_rng, episode_policy_rng
-from lybandit.policies import StaticPolicy
+from lybandit.policies import LyOnPolicy, StaticPolicy, VectorPolicy
 
 from conftest import random_feasible_instance
 
@@ -184,6 +184,97 @@ def test_mid_chunk_batch_equals_rows_of_one_chunk(two_arm_instance, monkeypatch,
     part = simulate_batch(two_arm_instance, spec, 40.0, 10, 4, run_start=5, **kwargs)
     for f in fields(engine.BatchResult):
         assert np.array_equal(getattr(part, f.name), getattr(whole, f.name)[5:]), f.name
+
+
+# Bernoulli, scaled-uniform and table arms together
+MIXED_KINDS = Instance(
+    [
+        ArmSpec.bernoulli(0.5, 0.9, 0.2),
+        ArmSpec.scaled_uniform(0.6, 0.5, 0.3),
+        ArmSpec.table([(0.4, 0.2, 1.0, 0.1), (0.6, 0.8, 0.3, 0.4)]),
+    ],
+    c=0.8,
+)
+
+
+def assert_results_equal(got, want):
+    for f in fields(engine.BatchResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a is None) == (b is None), f.name
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["two-arm", "mixed-kinds"])
+def test_compaction_changes_no_result(two_arm_instance, monkeypatch, mixed):
+    # 16-epoch blocks and 7-run chunks (7, 7, 7, 2): every cell compacts at
+    # every epoch, or never, or at the default threshold, and the three runs
+    # agree bit for bit in every field, the LCB record included
+    instance = MIXED_KINDS if mixed else two_arm_instance
+    monkeypatch.setattr(engine, "_BLOCK", 16)
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    kept = []
+    def keep(rule, rows, pulls, cost, _keep=VectorPolicy.keep):
+        kept.append(len(rows))
+        _keep(rule, rows, pulls, cost)
+    monkeypatch.setattr(VectorPolicy, "keep", keep)
+    cells = [(spec, budget) for spec in SPECS for budget in (10.0, 40.0)]
+    p_default = solve_lfp(instance).p_star
+    results, calls, default = {}, {}, engine._COMPACT
+    for compact in (0.0, 1.0, default):
+        monkeypatch.setattr(engine, "_COMPACT", compact)
+        kept.clear()
+        results[compact] = simulate_cells(instance, cells, 23, 31, p_default=p_default,
+                                          track_lcb=True)
+        calls[compact] = len(kept)
+    assert calls[0.0] == 0 and calls[1.0] > calls[default] > 0
+    never = results.pop(0.0)
+    for other in results.values():
+        for got, want in zip(other, never):
+            assert_results_equal(got, want)
+    assert all((r.n_pulls > 16).any() for r in never)
+
+
+def as_arrays(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+def unnarrowed(rule, m):
+    """Attributes of ``rule`` that still hold ``m`` rows (entries of a tuple included)."""
+    return [name for name, value in vars(rule).items()
+            if any(isinstance(a, np.ndarray) and a.ndim and a.shape[0] == m
+                   for a in as_arrays(value))]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_keep_narrows_every_per_row_array(spec):
+    # 13 rows of 3 arms narrowed to 4: no array of the rule keeps 13 rows,
+    # and the per-row state keeps the values of the rows it kept
+    m, rows = 13, np.array([1, 4, 5, 11])
+    p_default = solve_lfp(MIXED_KINDS).p_star
+    rule = spec.build(MIXED_KINDS, 40.0, None, p_default=p_default)
+    rng = np.random.default_rng(3)
+    pulls, cost = rng.integers(1, 5, (m, 3)).astype(float), rng.random((m, 3))
+    rule.start(pulls, cost, MIXED_KINDS)
+    rule.q = rng.random(m)
+    before = {name: getattr(rule, name) for name in rule._rows}
+    rule.keep(rows, pulls[rows], cost[rows])
+    assert unnarrowed(rule, m) == []
+    assert rule.pulls.shape == rule.cost.shape == (4, 3)
+    for name, value in before.items():
+        for old, new in zip(as_arrays(value), as_arrays(getattr(rule, name))):
+            assert np.array_equal(new, old[rows]), name
+
+
+def test_keep_registry_check_catches_an_unlisted_array():
+    class Unlisted(LyOnPolicy):
+        _rows = tuple(name for name in LyOnPolicy._rows if name != "sum_y")
+
+    rule = Unlisted(3, 0.8, 40.0, 6.0)
+    rule.start(np.ones((13, 3)), np.ones((13, 3)))
+    rows = np.arange(4)
+    rule.keep(rows, np.ones((4, 3)), np.ones((4, 3)))
+    assert unnarrowed(rule, 13) == ["sum_y"]
 
 
 def test_streams_never_wider_than_a_chunk(two_arm_instance, monkeypatch):
