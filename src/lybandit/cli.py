@@ -133,7 +133,7 @@ def _parse_policy(doc, index: int, n_arms: int) -> PolicySpec:
         arm = k - 1
     try:
         return PolicySpec(
-            name=str(doc.get("name", ptype)),
+            name=doc["name"] if "name" in doc else str(ptype),
             type="static" if arm is not None else ptype,
             arm=arm,
             **{key: doc[key] for key in _POLICY_FIELDS if key in doc},

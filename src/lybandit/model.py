@@ -389,7 +389,7 @@ def _pcg64_seeds(entropy: list, n: int) -> np.ndarray:
 
     ``entropy`` holds the assembled uint32 words, each a Python int or an (n,)
     uint64 array: the hash runs on all rows at once, in 64-bit arithmetic
-    masked to 32 bits.  With ints only it is plain Python and n is 1.
+    masked to 32 bits.
     """
     entropy = entropy + [0] * (4 - len(entropy))  # short entropy hashes zeros into the pool
     const = _INIT_A
@@ -426,80 +426,64 @@ def _pcg64_seeds(entropy: list, n: int) -> np.ndarray:
 
 
 @functools.cache
-def _seeded_type() -> type:
-    """The seed sequence type of :func:`episode_rngs`' generators.
+def _seed_type() -> type:
+    """Seed type of :func:`episode_rngs`, made on first use: it loads ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    Made on first use, so importing the package does not load
-    ``numpy.random``; the module's ``__getattr__`` names it for pickle.
-    """
-    from numpy.random.bit_generator import ISpawnableSeedSequence
+    class _Seed(ISeedSequence):
+        """A PCG64 seed whose four uint64 words are already hashed."""
 
-    class _Seeded(ISpawnableSeedSequence):
-        """``SeedSequence(entropy)`` whose PCG64 seed, ``state``, is already hashed."""
-
-        def __init__(self, entropy: tuple, state: np.ndarray):
-            self.entropy, self.state, self.n_children_spawned = entropy, state, 0
+        def __init__(self, state: np.ndarray):
+            self.state = state
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words == 4 and dtype is np.uint64:  # as PCG64 asks
-                return self.state
-            return np.random.SeedSequence(self.entropy).generate_state(n_words, dtype)
+            if (n_words, dtype) != (4, np.uint64):  # the one request PCG64 makes
+                raise NotImplementedError("only PCG64's four uint64 words are hashed")
+            return self.state
 
-        def spawn(self, n_children):
-            seq = np.random.SeedSequence(self.entropy,
-                                         n_children_spawned=self.n_children_spawned)
-            self.n_children_spawned += n_children
-            return seq.spawn(n_children)
-
-    _Seeded.__qualname__ = "_Seeded"
-    return _Seeded
-
-
-def __getattr__(name: str):
-    # pickle finds the generators' seed sequence type by its name here
-    if name == "_Seeded":
-        return _seeded_type()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _Seed
 
 
 def episode_rngs(master_seed: int, run_start: int, m: int,
                  stream: int) -> list[np.random.Generator]:
     """Stream ``stream`` (0 environment, 1 policy) of runs ``run_start .. run_start + m - 1``.
 
-    Run i's generator is ``default_rng(SeedSequence((master_seed, i, stream)))``:
-    its state, ``spawn`` and seed sequence's ``generate_state`` are those of
-    that call, and it pickles.  The seed hash runs on all m rows in one
-    vectorized pass, or in plain Python for one row.  The rows are hashed in
-    stretches that do not cross a multiple of 2**32, so the high words of the
-    run index are the same within each.
+    Run i's generator has the state of ``default_rng((master_seed, i, stream))``,
+    the generator :func:`episode_env_rng` / :func:`episode_policy_rng` return;
+    its seed gives PCG64 its four words and nothing else.  The seed hash runs
+    on all m rows in one vectorized pass, in stretches that do not cross a
+    multiple of 2**32, so the high words of the run index are the same within
+    each.
     """
     check_int(master_seed, "master_seed", 0)
     check_int(run_start, "run_start", 0)
     check_int(m, "m", 1)
     check_int(stream, "stream", 0)
     master_seed, run, m, stream = map(int, (master_seed, run_start, m, stream))
-    seeded, gens, stop = _seeded_type(), [], run + m
+    seed, gens, stop = _seed_type(), [], run + m
     while run < stop:
         n = min(stop, (run | _MASK32) + 1) - run
         first = run & _MASK32
-        low = first if n == 1 else np.arange(first, first + n, dtype=np.uint64)
+        low = np.arange(first, first + n, dtype=np.uint64)
         high = _words(run >> 32) if run >> 32 else []
         states = _pcg64_seeds(_words(master_seed) + [low] + high + _words(stream), n)
-        for i, state in enumerate(states, run):
-            entropy = (master_seed, i, stream)
-            gens.append(np.random.Generator(np.random.PCG64(seeded(entropy, state))))
+        gens += [np.random.Generator(np.random.PCG64(seed(state))) for state in states]
         run += n
     return gens
 
 
 def episode_env_rng(master_seed: int, run_index: int) -> np.random.Generator:
-    """Environment stream for one episode, a pure function of (seed, run)."""
-    return episode_rngs(master_seed, run_index, 1, 0)[0]
+    """Environment stream for one episode: ``default_rng((master_seed, run_index, 0))``."""
+    check_int(master_seed, "master_seed", 0)
+    check_int(run_index, "run_index", 0)
+    return np.random.default_rng((master_seed, run_index, 0))
 
 
 def episode_policy_rng(master_seed: int, run_index: int) -> np.random.Generator:
-    """Policy-side stream for one episode (e.g. randomized selection)."""
-    return episode_rngs(master_seed, run_index, 1, 1)[0]
+    """Policy-side stream for one episode: ``default_rng((master_seed, run_index, 1))``."""
+    check_int(master_seed, "master_seed", 0)
+    check_int(run_index, "run_index", 0)
+    return np.random.default_rng((master_seed, run_index, 1))
 
 
 def episode_cap(instance: Instance, budget: float, cap: int | None) -> int:

@@ -41,6 +41,8 @@ class Infeasible(ValueError):
 
 
 def _mixture_rates(p: np.ndarray, instance: Instance) -> tuple[float, float]:
+    if len(p) != instance.n_arms:
+        raise ValueError(f"p has {len(p)} entries for {instance.n_arms} arms")
     ex, er, ey = instance.rate_means()
     denom = float(p @ ex)
     return float(p @ er) / denom, float(p @ ey) / denom

@@ -5,12 +5,16 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lybandit
 import lybandit.cli as cli
 import lybandit.engine as engine
 from lybandit.cli import load_config, main, results_header
@@ -75,6 +79,18 @@ class TestOracleCommand:
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["oracle", "--config", str(tmp_path / "nope.json")]) == 1
+
+    def test_leaves_numpy_random_unloaded(self):
+        # loading numpy.random would add about 15-18 ms to the command's start-up
+        code = ("import sys, lybandit, lybandit.cli\n"
+                f"assert lybandit.cli.main(['oracle', '--config', {str(DEMO_CONFIG)!r}]) == 0\n"
+                "assert 'numpy.random' not in sys.modules, 'numpy.random is loaded'\n")
+        src = str(Path(lybandit.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     # stdout bytes of ``oracle --json``: any change to the solution's floats shows
     PINNED_JSON = {
@@ -605,6 +621,7 @@ _BROKEN_FIELDS = [
                                        "independent-scaled-uniform")),
     (("policies",), st.one_of(st.none(), st.integers(), st.text(max_size=4), st.just([]))),
     (("policies", 1), st.one_of(_NON_NUMBER, st.integers())),
+    ((*_LYON, "name"), st.one_of(_NON_TEXT, st.integers(), st.floats())),
     ((*_LYON, "type"), _word_other_than("stationary", "lyoff", "lyon", "ucb_bwi")
      .filter(lambda v: not (isinstance(v, str) and v.startswith("static:")))),
     ((*_LYON, "v0"), _number_outside(0.0, lo_open=True)),

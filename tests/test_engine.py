@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import lybandit.engine as engine
+import lybandit.model as model
 from lybandit import ArmSpec, Instance, PolicySpec, run_episode, solve_lfp
 from lybandit.engine import simulate_batch, simulate_cells
 from lybandit.model import derive_bounds, episode_env_rng, episode_policy_rng
@@ -72,6 +73,34 @@ def test_lockstep_equals_sequential_across_run_index_words(two_arm_instance, spe
     # word to two, so its streams are hashed in two stretches
     assert_batch_matches_sequential(two_arm_instance, spec, 60.0, 6, 20260810,
                                     run_start=2**32 - 3)
+
+
+def test_lockstep_check_does_not_share_the_seed_hash(two_arm_instance, monkeypatch):
+    # with bit 0 of each row's first seed word flipped in the engine's
+    # vectorized hash, the one-episode streams stay numpy's own, so every
+    # lockstep run must differ from its sequential twin
+    def flipped(entropy, n, _hash=model._pcg64_seeds):
+        seeds = _hash(entropy, n)
+        seeds[:, 0] ^= np.uint64(1)
+        return seeds
+
+    monkeypatch.setattr(model, "_pcg64_seeds", flipped)
+    seed, budget = 20260810, 60.0
+    for run in range(3):
+        for stream, episode_rng in enumerate((episode_env_rng, episode_policy_rng)):
+            want = np.random.default_rng(np.random.SeedSequence((seed, run, stream)))
+            assert episode_rng(seed, run).bit_generator.state == want.bit_generator.state
+    sol = solve_lfp(two_arm_instance)
+    for spec in (PolicySpec("lyon", "lyon", v0=1.0, delta0=0.5),
+                 PolicySpec("stationary", "stationary")):
+        batch = simulate_batch(two_arm_instance, spec, budget, 3, seed, p_default=sol.p_star)
+        for e in range(3):
+            policy = spec.build(two_arm_instance, budget, episode_policy_rng(seed, e),
+                                p_default=sol.p_star)
+            res = run_episode(two_arm_instance, policy, budget, episode_env_rng(seed, e))
+            assert ((res.n_pulls, res.total_cost, res.total_reward, res.total_penalty)
+                    != (batch.n_pulls[e], batch.total_cost[e], batch.total_reward[e],
+                        batch.total_penalty[e])), (spec.name, e)
 
 
 def test_lockstep_equality_on_mixed_kind_instance():

@@ -210,7 +210,7 @@ class TestDeriveBounds:
 def test_episode_rngs_are_their_seed_sequences(seed):
     # seeds of three and four words make more entropy words than the pool's
     # four; runs 2**32 - 400 .. 2**32 + 399 go from one run word to two; one
-    # row, alone or in a one-row stretch, is hashed in plain Python
+    # row, alone or in a one-row stretch, is hashed as a one-row array
     for start, m in ((0, 100), (2**32 - 400, 800), (2**32 - 1, 2), (7, 1)):
         for stream in (0, 1):
             gens = episode_rngs(seed, start, m, stream)
@@ -236,21 +236,23 @@ def test_episode_rngs_reject_bad_arguments(call):
 
 
 @pytest.mark.parametrize("m", [1, 3])
-def test_episode_rngs_behave_as_their_seed_sequences(m):
+def test_one_episode_rngs_behave_as_their_seed_sequences(m):
     # beyond the state: the seed sequence's other words, spawning and pickle
-    gen = episode_rngs(11, 2**32 + 5, m, 1)[-1]
-    want = np.random.default_rng(np.random.SeedSequence((11, 2**32 + 4 + m, 1)))
-    seq, want_seq = gen.bit_generator.seed_seq, want.bit_generator.seed_seq
-    assert np.array_equal(seq.generate_state(8), want_seq.generate_state(8))
-    assert np.array_equal(seq.generate_state(4, np.uint64), want_seq.generate_state(4, np.uint64))
-    for n in (2, 1):  # a second spawn goes on from the first
-        kids, want_kids = gen.spawn(n), want.spawn(n)
-        assert [k.random() for k in kids] == [k.random() for k in want_kids]
-    again = pickle.loads(pickle.dumps(gen))
-    first = want.random(5)
-    assert np.array_equal(gen.random(5), first)
-    assert np.array_equal(again.random(5), first)
-    assert again.spawn(1)[0].random() == want.spawn(1)[0].random()
+    for stream, episode_rng in enumerate((episode_env_rng, episode_policy_rng)):
+        gen = episode_rng(11, 2**32 + 4 + m)
+        want = np.random.default_rng(np.random.SeedSequence((11, 2**32 + 4 + m, stream)))
+        seq, want_seq = gen.bit_generator.seed_seq, want.bit_generator.seed_seq
+        assert np.array_equal(seq.generate_state(8), want_seq.generate_state(8))
+        assert np.array_equal(seq.generate_state(4, np.uint64),
+                              want_seq.generate_state(4, np.uint64))
+        for n in (2, 1):  # a second spawn goes on from the first
+            kids, want_kids = gen.spawn(n), want.spawn(n)
+            assert [k.random() for k in kids] == [k.random() for k in want_kids]
+        again = pickle.loads(pickle.dumps(gen))
+        first = want.random(5)
+        assert np.array_equal(gen.random(5), first)
+        assert np.array_equal(again.random(5), first)
+        assert again.spawn(1)[0].random() == want.spawn(1)[0].random()
 
 
 def constant_cost_instance(x: float, r: float = 0.5, y: float = 0.0) -> Instance:

@@ -39,6 +39,15 @@ class TestRates:
         with pytest.raises(ValueError):
             check_simplex([-0.1, 1.1])
 
+    @pytest.mark.parametrize("call", [reward_rate, penalty_rate,
+                                      lambda p, inst: wald_interval(p, inst, 50.0)],
+                             ids=["reward_rate", "penalty_rate", "wald_interval"])
+    def test_mixture_of_the_wrong_length_is_refused(self, call):
+        # once numpy's matmul core-dimension error
+        inst = Instance([ArmSpec.bernoulli(0.5, 0.4, 0.2)] * 3, c=0.9)
+        with pytest.raises(ValueError, match=r"^p has 2 entries for 3 arms$"):
+            call([0.5, 0.5], inst)
+
 
 class TestSolveLfp:
     def test_reference_instance(self, two_arm_instance, two_arm_oracle):
