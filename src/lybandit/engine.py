@@ -9,25 +9,33 @@ bitwise identical to the sequential per-episode runner; tests assert this.
 
 :func:`simulate_cells` walks the run indices in chunks and each chunk
 block by block: each chunk builds every (policy, budget) cell's rule once,
-then every cell runs to the end of a block of the chunk's streams (a
-``_Streams``), which then draw the next block once for the episodes that
-any cell still runs, and every cell writes its rows into its one result.
+then every pass of a rule goes to the end of a block of the chunk's streams
+(a ``_Streams``), which then draw the next block once for the episodes that
+any pass still runs, and every pass writes its rows into its results.  A
+rule makes one pass per cell, except a ``budget_free`` one (``static`` and
+``stationary``): it is built the same at every budget, and its episode
+reads the budget only to stop, so the episode at a budget is an exact
+prefix of the episode at any larger one.  The cells of such a spec share
+one pass, to the largest budget and its cap.  Each row copies its state
+into a smaller budget's result at the pull that ends that budget's episode
+(its cost first exceeds the budget, or the pull reaches the budget's cap),
+so the copy is that episode bit for bit.
 A ``_Streams`` derives each run's generators once, for all its blocks, in
 one vectorized pass per stream
 (:func:`~lybandit.model.episode_rngs`).  A block is epoch-major: a
 1,024-run chunk's environment block is (128, 1,024, 3), 3 MiB, and its
 policy block (128, 1,024), 1 MiB, so each epoch's uniforms are one
-contiguous slab that every cell reads.  Rows are drawn through a tile of
-about 256 KiB per stream, and a run that every cell has ended draws fewer
+contiguous slab that every pass reads.  Rows are drawn through a tile of
+about 256 KiB per stream, and a run that every pass has ended draws fewer
 than 128 epochs past its end.
 
-A cell stops computing the episodes it has finished: once half the rows it
-holds have ended, it writes them to its result and keeps only the running
-rows, in its own arrays and, through
+A pass stops computing the episodes it has finished: once half the rows it
+holds have ended, it writes them to its largest budget's result and keeps
+only the running rows, in its own arrays and, through
 :meth:`~lybandit.policies.VectorPolicy.keep`, in the rule's, and it reads
 the shared block through its map of kept rows.  Every per-row operation is
 elementwise or a per-row reduction, and ln n is shared by all rows, so
-which rows a cell holds changes no value.
+which rows a pass holds changes no value.
 
 The engine does not know any policy rule.  It builds the rule from the
 :class:`~lybandit.policies.PolicySpec` and drives its vector form
@@ -52,11 +60,11 @@ from .policies import PolicySpec
 __all__ = ["BatchResult", "simulate_batch", "simulate_cells"]
 
 _BLOCK = 128
-# runs per chunk: bounds the (_BLOCK, runs, 3) uniform block its cells share
+# runs per chunk: bounds the (_BLOCK, runs, 3) uniform block its passes share
 _CHUNK = 1024
 # bytes of the row-major tile through which each stream's block is drawn
 _TILE = 1 << 18
-# a cell drops its finished rows once its live rows fall to this share of
+# a pass drops its finished rows once its live rows fall to this share of
 # the rows it holds, so at 0.5 at most log2(_CHUNK) times per chunk
 _COMPACT = 0.5
 
@@ -151,10 +159,16 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     The runs go in chunks of ``_CHUNK``.  Each chunk builds every cell's rule
     once, which runs every check of the cell, before it derives its streams,
     so every cell is checked before the first stream is drawn; the chunk
-    draws policy streams only if some rule uses them.  Within a chunk the
-    cells go block by block: every cell runs to the end of a block, then the
-    chunk's streams draw the next block once for the rows that any cell
-    still runs.  The arguments are as for :func:`simulate_batch`.
+    draws policy streams only if some rule uses them.  Each rule makes one
+    pass per cell, except that the cells of one spec whose rule is
+    ``budget_free`` share one pass, to the largest of their budgets: such a
+    rule is built the same at every budget, and its episode reads neither
+    the budget nor the cap before it stops, so its episode at a smaller
+    budget is a prefix of the shared one, whose state each row copies out
+    at the pull that ends that prefix.  Within a chunk the passes go block
+    by block: every pass goes to the end of a block, then the chunk's
+    streams draw the next block once for the rows that any pass still runs.
+    The arguments are as for :func:`simulate_batch`.
     """
     check_int(runs, "runs", 1)
     check_int(master_seed, "master_seed", 0)
@@ -162,30 +176,31 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     if not cells:
         raise ValueError("cells must name at least one (spec, budget) pair")
     caps = [episode_cap(instance, budget, cap) for _, budget in cells]
-    per_arm = (runs, instance.n_arms)
-    results = [BatchResult(
-        n_pulls=np.zeros(runs, dtype=np.int64),
-        **{name: np.zeros(runs) for name in ("total_cost", "total_reward", "total_penalty",
-                                             "q_final", "q_max")},
-        pulls_per_arm=np.zeros(per_arm), cost_per_arm=np.zeros(per_arm),
-        capped=np.ones(runs, dtype=bool), lcb_ok=np.ones(runs, dtype=bool) if track_lcb else None,
-    ) for _ in cells]
+    results = [None] * len(cells)
     for start in range(0, runs, _CHUNK):
         rows = slice(start, min(start + _CHUNK, runs))
         # building runs every check of a cell, so chunk 0 checks them all
         # before its streams are derived
         rules = [spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
                  for spec, budget in cells]
+        if start == 0:
+            groups = _groups(cells, rules)
+            stacks = [_stack(len(group) * runs, instance.n_arms, track_lcb) for group in groups]
+            for group, stack in zip(groups, stacks):
+                for stage, i in enumerate(group):
+                    results[i] = _rows(stack, slice(stage * runs, (stage + 1) * runs))
         streams = _Streams(master_seed, run_start + start, rows.stop - start,
                            any(rule.uses_stream for rule in rules))
-        running = [_simulate_chunk(instance, rule, budget, cell_cap, streams, _rows(result, rows))
-                   for rule, (_, budget), cell_cap, result in zip(rules, cells, caps, results)]
-        # each rule now lives only in its cell's generator, as long as the cell
-        # runs, so a finished cell's (m, K) state is freed before the others end
+        running = [_simulate_chunk(instance, rules[group[-1]], [cells[i][1] for i in group],
+                                   [caps[i] for i in group], streams, stack,
+                                   np.arange(len(group)) * runs + start)
+                   for group, stack in zip(groups, stacks)]
+        # each rule now lives only in its pass's generator, as long as the pass
+        # goes on, so a finished pass's (m, K) state is freed before the others end
         del rules
         while running:
-            masks = [next(cell, None) for cell in running]
-            running = [cell for cell, mask in zip(running, masks) if mask is not None]
+            masks = [next(gen, None) for gen in running]
+            running = [gen for gen, mask in zip(running, masks) if mask is not None]
             masks = [mask for mask in masks if mask is not None]
             if masks:
                 streams.advance(np.any(masks, axis=0))
@@ -194,22 +209,58 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     return results
 
 
-def _simulate_chunk(instance, rule, budget, cap, streams, out):
-    """One cell's built ``rule`` over the runs of ``streams``, with its cap resolved.
+def _groups(cells, rules) -> list[list[int]]:
+    """The cells of each pass, as indices by ascending budget.
 
-    ``out`` holds the chunk's rows of the cell's result, as views.  The cell
-    holds its rows compacted: ``held`` maps each of them to its row of the
-    chunk.  Once the live rows fall to ``_COMPACT`` of the rows it holds, it
-    writes every held row to ``out`` (the totals, both tallies, ``q_max``,
-    ``capped``, ``q_final`` and ``lcb_ok``) and keeps only the live rows, in
-    its own arrays and, through ``rule.keep``, in the rule's.  A generator:
-    at each block boundary it yields the chunk-wide running mask, and it goes
-    on once ``streams`` hold the next block of those rows.
+    A ``budget_free`` rule's cells of one spec share a pass; every other cell
+    has its own.  The caps rise with the budget, as :func:`episode_cap`
+    resolves them all from one ``cap``, so the pulls that end a pass's
+    budgets come in this order.
     """
-    m, k = out.pulls_per_arm.shape
+    groups = {}
+    for i, ((spec, _), rule) in enumerate(zip(cells, rules)):
+        groups.setdefault((spec, None if rule.budget_free else i), []).append(i)
+    return [sorted(group, key=lambda i: cells[i][1]) for group in groups.values()]
+
+
+def _stack(rows, k, track_lcb) -> BatchResult:
+    """A zeroed result of ``rows`` episodes: a pass's results, one after the other."""
+    return BatchResult(
+        n_pulls=np.zeros(rows, dtype=np.int64),
+        **{name: np.zeros(rows) for name in ("total_cost", "total_reward", "total_penalty",
+                                             "q_final", "q_max")},
+        pulls_per_arm=np.zeros((rows, k)), cost_per_arm=np.zeros((rows, k)),
+        capped=np.ones(rows, dtype=bool), lcb_ok=np.ones(rows, dtype=bool) if track_lcb else None,
+    )
+
+
+def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
+    """One pass of a built ``rule`` over the runs of ``streams``, at each of ``budgets``.
+
+    The ``budgets`` ascend, and ``caps`` are their resolved epoch caps.
+    ``out`` holds each budget's result in that order, and ``first`` the row
+    of ``out`` that takes the chunk's row 0 for each budget.  The pass goes
+    to the last budget and its cap, which end each row as they end a
+    one-budget pass.  Each row keeps the index of its next earlier budget,
+    its stage: at the pull where its cost first exceeds that budget, or
+    which reaches that budget's cap, it writes its state (the totals, both
+    tallies, ``q_max``, ``capped``, ``q_final`` and ``lcb_ok``) to that
+    budget's result and moves to the next stage; one pull may pass several.
+    The pass holds its rows compacted: ``held`` maps each of them to its row
+    of the chunk.  Once the live rows fall to ``_COMPACT`` of the rows it
+    holds, it writes every held row to the last budget's result and keeps
+    only the live rows, in its own arrays and, through ``rule.keep``, in the
+    rule's.  A generator: at each block boundary it yields the chunk-wide
+    running mask, and it goes on once ``streams`` hold the next block of
+    those rows.
+    """
+    last, budget = len(budgets) - 1, budgets[-1]
+    budgets = np.array(budgets)
+    m = streams.env.shape[1]
     held = np.arange(m)
-    # the tallies start as views of the result and become compacted copies
-    pulls, cost = out.pulls_per_arm, out.cost_per_arm
+    # the tallies start as views of the last result and become compacted copies
+    chunk = slice(first[last], first[last] + m)
+    pulls, cost = out.pulls_per_arm[chunk], out.cost_per_arm[chunk]
     rule.start(pulls, cost, None if out.lcb_ok is None else instance)
     sampler = Sampler(instance.arms)
     active = np.ones(m, dtype=bool)
@@ -217,22 +268,33 @@ def _simulate_chunk(instance, rule, budget, cap, streams, out):
     # running (cost, reward, penalty) of each row
     totals = np.zeros((m, 3))
     q_max = np.zeros(m)
-    row_base = np.arange(m) * k
+    row_base = np.arange(m) * out.pulls_per_arm.shape[1]
+    # each row's stage and the cost beyond which it passes it; the last
+    # stage's is inf, since the loop itself ends it, and an earlier stage's
+    # falls to -inf at its cap, where every row still in it passes it
+    stage = np.zeros(m, dtype=np.intp)
+    limits = np.array([*budgets[:-1], np.inf])
+    pending = np.full(m, limits[0])
+    cap_ends = set(caps[:-1])
 
     # finished rows stay as they ended, so writing every held row is exact
-    def write_back():
-        out.n_pulls[held] = n_pulls
-        out.total_cost[held], out.total_reward[held], out.total_penalty[held] = totals.T
-        if pulls is not out.pulls_per_arm:
-            out.pulls_per_arm[held] = pulls
-            out.cost_per_arm[held] = cost
-        out.q_max[held] = q_max
-        out.capped[held] = active
-        out.q_final[held] = rule.q
+    def write(stages, rows):
+        at = first[stages] + held[rows]
+        out.n_pulls[at] = n_pulls[rows]
+        row_totals = totals[rows]
+        out.total_cost[at], out.total_reward[at], out.total_penalty[at] = row_totals.T
+        out.capped[at] = ~(row_totals[:, 0] > budgets[stages])
+        # writing every held row to the last result before the first
+        # compaction would copy the tallies onto themselves
+        if not isinstance(rows, slice) or pulls.base is not out.pulls_per_arm:
+            out.pulls_per_arm[at] = pulls[rows]
+            out.cost_per_arm[at] = cost[rows]
+        out.q_max[at] = q_max[rows]
+        out.q_final[at] = rule.q[rows]
         if out.lcb_ok is not None:
-            out.lcb_ok[held] = rule.lcb_ok
+            out.lcb_ok[at] = rule.lcb_ok[rows]
 
-    for epoch in range(cap):
+    for epoch in range(caps[-1]):
         off = epoch % _BLOCK
         if off == 0 and epoch > 0:
             running = np.zeros(m, dtype=bool)
@@ -249,7 +311,7 @@ def _simulate_chunk(instance, rule, budget, cap, streams, out):
         arms = rule.select_batch(epoch, active, u)
         # finished rows read stale uniforms (a skipped row's old block, or
         # another row's values left in the tile it was drawn through) or
-        # another cell's live ones; their outcome is zeroed, and a zero
+        # another pass's live ones; their outcome is zeroed, and a zero
         # outcome changes no state
         outcome = sampler.draw(arms, env)
         outcome[~active] = 0.0
@@ -265,16 +327,30 @@ def _simulate_chunk(instance, rule, budget, cap, streams, out):
         n_pulls += active
         np.maximum(q_max, rule.q, out=q_max)
 
-        active &= ~(totals[:, 0] > budget)
+        spent = totals[:, 0]
+        active &= ~(spent > budget)
+        if last:
+            if epoch + 1 in cap_ends:
+                limits[:last][np.equal(caps[:-1], epoch + 1)] = -np.inf
+                pending = limits[stage]
+            rows = np.flatnonzero(spent > pending)
+            while rows.size:
+                passed = stage[rows]
+                write(passed, rows)
+                passed += 1
+                stage[rows] = passed
+                pending[rows] = bound = limits[passed]
+                rows = rows[spent[rows] > bound]
         live = np.count_nonzero(active)
         if not live:
             break
         if live <= _COMPACT * held.size:
-            write_back()
+            write(last, slice(None))
             rows = np.flatnonzero(active)
-            held, active, n_pulls, totals, q_max, pulls, cost = (
-                a[rows] for a in (held, active, n_pulls, totals, q_max, pulls, cost))
+            held, active, n_pulls, totals, q_max, pulls, cost, stage, pending = (
+                a[rows] for a in (held, active, n_pulls, totals, q_max, pulls, cost,
+                                  stage, pending))
             rule.keep(rows, pulls, cost)
             row_base = row_base[:live]
 
-    write_back()
+    write(last, slice(None))

@@ -241,10 +241,13 @@ class VectorPolicy(BanditPolicy):
     (1, K) tally pair bound at construction.  Rules with ``uses_stream``
     consume one policy uniform per row and epoch, drawn at m = 1 from
     ``rng``; drivers open policy streams only for them, and other rules
-    ignore any ``u`` they are passed.
+    ignore any ``u`` they are passed.  A ``budget_free`` rule is built the
+    same at every budget, so its episode at a budget is a prefix of its
+    episode at any larger one; a driver may run it once for all budgets.
     """
 
     uses_stream = False
+    budget_free = False
     _rows = ("q", "lcb_ok")
     _buffers = ()
 
@@ -324,6 +327,7 @@ class StationaryPolicy(VectorPolicy):
     """Pull arm k with probability p_k, independently each epoch."""
 
     uses_stream = True
+    budget_free = True
 
     def __init__(self, p, rng: np.random.Generator | None):
         self._cum = np.cumsum(check_simplex(p))
@@ -335,6 +339,8 @@ class StationaryPolicy(VectorPolicy):
 
 class StaticPolicy(VectorPolicy):
     """Always pull one fixed arm."""
+
+    budget_free = True
 
     def __init__(self, arm: int):
         check_int(arm, "arm", 0)

@@ -12,7 +12,7 @@ import lybandit.model as model
 from lybandit import ArmSpec, Instance, PolicySpec, run_episode, solve_lfp
 from lybandit.engine import simulate_batch, simulate_cells
 from lybandit.model import derive_bounds, episode_env_rng, episode_policy_rng
-from lybandit.policies import LyOnPolicy, StaticPolicy, VectorPolicy
+from lybandit.policies import LyOffPolicy, LyOnPolicy, StaticPolicy, VectorPolicy
 
 from conftest import random_feasible_instance
 
@@ -515,3 +515,90 @@ def test_budget_free_rules_match_the_negative_binomial_reference(two_arm_instanc
             for values, mean in expected:
                 se = np.std(values, ddof=1) / math.sqrt(runs)
                 assert abs(np.mean(values) - mean) <= 4.0 * se + 1e-12, (spec.name, budget)
+
+
+# budgets out of order, 5.0 and 5.1 (one pull of a 0/1 cost passes both)
+# and 10.0 twice
+SHARED_BUDGETS = (40.0, 5.1, 10.0, 5.0, 20.0, 10.0)
+BUDGET_FREE = [PolicySpec("stationary", "stationary"), PolicySpec("static", "static", arm=0)]
+
+
+def assert_shared_pass_equals_per_budget(instance, specs, cap, runs, run_start):
+    """Every cell of one ``simulate_cells`` call equals its own ``simulate_batch``."""
+    kwargs = dict(cap=cap, p_default=solve_lfp(instance).p_star, track_lcb=True)
+    cells = [(spec, budget) for spec in specs for budget in SHARED_BUDGETS]
+    shared = simulate_cells(instance, cells, runs, 17, run_start, **kwargs)
+    for (spec, budget), got in zip(cells, shared):
+        want = simulate_batch(instance, spec, budget, runs, 17, run_start, **kwargs)
+        assert_results_equal(got, want)
+    return dict(zip(cells, shared))
+
+
+@pytest.mark.parametrize("cap", [None, 25, 60])
+def test_shared_pass_equals_per_budget_cells(monkeypatch, cap):
+    # 7-run chunks from run 5 and 16-epoch blocks; lyon among the cells has
+    # its own pass.  A cap of 25 or 60 binds at the larger budgets only
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    monkeypatch.setattr(engine, "_BLOCK", 16)
+    specs = [*BUDGET_FREE, PolicySpec("lyon", "lyon", v0=1.0, delta0=0.2)]
+    results = assert_shared_pass_equals_per_budget(MIXED_KINDS, specs, cap, 23, 5)
+    static = {budget: results[BUDGET_FREE[1], budget] for budget in SHARED_BUDGETS}
+    assert np.array_equal(static[5.0].n_pulls, static[5.1].n_pulls)
+    assert (static[5.0].n_pulls < static[40.0].n_pulls).all()
+    if cap is not None:
+        assert not static[5.0].capped.any() and static[40.0].capped.any()
+
+
+def test_shared_pass_equals_per_budget_cells_over_chunks():
+    # 2,100 runs are two full chunks and a partial one
+    assert_shared_pass_equals_per_budget(MIXED_KINDS, BUDGET_FREE, None, 2100, 0)
+
+
+def test_shared_pass_equals_sequential(two_arm_instance):
+    # the last runs of each budget, against the one-episode runner
+    sol = solve_lfp(two_arm_instance)
+    runs, seed = 30, 20260810
+    for spec in BUDGET_FREE:
+        cells = [(spec, budget) for budget in SHARED_BUDGETS]
+        shared = simulate_cells(two_arm_instance, cells, runs, seed, p_default=sol.p_star)
+        for budget, batch in zip(SHARED_BUDGETS, shared):
+            for e in range(runs - 5, runs):
+                policy = spec.build(two_arm_instance, budget, episode_policy_rng(seed, e),
+                                    p_default=sol.p_star)
+                res = run_episode(two_arm_instance, policy, budget, episode_env_rng(seed, e))
+                assert res.n_pulls == batch.n_pulls[e]
+                assert (res.total_cost, res.total_reward, res.total_penalty) == (
+                    batch.total_cost[e], batch.total_reward[e], batch.total_penalty[e])
+                assert np.array_equal(res.pulls_per_arm.astype(float), batch.pulls_per_arm[e])
+                assert np.array_equal(res.cost_per_arm, batch.cost_per_arm[e])
+                assert (res.q_final, res.q_max) == (batch.q_final[e], batch.q_max[e])
+                assert not batch.capped[e]
+
+
+def test_budget_free_flag_names_exactly_the_budget_free_rules(monkeypatch):
+    p_default = solve_lfp(MIXED_KINDS).p_star
+    free = {spec.type for spec in SPECS
+            if spec.build(MIXED_KINDS, 40.0, None, p_default=p_default).budget_free}
+    assert free == {"static", "stationary"}
+    # a rule that reads its budget, flagged budget-free, shares a pass it must not
+    monkeypatch.setattr(LyOffPolicy, "budget_free", True)
+    with pytest.raises(AssertionError):
+        assert_shared_pass_equals_per_budget(MIXED_KINDS, [PolicySpec("lyoff", "lyoff")],
+                                            None, 9, 0)
+
+
+def test_shared_pass_selects_as_often_as_its_largest_budget(two_arm_instance, monkeypatch):
+    # the saving of the shared pass: its select_batch calls per chunk are
+    # those of the B = 40 cell alone, not the sum over the four budgets
+    monkeypatch.setattr(engine, "_CHUNK", 16)
+    calls = []
+    def counted(rule, *args, _select=StaticPolicy.select_batch):
+        calls.append(1)
+        return _select(rule, *args)
+    monkeypatch.setattr(StaticPolicy, "select_batch", counted)
+    spec = PolicySpec("static", "static", arm=0)
+    simulate_cells(two_arm_instance, [(spec, b) for b in (5.0, 10.0, 20.0, 40.0)], 40, 3)
+    shared = len(calls)
+    calls.clear()
+    simulate_batch(two_arm_instance, spec, 40.0, 40, 3)
+    assert shared == len(calls) > 0
