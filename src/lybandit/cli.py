@@ -22,11 +22,11 @@ Config document::
 
 Arm means lie in [0, 1], with x_mean in (0, 1].  Policy types: stationary
 (optional "p", default is the oracle mixture), lyoff, lyon, ucb_bwi, and
-static:<k> with a 1-based arm index.  Omitted policy fields take the
-PolicySpec defaults.  A key not shown above is refused.  "policies" and
-"budgets" are required, with at least one policy and distinct budgets; the
-config and the output files must be distinct files.  Arm ids in all output
-(alloc columns, oracle support) are 1-based.
+static:<k> with a 1-based arm index in ASCII digits.  Omitted policy fields
+take the PolicySpec defaults.  A key not shown above is refused.
+"policies" and "budgets" are required, with at least one policy and
+distinct budgets; the config and the output files must be distinct files.
+Arm ids in all output (alloc columns, oracle support) are 1-based.
 """
 
 from __future__ import annotations
@@ -123,10 +123,11 @@ def _parse_policy(doc, index: int, n_arms: int) -> PolicySpec:
     ptype = _need(doc, "type", where, _POLICY_KEYS)
     arm = None
     if isinstance(ptype, str) and ptype.startswith("static:"):
-        try:
-            k = int(ptype.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"{where}.type static arm must be an integer") from None
+        # int() would also take signs, spaces, underscores and non-ASCII digits
+        digits = ptype.split(":", 1)[1]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ConfigError(f"{where}.type static arm must be an integer in ASCII digits")
+        k = int(digits)
         # checked here so the message names the 1-based k the config wrote
         if not 1 <= k <= n_arms:
             raise ConfigError(f"{where}: static arm {k} is out of range 1..{n_arms}")
@@ -207,7 +208,7 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def write_results_csv(result: AggregateResult, n_arms: int, path: str | Path) -> None:
+def write_results_csv(result: AggregateResult, path: str | Path) -> None:
     """Write the aggregate table; bytes are deterministic given the seed."""
     rows = (
         [c.policy, _fmt(c.budget)]
@@ -215,7 +216,7 @@ def write_results_csv(result: AggregateResult, n_arms: int, path: str | Path) ->
         + [_fmt(a) for a in c.alloc_cost]
         for c in result.cells
     )
-    _write_csv(path, results_header(n_arms).split(","), rows)
+    _write_csv(path, results_header(result.oracle.p_star.size).split(","), rows)
 
 
 def write_scaling_csv(result: AggregateResult, path: str | Path) -> list[str]:
@@ -300,7 +301,7 @@ def cmd_run(args) -> int:
         if not existed:
             os.remove(path)
     result = run_batch(config)
-    write_results_csv(result, config.instance.n_arms, args.out)
+    write_results_csv(result, args.out)
     lines = [f"wrote {len(result.cells)} rows to {args.out}"]
     if sweep:
         summaries = write_scaling_csv(result, scaling_path)

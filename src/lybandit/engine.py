@@ -44,8 +44,9 @@ runner calls through the m = 1 ``select`` / ``observe``; the engine itself
 refills the random streams, draws outcomes through the same
 :class:`~lybandit.model.Sampler` as the sequential runner, and keeps the
 episode totals and the per-arm tallies, which the rule binds at the start
-and reads.  Each pull enters the tallies at its flat (row, arm) index
-before the rule observes it at that same index.
+and reads; an episode's pull count is the sum of its pull tallies.  Each
+pull enters the tallies at its flat (row, arm) index before the rule
+observes it at that same index.
 """
 
 from __future__ import annotations
@@ -156,19 +157,11 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
                    p_default=None, bounds=None, track_lcb=False) -> list[BatchResult]:
     """One :class:`BatchResult` per (spec, budget) pair of the non-empty list ``cells``.
 
-    The runs go in chunks of ``_CHUNK``.  Each chunk builds every cell's rule
-    once, which runs every check of the cell, before it derives its streams,
-    so every cell is checked before the first stream is drawn; the chunk
-    draws policy streams only if some rule uses them.  Each rule makes one
-    pass per cell, except that the cells of one spec whose rule is
-    ``budget_free`` share one pass, to the largest of their budgets: such a
-    rule is built the same at every budget, and its episode reads neither
-    the budget nor the cap before it stops, so its episode at a smaller
-    budget is a prefix of the shared one, whose state each row copies out
-    at the pull that ends that prefix.  Within a chunk the passes go block
-    by block: every pass goes to the end of a block, then the chunk's
-    streams draw the next block once for the rows that any pass still runs.
-    The arguments are as for :func:`simulate_batch`.
+    The runs go in chunks of ``_CHUNK``.  Each chunk builds every cell's rule,
+    which runs the cell's checks, before it derives its streams, so every
+    cell is checked before the first stream is drawn; a chunk draws policy
+    streams only if some rule uses them.  The arguments are as for
+    :func:`simulate_batch`.
     """
     check_int(runs, "runs", 1)
     check_int(master_seed, "master_seed", 0)
@@ -191,19 +184,18 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
                     results[i] = _rows(stack, slice(stage * runs, (stage + 1) * runs))
         streams = _Streams(master_seed, run_start + start, rows.stop - start,
                            any(rule.uses_stream for rule in rules))
-        running = [_simulate_chunk(instance, rules[group[-1]], [cells[i][1] for i in group],
-                                   [caps[i] for i in group], streams, stack,
-                                   np.arange(len(group)) * runs + start)
-                   for group, stack in zip(groups, stacks)]
+        need = np.zeros(rows.stop - start, dtype=bool)
+        passes = [_simulate_chunk(instance, rules[group[-1]], [cells[i][1] for i in group],
+                                  [caps[i] for i in group], streams, need, stack,
+                                  np.arange(len(group)) * runs + start)
+                  for group, stack in zip(groups, stacks)]
         # each rule now lives only in its pass's generator, as long as the pass
         # goes on, so a finished pass's (m, K) state is freed before the others end
         del rules
-        while running:
-            masks = [next(gen, None) for gen in running]
-            running = [gen for gen, mask in zip(running, masks) if mask is not None]
-            masks = [mask for mask in masks if mask is not None]
-            if masks:
-                streams.advance(np.any(masks, axis=0))
+        # a list, so that every pass goes on to its next block boundary or its end
+        while any([next(p, False) for p in passes]):
+            streams.advance(need)
+            need[:] = False
         # released before the next chunk's streams are drawn
         del streams
     return results
@@ -213,9 +205,8 @@ def _groups(cells, rules) -> list[list[int]]:
     """The cells of each pass, as indices by ascending budget.
 
     A ``budget_free`` rule's cells of one spec share a pass; every other cell
-    has its own.  The caps rise with the budget, as :func:`episode_cap`
-    resolves them all from one ``cap``, so the pulls that end a pass's
-    budgets come in this order.
+    has its own.  :func:`episode_cap` resolves every cap from one ``cap``, so
+    the caps ascend with the budgets too.
     """
     groups = {}
     for i, ((spec, _), rule) in enumerate(zip(cells, rules)):
@@ -234,29 +225,20 @@ def _stack(rows, k, track_lcb) -> BatchResult:
     )
 
 
-def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
+def _simulate_chunk(instance, rule, budgets, caps, streams, need, out, first):
     """One pass of a built ``rule`` over the runs of ``streams``, at each of ``budgets``.
 
     The ``budgets`` ascend, and ``caps`` are their resolved epoch caps.
     ``out`` holds each budget's result in that order, and ``first`` the row
-    of ``out`` that takes the chunk's row 0 for each budget.  The pass goes
-    to the last budget and its cap, which end each row as they end a
-    one-budget pass.  Each row keeps the index of its next earlier budget,
-    its stage: at the pull where its cost first exceeds that budget, or
-    which reaches that budget's cap, it writes its state (the totals, both
-    tallies, ``q_max``, ``capped``, ``q_final`` and ``lcb_ok``) to that
-    budget's result and moves to the next stage; one pull may pass several.
-    The pass holds its rows compacted: ``held`` maps each of them to its row
-    of the chunk.  Once the live rows fall to ``_COMPACT`` of the rows it
-    holds, it writes every held row to the last budget's result and keeps
-    only the live rows, in its own arrays and, through ``rule.keep``, in the
-    rule's.  A generator: at each block boundary it yields the chunk-wide
-    running mask, and it goes on once ``streams`` hold the next block of
-    those rows.
+    of ``out`` that takes the chunk's row 0 for each budget.  A generator:
+    at each block boundary it marks in ``need`` the rows of the chunk that it
+    still runs and yields True, and it goes on once ``streams`` hold their
+    next block.
     """
     last, budget = len(budgets) - 1, budgets[-1]
     budgets = np.array(budgets)
     m = streams.env.shape[1]
+    # the chunk's row of each row the pass holds
     held = np.arange(m)
     # the tallies start as views of the last result and become compacted copies
     chunk = slice(first[last], first[last] + m)
@@ -264,31 +246,29 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
     rule.start(pulls, cost, None if out.lcb_ok is None else instance)
     sampler = Sampler(instance.arms)
     active = np.ones(m, dtype=bool)
-    n_pulls = np.zeros(m, dtype=np.int64)
     # running (cost, reward, penalty) of each row
     totals = np.zeros((m, 3))
     q_max = np.zeros(m)
     row_base = np.arange(m) * out.pulls_per_arm.shape[1]
-    # each row's stage and the cost beyond which it passes it; the last
-    # stage's is inf, since the loop itself ends it, and an earlier stage's
-    # falls to -inf at its cap, where every row still in it passes it
+    # a row's stage is the first budget whose episode it has not ended; it
+    # ends it, and writes its state to that budget's result, at the pull whose
+    # cost passes limits[stage] (one pull may pass several).  The last
+    # stage's limit is inf, since the loop itself ends it, and an earlier
+    # stage's falls to -inf at its cap, where every row still in it passes it
     stage = np.zeros(m, dtype=np.intp)
     limits = np.array([*budgets[:-1], np.inf])
-    pending = np.full(m, limits[0])
     cap_ends = set(caps[:-1])
 
     # finished rows stay as they ended, so writing every held row is exact
     def write(stages, rows):
         at = first[stages] + held[rows]
-        out.n_pulls[at] = n_pulls[rows]
+        # the tallies count whole pulls, so their sum is exact
+        out.n_pulls[at] = pulls[rows].sum(axis=1)
         row_totals = totals[rows]
         out.total_cost[at], out.total_reward[at], out.total_penalty[at] = row_totals.T
         out.capped[at] = ~(row_totals[:, 0] > budgets[stages])
-        # writing every held row to the last result before the first
-        # compaction would copy the tallies onto themselves
-        if not isinstance(rows, slice) or pulls.base is not out.pulls_per_arm:
-            out.pulls_per_arm[at] = pulls[rows]
-            out.cost_per_arm[at] = cost[rows]
+        out.pulls_per_arm[at] = pulls[rows]
+        out.cost_per_arm[at] = cost[rows]
         out.q_max[at] = q_max[rows]
         out.q_final[at] = rule.q[rows]
         if out.lcb_ok is not None:
@@ -297,9 +277,8 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
     for epoch in range(caps[-1]):
         off = epoch % _BLOCK
         if off == 0 and epoch > 0:
-            running = np.zeros(m, dtype=bool)
-            running[held] = active
-            yield running
+            need[held[active]] = True
+            yield True
         env = streams.env[off]
         # rules that draw no policy uniform ignore u
         u = None if streams.policy is None else streams.policy[off]
@@ -324,7 +303,6 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
         cost.reshape(-1)[flat] += x
         rule.observe_batch(flat, x, r, y)
         totals += outcome
-        n_pulls += active
         np.maximum(q_max, rule.q, out=q_max)
 
         spent = totals[:, 0]
@@ -332,24 +310,21 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
         if last:
             if epoch + 1 in cap_ends:
                 limits[:last][np.equal(caps[:-1], epoch + 1)] = -np.inf
-                pending = limits[stage]
-            rows = np.flatnonzero(spent > pending)
+            rows = np.flatnonzero(spent > limits[stage])
             while rows.size:
                 passed = stage[rows]
                 write(passed, rows)
                 passed += 1
                 stage[rows] = passed
-                pending[rows] = bound = limits[passed]
-                rows = rows[spent[rows] > bound]
+                rows = rows[spent[rows] > limits[passed]]
         live = np.count_nonzero(active)
         if not live:
             break
         if live <= _COMPACT * held.size:
             write(last, slice(None))
             rows = np.flatnonzero(active)
-            held, active, n_pulls, totals, q_max, pulls, cost, stage, pending = (
-                a[rows] for a in (held, active, n_pulls, totals, q_max, pulls, cost,
-                                  stage, pending))
+            held, active, totals, q_max, pulls, cost, stage = (
+                a[rows] for a in (held, active, totals, q_max, pulls, cost, stage))
             rule.keep(rows, pulls, cost)
             row_base = row_base[:live]
 

@@ -231,11 +231,12 @@ class VectorPolicy(BanditPolicy):
     state unchanged.  ``q`` holds each row's virtual queue, which starts at
     zero (and stays there for rules without one).
 
-    A rule names its per-row arrays once: ``_rows`` lists those that carry
-    state from epoch to epoch (an entry may be a tuple of arrays) and
-    ``_buffers`` the work buffers that every call writes before it reads
-    them.  :meth:`keep` narrows both to the rows still running, so the
-    engine can drop finished episodes mid-batch.
+    A rule names its per-row arrays that carry state from epoch to epoch
+    once, in ``_rows`` (an entry may be a tuple of arrays); its (m, K) work
+    buffers, which every call writes before it reads them, come from
+    :meth:`_buffer`.  :meth:`keep` narrows the former to the rows still
+    running and drops the latter, so the engine can drop finished episodes
+    mid-batch.
 
     The scalar :meth:`select` / :meth:`observe` are the m = 1 case over a
     (1, K) tally pair bound at construction.  Rules with ``uses_stream``
@@ -249,7 +250,6 @@ class VectorPolicy(BanditPolicy):
     uses_stream = False
     budget_free = False
     _rows = ("q", "lcb_ok")
-    _buffers = ()
 
     def __init__(self, n_arms: int, rng: np.random.Generator | None = None):
         self._rng = rng
@@ -268,6 +268,7 @@ class VectorPolicy(BanditPolicy):
         m = pulls.shape[0]
         self.q = np.zeros(m)
         self.lcb_ok = None if truth is None else np.ones(m, dtype=bool)
+        self._scratch = {}
 
     def keep(self, rows, pulls, cost) -> None:
         """Keep only the given ``rows`` of every per-row array; rebind the tallies.
@@ -275,14 +276,11 @@ class VectorPolicy(BanditPolicy):
         ``rows`` indexes the current rows in increasing order, and ``pulls``
         and ``cost`` are the caller's tallies narrowed to them.  The arrays
         in ``_rows`` keep those rows (as copies, so they stay contiguous);
-        the buffers in ``_buffers`` are reallocated at the new width, each
-        freed first, so that narrowing never holds two copies of a buffer.
+        the work buffers are dropped, so that narrowing never holds two
+        copies of one.
         """
         self.pulls, self.cost = pulls, cost
-        for name in self._buffers:
-            shape = getattr(self, name).shape[1:]
-            setattr(self, name, None)
-            setattr(self, name, np.empty((len(rows), *shape)))
+        self._scratch = {}
         for name in self._rows:
             value = getattr(self, name)
             if isinstance(value, tuple):
@@ -290,6 +288,17 @@ class VectorPolicy(BanditPolicy):
             elif value is not None:
                 value = value[rows]
             setattr(self, name, value)
+
+    def _buffer(self, name: str) -> np.ndarray:
+        """The (m, K) work buffer ``name``, made on first use at the tallies' width."""
+        # a buffer lives until keep or start: freeing per-epoch (m, K)
+        # temporaries let the C allocator return their pages to the system and
+        # fault them in again every epoch (measured on a process's first K=50,
+        # 1024-episode batch: about 250,000 page faults with per-epoch
+        # temporaries, about 3,400 with kept buffers)
+        if name not in self._scratch:
+            self._scratch[name] = np.empty(self.pulls.shape)
+        return self._scratch[name]
 
     @abstractmethod
     def select_batch(self, n: int, live, u) -> np.ndarray:
@@ -355,22 +364,18 @@ class StaticPolicy(VectorPolicy):
 class LyOffPolicy(VectorPolicy):
     """Offline drift-plus-penalty policy driven by true rates."""
 
-    _buffers = ("_scores",)
-
     def __init__(self, instance: Instance, v: float, delta: float):
         self._cd = _tightened(instance.c, delta)
         v = check_real(v, "v", 0.0, open_low=True)
-        self._neg_vr, self._y_rates = _true_coefficients(instance, v)
+        with np.errstate(over="ignore"):
+            self._neg_vr, self._y_rates = _true_coefficients(instance, v)
+        if not np.isfinite([self._neg_vr, self._y_rates]).all():
+            raise ValueError(f"v = {v:.6g} overflows the offline scores")
         super().__init__(instance.n_arms)
-
-    def start(self, pulls, cost, truth: Instance | None = None) -> None:
-        super().start(pulls, cost, truth)
-        # a kept (m, K) buffer (see LyOnPolicy.start)
-        self._scores = np.empty(pulls.shape)
 
     def scores(self) -> np.ndarray:
         """(m, K) score of each arm at each row's queue; the next call overwrites it."""
-        return _score(self._neg_vr, self.q[:, None], self._y_rates, self._scores)
+        return _score(self._neg_vr, self.q[:, None], self._y_rates, self._buffer("scores"))
 
     def select_batch(self, n, live, u):
         return np.argmin(self.scores(), axis=1)
@@ -397,12 +402,11 @@ class LyOnPolicy(VectorPolicy):
     :meth:`start` and kept equal to a rebuild from them after every call:
     :meth:`observe_batch` recomputes only the pulled entries, which is O(m)
     work, so only the combine step and the argmin run over all (m, K)
-    entries.  ``index`` is the buffer the combine step writes, so after a
-    decision it holds the index minimized.
+    entries, and the combine step writes its result and its one temporary
+    into two work buffers.
     """
 
     _rows = (*VectorPolicy._rows, "sum_r", "sum_y", "terms")
-    _buffers = ("index", "_work")
 
     def __init__(self, n_arms: int, c: float, budget: float, v: float, delta: float = 0.0,
                  alpha: float = 2.0, exploration_pulls: int = 1,
@@ -418,6 +422,16 @@ class LyOnPolicy(VectorPolicy):
         self._k = int(n_arms)
         self._variant = index_variant
         self._explore_total = self._k * exploration_pulls
+        # the index is largest after one pull at the cost floor with reward
+        # and penalty means of 1, and grows with the queue and ln n, which an
+        # epoch count below 2**63 bounds
+        n = 2.0**63
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _index_terms(1.0, 0.0, 1.0, 1.0, self._v, self._alpha, self._floor)
+            gamma = _combine(terms, None if self._cd is None else n, math.log(n), self._variant)
+        if not np.isfinite([*terms, gamma]).all():
+            raise ValueError(f"v = {self._v:.6g} and alpha = {self._alpha:.6g} overflow "
+                             f"the online index at budget {budget:.6g}")
         super().__init__(self._k)
 
     def start(self, pulls, cost, truth: Instance | None = None) -> None:
@@ -426,13 +440,6 @@ class LyOnPolicy(VectorPolicy):
         self.sum_r = np.zeros((m, self._k))
         self.sum_y = np.zeros((m, self._k))
         self.terms = self._terms(pulls, cost, self.sum_r, self.sum_y)
-        # the index and its work buffer live as long as the batch: freeing
-        # per-epoch (m, K) temporaries let the C allocator return their pages
-        # to the system and fault them in again every epoch (measured on a
-        # process's first K=50, 1024-episode batch: about 250,000 page faults
-        # with per-epoch temporaries, about 3,400 with kept buffers)
-        self.index = np.empty((m, self._k))
-        self._work = np.empty((m, self._k))
         if truth is not None:
             self._true_rates = _true_coefficients(truth, self._v)
 
@@ -447,7 +454,7 @@ class LyOnPolicy(VectorPolicy):
             return np.full(live.shape[0], n % self._k, dtype=np.int64)
         q_col = None if self._cd is None else self.q[:, None]
         gamma = _combine(self.terms, q_col, math.log(n), self._variant,
-                         self.index, self._work)
+                         self._buffer("index"), self._buffer("work"))
         if self.lcb_ok is not None:
             psi_true = _score(self._true_rates[0], self.q[:, None], self._true_rates[1])
             self.lcb_ok &= (gamma <= psi_true + _LCB_TOL).all(axis=1) | ~live

@@ -567,8 +567,17 @@ def test_real_field_error_names_the_field(tmp_path, capsys, path, name, bad):
         (("policies", 0, "v0"), 1e308, "v must be a finite number"),
         # the default epoch cap 10 ceil(2 B / mu_min) has no finite value
         (("instance", "arms", 0, "x_mean"), 1e-320, "2 B / mu_min overflows"),
+        # V and alpha are finite, but the extreme terms of the online index
+        # (one pull at the cost floor 1/B with reward and penalty means of 1)
+        # are not: 2 alpha overflows, and at B = 10 C = V w (1 + B) = 7e308
+        (("policies", 0, "alpha"), 1e308, "overflow the online index"),
+        (("policies", 0, "v0"), 1e306, "overflow the online index"),
+        (("policies", 0), {"type": "ucb_bwi", "alpha": 1e308}, "overflow the online index"),
+        # -V E[R] / E[X] = -1.6e308 * 2 for the first arm at B = 10
+        (("policies", 0), {"type": "lyoff", "v0": 5e307}, "overflows the offline scores"),
     ],
-    ids=["v0-1e308", "x_mean-1e-320"],
+    ids=["v0-1e308", "x_mean-1e-320", "alpha-1e308", "v0-1e306", "ucb_bwi-alpha-1e308",
+         "lyoff-v0-5e307"],
 )
 def test_library_refusal_is_one_error_line(tmp_path, capsys, path, value, words):
     config = tmp_path / "big.json"
@@ -636,7 +645,10 @@ _BROKEN_FIELDS = [
         st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)
         .filter(lambda p: abs(sum(p) - 1.0) > 1e-6),
         st.lists(st.floats(0.0, 1.0), max_size=3).filter(lambda p: len(p) != 2))),
-    (("policies", 2, "type"), st.sampled_from(["static:0", "static:3", "static:x"])),
+    # int() reads the last five as arms 10, 1, 2, 1 and 1
+    (("policies", 2, "type"), st.sampled_from(["static:0", "static:3", "static:x", "static:1_0",
+                                               "static:0_1", "static: 2", "static:+1",
+                                               "static:\u0661"])),
     (("budgets",), st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.just([]))),
     (("budgets", 0), _number_outside(1.0, lo_open=True)),
     # TINY_DOC's budgets are [5, 10]
@@ -673,7 +685,9 @@ def test_any_single_broken_field_is_one_error_line(tmp_path, capsys, doc):
 # B / E[X], and no bound on the work of a run is enforced yet
 _MEAN = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 _COST_MEAN = st.one_of(st.floats(0.1, 1.0), st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.0]))
-_POSITIVE = st.one_of(st.sampled_from([1e-3, 1.0]), st.floats(1e-3, 10.0))
+# v0 and alpha reach past where the online index or the offline scores overflow
+_POSITIVE = st.one_of(st.sampled_from([1e-3, 1.0, 1e306, 1e307, 1e308]), st.floats(1e-3, 10.0),
+                      st.floats(1e-3, 1e308))
 
 
 @st.composite

@@ -265,11 +265,13 @@ def test_compaction_changes_no_result(two_arm_instance, monkeypatch, mixed):
 
 
 def as_arrays(value):
+    if isinstance(value, dict):
+        return tuple(value.values())
     return value if isinstance(value, tuple) else (value,)
 
 
 def unnarrowed(rule, m):
-    """Attributes of ``rule`` that still hold ``m`` rows (entries of a tuple included)."""
+    """Attributes of ``rule`` that still hold ``m`` rows (entries of a tuple or dict included)."""
     return [name for name, value in vars(rule).items()
             if any(isinstance(a, np.ndarray) and a.ndim and a.shape[0] == m
                    for a in as_arrays(value))]
@@ -277,8 +279,9 @@ def unnarrowed(rule, m):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_keep_narrows_every_per_row_array(spec):
-    # 13 rows of 3 arms narrowed to 4: no array of the rule keeps 13 rows,
-    # and the per-row state keeps the values of the rows it kept
+    # 13 rows of 3 arms narrowed to 4 after a decision past exploration, so
+    # that the rule has made its work buffers: no array of the rule keeps 13
+    # rows, and the per-row state keeps the values of the rows it kept
     m, rows = 13, np.array([1, 4, 5, 11])
     p_default = solve_lfp(MIXED_KINDS).p_star
     rule = spec.build(MIXED_KINDS, 40.0, None, p_default=p_default)
@@ -286,6 +289,7 @@ def test_keep_narrows_every_per_row_array(spec):
     pulls, cost = rng.integers(1, 5, (m, 3)).astype(float), rng.random((m, 3))
     rule.start(pulls, cost, MIXED_KINDS)
     rule.q = rng.random(m)
+    rule.select_batch(10, np.ones(m, dtype=bool), rng.random(m))
     before = {name: getattr(rule, name) for name in rule._rows}
     rule.keep(rows, pulls[rows], cost[rows])
     assert unnarrowed(rule, m) == []

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+import lybandit.model as model
 from lybandit import (
     ArmSpec,
     BanditPolicy,
@@ -233,6 +234,16 @@ def test_episode_rngs_are_their_seed_sequences(seed):
 def test_episode_rngs_reject_bad_arguments(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("request_", [(8,), (4,), (4, np.uint32), (2, np.uint64)],
+                         ids=["8-uint32", "4-uint32", "4-uint32-explicit", "2-uint64"])
+def test_hashed_seed_serves_only_pcg64s_request(request_):
+    # the hashed seed of episode_rngs stands in for a SeedSequence only inside PCG64
+    seed = model._seed_type()(np.arange(4, dtype=np.uint64))
+    assert seed.generate_state(4, np.uint64) is seed.state
+    with pytest.raises(NotImplementedError, match="four uint64 words"):
+        seed.generate_state(*request_)
 
 
 @pytest.mark.parametrize("m", [1, 3])

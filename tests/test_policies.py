@@ -440,6 +440,16 @@ class TestPolicyObjects:
             simulate_batch(inst, PolicySpec("l", "lyon"), 10.0, 4, 1, cap=50,
                            track_lcb=True)
 
+    def test_index_that_overflows_past_its_terms_is_refused(self):
+        # at B = 10 the extreme terms are finite (C = 220 V = 1.5e308), but the
+        # index A - sqrt(ln n) C is not once ln n > 1.2: five arms, each pulled
+        # once at zero cost, reach it at n = 5
+        v = 6.8e305
+        assert np.isfinite(_index_terms(1.0, 0.0, 1.0, 1.0, v, 2.0, 0.1)).all()
+        with pytest.raises(ValueError, match="overflow the online index"):
+            LyOnPolicy(5, 0.8, 10.0, v, queue_enabled=False)
+        LyOnPolicy(5, 0.8, 10.0, v / 10, queue_enabled=False)
+
     def test_lyon_delta_guard(self):
         for delta in (0.9, 0.8):
             with pytest.raises(DeltaOutOfRange):
