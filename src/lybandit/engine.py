@@ -8,11 +8,12 @@ lockstep (one shared epoch counter, vectorized across runs) produces results
 bitwise identical to the sequential per-episode runner; tests assert this.
 
 :func:`simulate_cells` walks the run indices in chunks and each chunk
-block by block: each chunk builds every (policy, budget) cell's rule once,
-then every pass of a rule goes to the end of a block of the chunk's streams
-(a ``_Streams``), which then draw the next block once for the episodes that
-any pass still runs, and every pass writes its rows into its results.  A
-rule makes one pass per cell, except a ``budget_free`` one (``static`` and
+block by block.  Every (policy, budget) cell's rule is built once per call;
+each chunk starts it.  Every pass of a rule goes to a block boundary of the
+chunk's streams (a ``_Streams``), the first epoch included, which then draw
+that block once for the episodes that any pass still runs, so every block is
+drawn when the passes reach it; every pass writes its rows into its results.
+A rule makes one pass per cell, except a ``budget_free`` one (``static`` and
 ``stationary``): it is built the same at every budget, and its episode
 reads the budget only to stop, so the episode at a budget is an exact
 prefix of the episode at any larger one.  The cells of such a spec share
@@ -21,8 +22,8 @@ into a smaller budget's result at the pull that ends that budget's episode
 (its cost first exceeds the budget, or the pull reaches the budget's cap),
 so the copy is that episode bit for bit.
 A ``_Streams`` derives each run's generators once, for all its blocks, in
-one vectorized pass per stream
-(:func:`~lybandit.model.episode_rngs`).  A block is epoch-major: a
+one vectorized pass per stream (:func:`~lybandit.model.episode_rngs`), and
+draws nothing itself.  A block is epoch-major: a
 1,024-run chunk's environment block is (128, 1,024, 3), 3 MiB, and its
 policy block (128, 1,024), 1 MiB, so each epoch's uniforms are one
 contiguous slab that every pass reads.  Rows are drawn through a tile of
@@ -74,10 +75,12 @@ class _Streams:
     """The current block of the streams of runs ``run_start .. run_start + m - 1``.
 
     ``env`` (``_BLOCK``, m, 3) and ``policy`` (``_BLOCK``, m; None unless the
-    ``policy`` flag is set) hold block 0 of every row until :meth:`advance`
-    moves rows on.  They are epoch-major, so each epoch's uniforms are one
-    contiguous slab.  Each row's generators are derived once, here, in one
-    vectorized pass per stream, and kept for the later blocks.
+    ``policy`` flag is set) hold each row's current block, which
+    :meth:`advance` draws: a row's first ``advance`` draws its block 0, each
+    later one its next block.  They are epoch-major, so each epoch's uniforms
+    are one contiguous slab.  Each row's generators are derived once, here,
+    in one vectorized pass per stream, and kept for every block; nothing is
+    drawn here.
     """
 
     def __init__(self, master_seed: int, run_start: int, m: int, policy: bool):
@@ -92,10 +95,9 @@ class _Streams:
                 tile = np.zeros((min(m, max(1, _TILE // row.nbytes)), *row.shape))
                 self._streams.append((episode_rngs(master_seed, run_start, m, stream),
                                       block, tile))
-        self.advance(np.ones(m, dtype=bool))
 
     def advance(self, running: np.ndarray) -> None:
-        """Overwrite each ``running`` row's current block with that row's next block.
+        """Draw each ``running`` row's next block, block 0 at first, over its current one.
 
         The other rows of a tile that holds a running row get stale values.
         """
@@ -157,11 +159,11 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
                    p_default=None, bounds=None, track_lcb=False) -> list[BatchResult]:
     """One :class:`BatchResult` per (spec, budget) pair of the non-empty list ``cells``.
 
-    The runs go in chunks of ``_CHUNK``.  Each chunk builds every cell's rule,
-    which runs the cell's checks, before it derives its streams, so every
-    cell is checked before the first stream is drawn; a chunk draws policy
-    streams only if some rule uses them.  The arguments are as for
-    :func:`simulate_batch`.
+    Every cell's rule is built once per call, which runs the cell's checks,
+    before the first chunk derives its streams.  The runs go in chunks of
+    ``_CHUNK``; each chunk starts every rule (the ``track_lcb`` checks run
+    there) before it draws its first block, and draws policy streams only if
+    some rule uses them.  The arguments are as for :func:`simulate_batch`.
     """
     check_int(runs, "runs", 1)
     check_int(master_seed, "master_seed", 0)
@@ -169,34 +171,29 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     if not cells:
         raise ValueError("cells must name at least one (spec, budget) pair")
     caps = [episode_cap(instance, budget, cap) for _, budget in cells]
+    # building runs every check of a cell, so every cell is checked before
+    # the first stream is derived
+    rules = [spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
+             for spec, budget in cells]
+    groups = _groups(cells, rules)
+    stacks = [_stack(len(group) * runs, instance.n_arms, track_lcb) for group in groups]
     results = [None] * len(cells)
+    for group, stack in zip(groups, stacks):
+        for stage, i in enumerate(group):
+            results[i] = _rows(stack, slice(stage * runs, (stage + 1) * runs))
     for start in range(0, runs, _CHUNK):
-        rows = slice(start, min(start + _CHUNK, runs))
-        # building runs every check of a cell, so chunk 0 checks them all
-        # before its streams are derived
-        rules = [spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
-                 for spec, budget in cells]
-        if start == 0:
-            groups = _groups(cells, rules)
-            stacks = [_stack(len(group) * runs, instance.n_arms, track_lcb) for group in groups]
-            for group, stack in zip(groups, stacks):
-                for stage, i in enumerate(group):
-                    results[i] = _rows(stack, slice(stage * runs, (stage + 1) * runs))
-        streams = _Streams(master_seed, run_start + start, rows.stop - start,
-                           any(rule.uses_stream for rule in rules))
-        need = np.zeros(rows.stop - start, dtype=bool)
+        m = min(_CHUNK, runs - start)
+        streams = _Streams(master_seed, run_start + start, m, any(r.uses_stream for r in rules))
+        need = np.zeros(m, dtype=bool)
         passes = [_simulate_chunk(instance, rules[group[-1]], [cells[i][1] for i in group],
                                   [caps[i] for i in group], streams, need, stack,
                                   np.arange(len(group)) * runs + start)
                   for group, stack in zip(groups, stacks)]
-        # each rule now lives only in its pass's generator, as long as the pass
-        # goes on, so a finished pass's (m, K) state is freed before the others end
-        del rules
         # a list, so that every pass goes on to its next block boundary or its end
         while any([next(p, False) for p in passes]):
             streams.advance(need)
             need[:] = False
-        # released before the next chunk's streams are drawn
+        # released before the next chunk's streams are made
         del streams
     return results
 
@@ -226,14 +223,14 @@ def _stack(rows, k, track_lcb) -> BatchResult:
 
 
 def _simulate_chunk(instance, rule, budgets, caps, streams, need, out, first):
-    """One pass of a built ``rule`` over the runs of ``streams``, at each of ``budgets``.
+    """One pass of ``rule``, started here, over the runs of ``streams``, at each of ``budgets``.
 
     The ``budgets`` ascend, and ``caps`` are their resolved epoch caps.
     ``out`` holds each budget's result in that order, and ``first`` the row
     of ``out`` that takes the chunk's row 0 for each budget.  A generator:
-    at each block boundary it marks in ``need`` the rows of the chunk that it
-    still runs and yields True, and it goes on once ``streams`` hold their
-    next block.
+    at each block boundary, epoch 0 included, it marks in ``need`` the rows of
+    the chunk that it still runs and yields True, and it goes on once
+    ``streams`` hold that block.
     """
     last, budget = len(budgets) - 1, budgets[-1]
     budgets = np.array(budgets)
@@ -276,7 +273,7 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, need, out, first):
 
     for epoch in range(caps[-1]):
         off = epoch % _BLOCK
-        if off == 0 and epoch > 0:
+        if off == 0:
             need[held[active]] = True
             yield True
         env = streams.env[off]

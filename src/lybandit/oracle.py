@@ -34,6 +34,8 @@ __all__ = [
 
 # absolute tolerance on the penalty-rate constraint y(p) <= c
 FEASIBILITY_TOL = 1e-9
+# most lattice points (n + 1)^(K - 1) that solve_lfp_grid will enumerate
+_MAX_LATTICE_POINTS = 2.5e8
 
 
 class Infeasible(ValueError):
@@ -129,7 +131,7 @@ def solve_lfp(instance: Instance) -> OracleSolution:
 
 
 @lru_cache(maxsize=8)
-def _simplex_lattice(k_arms: int, n: int, max_points: float = 2.5e8) -> np.ndarray:
+def _simplex_lattice(k_arms: int, n: int) -> np.ndarray:
     """All probability vectors with coordinates that are multiples of 1/n.
 
     Instance-independent, so cached across calls; the returned array is
@@ -138,7 +140,7 @@ def _simplex_lattice(k_arms: int, n: int, max_points: float = 2.5e8) -> np.ndarr
     if k_arms == 1:
         grid = np.ones((1, 1))
     else:
-        if float(n + 1) ** (k_arms - 1) > max_points:
+        if float(n + 1) ** (k_arms - 1) > _MAX_LATTICE_POINTS:
             raise ValueError(
                 f"simplex lattice with step 1/{n} and K={k_arms} is too large; "
                 "use a coarser step"

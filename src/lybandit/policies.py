@@ -92,9 +92,16 @@ def _score(neg_vr, q, y_rate, out=None):
 
 
 def _true_coefficients(instance: Instance, v: float):
-    """Score coefficients (-V E[R]/E[X], E[Y]/E[X]) per arm at the true means."""
+    """Score coefficients (-V E[R]/E[X], E[Y]/E[X]) per arm at the true means.
+
+    Raises ValueError if either overflows.
+    """
     ex, er, ey = instance.rate_means()
-    return -v * (er / ex), ey / ex
+    with np.errstate(over="ignore"):
+        coefficients = -v * (er / ex), ey / ex
+    if not np.isfinite(coefficients).all():
+        raise ValueError(f"v = {v:.6g} overflows the offline scores")
+    return coefficients
 
 
 def _unit_radius(t, alpha):
@@ -367,10 +374,7 @@ class LyOffPolicy(VectorPolicy):
     def __init__(self, instance: Instance, v: float, delta: float):
         self._cd = _tightened(instance.c, delta)
         v = check_real(v, "v", 0.0, open_low=True)
-        with np.errstate(over="ignore"):
-            self._neg_vr, self._y_rates = _true_coefficients(instance, v)
-        if not np.isfinite([self._neg_vr, self._y_rates]).all():
-            raise ValueError(f"v = {v:.6g} overflows the offline scores")
+        self._neg_vr, self._y_rates = _true_coefficients(instance, v)
         super().__init__(instance.n_arms)
 
     def scores(self) -> np.ndarray:

@@ -190,15 +190,17 @@ def test_oracle_mixture_checked_before_any_stream(two_arm_instance, monkeypatch,
 
 
 def test_chunking_does_not_change_results(two_arm_instance, monkeypatch):
-    sol = solve_lfp(two_arm_instance)
-    spec = PolicySpec("lyon", "lyon", v0=1.0, delta0=0.5)
-    whole = simulate_batch(two_arm_instance, spec, 50.0, 23, 3, p_default=sol.p_star)
-
+    # each rule is built once and carries its state from chunk to chunk, so
+    # only its start resets it: every spec at two budgets in one call (the
+    # budget-free ones sharing a pass), 23 runs in chunks of 7 (7, 7, 7, 2)
+    # against one chunk, in every field, the LCB record included
+    cells = [(spec, budget) for spec in SPECS for budget in (20.0, 50.0)]
+    kwargs = dict(p_default=solve_lfp(two_arm_instance).p_star, track_lcb=True)
+    whole = simulate_cells(two_arm_instance, cells, 23, 3, **kwargs)
     monkeypatch.setattr(engine, "_CHUNK", 7)
-    cell = simulate_batch(two_arm_instance, spec, 50.0, 23, 3, p_default=sol.p_star)
-    for field in ("n_pulls", "total_cost", "total_reward", "total_penalty",
-                  "pulls_per_arm", "cost_per_arm", "q_final", "q_max"):
-        assert np.array_equal(getattr(cell, field), getattr(whole, field))
+    chunked = simulate_cells(two_arm_instance, cells, 23, 3, **kwargs)
+    for got, want in zip(chunked, whole):
+        assert_results_equal(got, want)
 
 
 @pytest.mark.parametrize("spec", [s for s in SPECS if s.name in ("stationary", "lyon")],
@@ -334,6 +336,8 @@ def test_stream_blocks_are_epoch_major_and_each_row_its_own_stream(monkeypatch):
     monkeypatch.setattr(engine, "_TILE", 1_000)
     seed, run_start, m = 91, 40, 23
     streams = engine._Streams(seed, run_start, m, policy=True)
+    # a new _Streams draws nothing; the first advance draws block 0
+    streams.advance(np.ones(m, dtype=bool))
     envs = [episode_env_rng(seed, run_start + e) for e in range(m)]
     pols = [episode_policy_rng(seed, run_start + e) for e in range(m)]
     running = np.ones(m, dtype=bool)
@@ -449,9 +453,10 @@ def test_empty_cell_list_rejected_before_any_stream(two_arm_instance, monkeypatc
     assert derived == []
 
 
-def test_each_cell_built_once_per_chunk(two_arm_instance, monkeypatch):
-    # 23 runs in chunks of 7 are 4 chunks; a separate check pass once made
-    # it 15 builds for 3 cells
+def test_each_cell_built_once(two_arm_instance, monkeypatch):
+    # 23 runs in chunks of 7 are 4 chunks, and each chunk only starts the
+    # rules; a separate check pass once made it 15 builds for 3 cells, and a
+    # build per chunk 12
     built = []
     def build(spec, *args, _build=PolicySpec.build, **kwargs):
         built.append(spec.name)
@@ -462,7 +467,28 @@ def test_each_cell_built_once_per_chunk(two_arm_instance, monkeypatch):
              (PolicySpec("lyon", "lyon"), 20.0), (PolicySpec("lyon", "lyon"), 40.0)]
     p_default = solve_lfp(two_arm_instance).p_star
     simulate_cells(two_arm_instance, cells, 23, 9, p_default=p_default)
-    assert built == ["stationary", "lyon", "lyon"] * 4
+    assert built == ["stationary", "lyon", "lyon"]
+
+
+@pytest.mark.parametrize("x_mean, v0, words", [
+    (0.0, 1.0, "rates need positive expected cost"),
+    (1e-10, 1e298, "overflows the offline scores"),
+], ids=["zero-cost", "overflow"])
+def test_track_lcb_refusal_draws_no_block(monkeypatch, x_mean, v0, words):
+    # the online rule checks the true means it tracks against when it starts;
+    # every pass starts its rule before the chunk draws its first block, so
+    # the static pass ahead of it has drawn nothing either
+    instance = Instance([ArmSpec.bernoulli(x_mean, 0.5, 0.1),
+                         ArmSpec.bernoulli(0.5, 0.5, 0.1)], c=0.8)
+    advanced = []
+    def advance(streams, running, _advance=engine._Streams.advance):
+        advanced.append(np.count_nonzero(running))
+        _advance(streams, running)
+    monkeypatch.setattr(engine._Streams, "advance", advance)
+    cells = [(PolicySpec("s", "static", arm=1), 50.0), (PolicySpec("l", "lyon", v0=v0), 50.0)]
+    with pytest.raises(ValueError, match=words):
+        simulate_cells(instance, cells, 8, 1, cap=500, track_lcb=True)
+    assert advanced == []
 
 
 def test_lcb_tracking_shape(two_arm_instance):
