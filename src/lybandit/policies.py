@@ -91,6 +91,55 @@ def _score(neg_vr, q, y_rate, out=None):
     return np.add(np.multiply(q, y_rate, out=out), neg_vr, out=out)
 
 
+# a computed score fl(fl(q b) + a) lies within 2**-52 (|a| + q |b|) of its
+# exact value; the envelope takes four times that bound for each arm of a
+# pair, and an absolute floor, so that the rounding of its own interval ends
+# stays inside the surplus
+_MARGIN = 2.0**-50
+_FLOOR = np.finfo(float).tiny
+
+
+def _envelope(a, b):
+    """The lower envelope of the score lines a_k + q b_k over q >= 0, as safe intervals.
+
+    Returns ``(lo, hi, arm)``: interval i is (lo[i], hi[i + 1]) with the arm
+    arm[i + 1], and ``lo`` ascends, so j = ``searchsorted(lo, q)`` picks the
+    last interval that starts below q, and q lies in it if q < hi[j]; entry
+    0 of ``hi`` and ``arm`` starts no interval, and hi[0] is -inf.  At every
+    float q >= 0 inside an interval, the computed score (:func:`_score`) of
+    its arm is below every other arm's, except arms equal to it in both
+    coefficients, which tie with it bit for bit and come after it in index
+    order; so the argmin of the computed scores is that arm.  An interval
+    holds the q at which the exact gap from its arm's line to each other
+    line exceeds ``_MARGIN`` times the sum of both lines' magnitudes plus
+    ``_FLOOR``, up to the largest q whose product q b cannot overflow (with
+    a <= 0 <= b, as for rates, the sum in a score cannot).  O(K^2) array
+    work.
+    """
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    # an overflow or a NaN on the way only ever empties an interval
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # [k, j]: the margin-reduced gap (intercept, slope) of line j over line k
+        gap_a = a - a[:, None] - (_MARGIN * (abs_a + abs_a[:, None]) + _FLOOR)
+        gap_b = b - b[:, None] - (_MARGIN * (abs_b + abs_b[:, None]) + _FLOOR)
+        root = -gap_a / gap_b
+        # each pair's condition gap_a + q gap_b > 0 bounds q from below or above
+        lower = np.where(gap_b > 0.0, root, -np.inf)
+        upper = np.where(gap_b < 0.0, root, np.where(gap_b > 0.0, np.inf, -np.inf))
+        # an arm ties bit for bit with its equals, so the lowest index of them
+        # has no bound from the others and the others never win
+        same = (a == a[:, None]) & (b == b[:, None])
+        lower[same], upper[same] = -np.inf, np.inf
+        lo = lower.max(axis=1)
+        hi = np.minimum(upper.min(axis=1), np.finfo(float).max / (2.0 * abs_b.max()))
+        # an interval with no float q >= 0 inside is dropped, so that the
+        # rest, which no such q shares, sort by lo
+        inside = np.maximum(np.nextafter(lo, np.inf), 0.0) < hi
+    arm = np.flatnonzero(inside & ~np.tril(same, -1).any(axis=1))
+    arm = arm[np.argsort(lo[arm])]
+    return lo[arm], np.append(-np.inf, hi[arm]), np.append(0, arm)
+
+
 def _true_coefficients(instance: Instance, v: float):
     """Score coefficients (-V E[R]/E[X], E[Y]/E[X]) per arm at the true means.
 
@@ -104,34 +153,46 @@ def _true_coefficients(instance: Instance, v: float):
     return coefficients
 
 
-def _unit_radius(t, alpha):
+def _unit_radius(t, alpha, out=None):
     """Confidence radius per unit sqrt(ln n): sqrt(2 alpha / t)."""
-    return np.sqrt(2.0 * alpha / t)
+    return np.sqrt(np.divide(2.0 * alpha, t, out=out), out=out)
 
 
-def _empirical_rates(t, sum_x, sum_r, sum_y, floor):
+def _empirical_rates(t, sum_x, sum_r, sum_y, floor, out=(None,) * 3):
     """Clamped empirical (mean cost, reward rate, penalty rate).
 
     Each mean is clipped to at most 1; the cost mean is additionally floored
     at ``floor`` so the rate denominators stay positive even when every cost
-    sample was zero.
+    sample was zero.  ``out`` optionally holds the three result buffers.
     """
-    x_hat = np.maximum(floor, np.minimum(1.0, sum_x / t))
-    r_hat = np.minimum(1.0, sum_r / t) / x_hat
-    y_hat = np.minimum(1.0, sum_y / t) / x_hat
+    x_out, r_out, y_out = out
+    x_hat = np.maximum(floor, np.minimum(1.0, np.divide(sum_x, t, out=x_out), out=x_out),
+                       out=x_out)
+    r_hat = np.divide(np.minimum(1.0, np.divide(sum_r, t, out=r_out), out=r_out), x_hat,
+                      out=r_out)
+    y_hat = np.divide(np.minimum(1.0, np.divide(sum_y, t, out=y_out), out=y_out), x_hat,
+                      out=y_out)
     return x_hat, r_hat, y_hat
 
 
-def _index_terms(t, sum_x, sum_r, sum_y, v, alpha, floor):
+def _index_terms(t, sum_x, sum_r, sum_y, v, alpha, floor, out=(None,) * 4):
     """Per-(row, arm) terms (A, B, C, D) of the factored online index.
 
     A = -V r_hat, B = y_hat, C = V w (1 + r_hat) and D = w (1 + y_hat) with
     w = sqrt(2 alpha / t) / x_hat.  They depend only on one arm's own tallies,
-    so a pull changes the terms of that (row, arm) entry alone.
+    so a pull changes the terms of that (row, arm) entry alone.  An arm not
+    yet pulled (t = 0) counts as one pull, so its terms stay finite.  ``out``
+    optionally holds the four result buffers; with it, the work makes one
+    more array of their shape at a time.
     """
-    x_hat, r_hat, y_hat = _empirical_rates(t, sum_x, sum_r, sum_y, floor)
-    w = _unit_radius(t, alpha) / x_hat
-    return -v * r_hat, y_hat, v * w * (1.0 + r_hat), w * (1.0 + y_hat)
+    a, b, c, d = out
+    t = np.maximum(t, 1.0, out=d)
+    # x_hat lives in C's buffer until w is formed, and w in D's
+    x_hat, r_hat, y_hat = _empirical_rates(t, sum_x, sum_r, sum_y, floor, (c, a, b))
+    w = np.divide(_unit_radius(t, alpha, out=d), x_hat, out=d)
+    c = np.multiply(np.multiply(v, w, out=c), 1.0 + r_hat, out=c)
+    d = np.multiply(w, 1.0 + y_hat, out=d)
+    return np.multiply(-v, r_hat, out=a), y_hat, c, d
 
 
 def _combine(terms, q, log_n_prev, variant, out=None, work=None):
@@ -248,8 +309,9 @@ class VectorPolicy(BanditPolicy):
     The scalar :meth:`select` / :meth:`observe` are the m = 1 case over a
     (1, K) tally pair bound at construction.  Rules with ``uses_stream``
     consume one policy uniform per row and epoch, drawn at m = 1 from
-    ``rng``; drivers open policy streams only for them, and other rules
-    ignore any ``u`` they are passed.  A ``budget_free`` rule is built the
+    ``rng`` (:meth:`select` refuses such a rule built without one);
+    drivers open policy streams only for them, and other rules ignore any
+    ``u`` they are passed.  A ``budget_free`` rule is built the
     same at every budget, so its episode at a budget is a prefix of its
     episode at any larger one; a driver may run it once for all budgets.
     """
@@ -327,6 +389,9 @@ class VectorPolicy(BanditPolicy):
         return float(self.q[0])
 
     def select(self) -> int:
+        if self.uses_stream and self._rng is None:
+            raise ValueError(f"{type(self).__name__} draws each pull from a policy stream, "
+                             "and it was built without one (policy_rng=None)")
         u = self._rng.random(1) if self.uses_stream else None
         return int(self.select_batch(self._n, _ONE_ROW, u)[0])
 
@@ -369,12 +434,26 @@ class StaticPolicy(VectorPolicy):
 
 
 class LyOffPolicy(VectorPolicy):
-    """Offline drift-plus-penalty policy driven by true rates."""
+    """Offline drift-plus-penalty policy driven by true rates.
+
+    Its rates are fixed, so each arm's score -V r_k + q y_k is a line in the
+    queue q, and the arm a row pulls is the lowest line at its queue.  The
+    rule builds the lower envelope of the K lines once (:func:`_envelope`):
+    sorted q-intervals, each with the one arm whose computed score wins
+    throughout it by more than the rounding of both scores (a margin of four
+    times each score's rounding bound), arms equal in both coefficients
+    merged into the lowest index.  :meth:`select_batch` finds each row's
+    interval with one ``searchsorted``; the rows inside none, within the
+    margin of a breakpoint or beyond the largest queue whose scores cannot
+    overflow, fall back to the argmin of their own rows' scores.  Either way
+    it returns the argmin of :meth:`scores`, lowest index first, bit for bit.
+    """
 
     def __init__(self, instance: Instance, v: float, delta: float):
         self._cd = _tightened(instance.c, delta)
         v = check_real(v, "v", 0.0, open_low=True)
         self._neg_vr, self._y_rates = _true_coefficients(instance, v)
+        self._lo, self._hi, self._arms = _envelope(self._neg_vr, self._y_rates)
         super().__init__(instance.n_arms)
 
     def scores(self) -> np.ndarray:
@@ -382,7 +461,15 @@ class LyOffPolicy(VectorPolicy):
         return _score(self._neg_vr, self.q[:, None], self._y_rates, self._buffer("scores"))
 
     def select_batch(self, n, live, u):
-        return np.argmin(self.scores(), axis=1)
+        q = self.q
+        # the last interval that starts below q holds q if q is below its end
+        j = np.searchsorted(self._lo, q)
+        arms = self._arms[j]
+        miss = np.flatnonzero(q >= self._hi[j])
+        if miss.size:
+            scores = _score(self._neg_vr, q[miss, None], self._y_rates)
+            arms[miss] = np.argmin(scores, axis=1)
+        return arms
 
     def observe_batch(self, flat, x, r, y):
         self.q = _queue_step(self.q, x, y, self._cd)
@@ -443,15 +530,14 @@ class LyOnPolicy(VectorPolicy):
         m = pulls.shape[0]
         self.sum_r = np.zeros((m, self._k))
         self.sum_y = np.zeros((m, self._k))
-        self.terms = self._terms(pulls, cost, self.sum_r, self.sum_y)
+        self.terms = self._terms(pulls, cost, self.sum_r, self.sum_y,
+                                 tuple(np.empty((m, self._k)) for _ in range(4)))
         if truth is not None:
             self._true_rates = _true_coefficients(truth, self._v)
 
-    def _terms(self, t, sum_x, sum_r, sum_y):
-        # an arm not yet pulled counts as one pull, so its terms stay finite;
-        # after exploration only rows that ended inside it have such arms
-        return _index_terms(np.maximum(t, 1.0), sum_x, sum_r, sum_y,
-                            self._v, self._alpha, self._floor)
+    def _terms(self, t, sum_x, sum_r, sum_y, out=(None,) * 4):
+        # after exploration only rows that ended inside it have unpulled arms
+        return _index_terms(t, sum_x, sum_r, sum_y, self._v, self._alpha, self._floor, out)
 
     def select_batch(self, n, live, u):
         if n < self._explore_total:

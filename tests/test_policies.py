@@ -1,19 +1,23 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lybandit import ArmSpec, DeltaOutOfRange, Instance, Outcome, PolicySpec, StationaryPolicy
 from lybandit import SlaterViolation, wald_interval
 from lybandit.engine import simulate_batch
-from lybandit.model import derive_bounds, episode_env_rng
+from lybandit.model import derive_bounds, episode_env_rng, run_episode
 from lybandit.policies import (
     LyOffPolicy,
     LyOnPolicy,
     _combine,
     _empirical_rates,
+    _envelope,
     _index_terms,
     confidence_radius,
     denominator_floor,
@@ -118,6 +122,92 @@ class TestOfflineScores:
         pol.observe_batch(np.zeros(3, dtype=np.int64), np.array([1.0, 0.0, 0.0]),
                           np.zeros(3), np.array([0.0, 1.0, 0.0]))
         assert list(pol.q) == [0.0, pytest.approx(1.3), 0.1]
+
+
+def offline_arms(draw, k):
+    """K Bernoulli arms from small pools of means, so equal arms, slopes and intercepts recur."""
+    means = st.floats(0.01, 1.0) | st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    pool = [draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4)),
+            draw(st.lists(means, min_size=1, max_size=4)),
+            draw(st.lists(means, min_size=1, max_size=4))]
+    picks = draw(st.lists(st.tuples(*(st.integers(0, len(p) - 1) for p in pool)),
+                          min_size=k, max_size=k))
+    return [ArmSpec.bernoulli(*(p[i] for p, i in zip(pool, pick))) for pick in picks]
+
+
+@st.composite
+def offline_rules(draw):
+    """A lyoff rule on 1..60 arms, and queues at and around its interval ends."""
+    k = draw(st.integers(1, 60))
+    arms = offline_arms(draw, k)
+    rule = LyOffPolicy(Instance(arms, c=1.0), v=draw(st.floats(1e-3, 1e3)), delta=0.0)
+    ends = np.concatenate([rule._lo, rule._hi])
+    ends = ends[np.isfinite(ends) & (ends >= 0.0)]
+    # the crossings of every pair of score lines, where rounding decides
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = ((rule._neg_vr[:, None] - rule._neg_vr)
+                 / (rule._y_rates - rule._y_rates[:, None])).ravel()
+    cross = cross[np.isfinite(cross) & (cross >= 0.0)]
+    random_q = draw(st.lists(st.floats(0.0, 1e6), max_size=20))
+    edges = np.concatenate([ends, cross])
+    with np.errstate(over="ignore"):
+        above = np.nextafter(edges, np.inf)
+    q = np.concatenate([[0.0, 1e300, 1e308, np.finfo(float).max], random_q, edges, above,
+                        np.nextafter(edges, -np.inf)])
+    return rule, q[q >= 0.0]
+
+
+class TestOfflineEnvelope:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=offline_rules())
+    def test_envelope_arm_is_the_argmin_of_the_scores(self, case):
+        rule, q = case
+        m, k = q.size, rule._y_rates.size
+        rule.start(np.zeros((m, k)), np.zeros((m, k)))
+        rule.q[:] = q
+        # a queue near the float maximum overflows q y; both sides see inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = rule.select_batch(0, np.ones(m, dtype=bool), None)
+            want = np.argmin(rule.scores(), axis=1)
+        assert np.array_equal(got, want)
+
+    def test_equal_arms_merge_into_the_lowest_index(self):
+        a, b = np.array([-2.0, -1.0, -2.0, -1.0]), np.array([1.0, 0.5, 1.0, 0.5])
+        lo, hi, arm = _envelope(a, b)
+        assert set(arm[1:].tolist()) == {0, 1}
+        assert hi[0] == -np.inf and np.all(np.diff(lo) > 0)
+
+    def test_one_arm_is_one_interval(self):
+        lo, hi, arm = _envelope(np.array([-3.0]), np.array([0.7]))
+        assert lo.tolist() == [-np.inf] and arm.tolist() == [0, 0]
+        assert hi[1] == np.finfo(float).max / 1.4
+
+    def test_no_row_scan_outside_the_fallback(self):
+        # K = 50 and m = 1024 rows at queues inside the intervals: no (m, K)
+        # score array is made, so a return to full scans shows; one row at a
+        # crossing of two lines falls back alone
+        rng = np.random.default_rng(24)
+        k, m = 50, 1024
+        arms = [ArmSpec.bernoulli(0.5, *rng.uniform(0.05, 1.0, 2)) for _ in range(k)]
+        rule = LyOffPolicy(Instance(arms, c=0.8), v=12.0, delta=0.0)
+        lo, hi = rule._lo, rule._hi[1:]
+        inner = np.maximum(lo, 0.0) + (np.minimum(hi, 1e3) - np.maximum(lo, 0.0)) / 2
+        rule.start(np.zeros((m, k)), np.zeros((m, k)))
+        rule.q[:] = rng.choice(inner, m)
+        first, second = rule._arms[1:3]
+        rule.q[0] = ((rule._neg_vr[first] - rule._neg_vr[second])
+                     / (rule._y_rates[second] - rule._y_rates[first]))
+        inside = rule.q < rule._hi[np.searchsorted(rule._lo, rule.q)]
+        assert np.flatnonzero(~inside).tolist() == [0]
+        tracemalloc.start()
+        try:
+            got = rule.select_batch(0, np.ones(m, dtype=bool), None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "scores" not in rule._scratch
+        assert peak < m * k * 8 // 4, peak
+        assert np.array_equal(got, np.argmin(rule.scores(), axis=1))
 
 
 class TestConfidenceRadius:
@@ -389,6 +479,13 @@ class TestStationarySelect:
             pol.start(np.zeros((u.size, 2)), np.zeros((u.size, 2)))
             arms = pol.select_batch(0, np.ones(u.size, dtype=bool), u)
             assert abs((arms == 0).mean() - share) < 0.003
+
+    def test_scalar_select_needs_a_policy_stream(self, two_arm_instance):
+        # the lockstep build passes no policy stream; run one episode at a time
+        # such a rule refuses at its first pull
+        rule = PolicySpec("s", "stationary", p=(0.5, 0.5)).build(two_arm_instance, 10.0, None)
+        with pytest.raises(ValueError, match="policy stream"):
+            run_episode(two_arm_instance, rule, 10.0, np.random.default_rng(0))
 
 
 class TestPolicyObjects:
