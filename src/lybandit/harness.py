@@ -13,6 +13,7 @@ given master seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +52,22 @@ def violation(result: EpisodeResult | BatchResult, c: float, budget: float):
     return result.total_penalty / budget - c
 
 
+def _as_tuple(value, name: str) -> tuple:
+    """``value``, a sequence other than a string or a 1-D array, as a tuple."""
+    if (isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+            or isinstance(value, np.ndarray) and value.ndim == 1):
+        return tuple(value)
+    raise ValueError(f"{name} must be a sequence, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment grid: policies x budgets, many runs each.
 
-    Both tuples must be non-empty, the budgets distinct and the policy names
-    unique, so every (policy, budget) cell is one row of the report.
+    ``policies`` and ``budgets`` may be any sequence other than a string, a
+    1-D numpy array included, and are stored as tuples.  Both must be
+    non-empty, the budgets distinct and the policy names unique, so every
+    (policy, budget) cell is one row of the report.
     """
 
     instance: Instance
@@ -67,24 +78,31 @@ class RunConfig:
     cap: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.instance, Instance):
+            raise ValueError(f"instance must be an Instance, got {self.instance!r}")
         check_int(self.runs, "runs", 1)
         check_int(self.master_seed, "seed", 0)
-        if not self.budgets:
+        budgets = _as_tuple(self.budgets, "budgets")
+        if not budgets:
             raise ValueError("at least one budget is required")
         # B > 1 keeps ln(B) of the budget schedules positive
-        budgets = tuple(check_real(b, "budgets", 1.0, open_low=True) for b in self.budgets)
+        budgets = tuple(check_real(b, "budgets", 1.0, open_low=True) for b in budgets)
         object.__setattr__(self, "budgets", budgets)
         for budget in budgets:  # checks the cap, and that every episode is bounded
             episode_cap(self.instance, budget, self.cap)
         if len(set(budgets)) != len(budgets):
             raise ValueError("budgets must be distinct")
-        if not self.policies:
+        policies = _as_tuple(self.policies, "policies")
+        if not policies:
             raise ValueError("at least one policy is required")
-        names = [p.name for p in self.policies]
+        for spec in policies:
+            if not isinstance(spec, PolicySpec):
+                raise ValueError(f"policies must hold PolicySpec entries, got {spec!r}")
+            spec.check_arms(self.instance.n_arms)
+        object.__setattr__(self, "policies", policies)
+        names = [p.name for p in policies]
         if len(set(names)) != len(names):
             raise ValueError("policy names must be unique")
-        for spec in self.policies:
-            spec.check_arms(self.instance.n_arms)
 
 
 @dataclass(frozen=True)

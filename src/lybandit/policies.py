@@ -153,46 +153,38 @@ def _true_coefficients(instance: Instance, v: float):
     return coefficients
 
 
-def _unit_radius(t, alpha, out=None):
+def _unit_radius(t, alpha):
     """Confidence radius per unit sqrt(ln n): sqrt(2 alpha / t)."""
-    return np.sqrt(np.divide(2.0 * alpha, t, out=out), out=out)
+    return np.sqrt(2.0 * alpha / t)
 
 
-def _empirical_rates(t, sum_x, sum_r, sum_y, floor, out=(None,) * 3):
+def _empirical_rates(t, sum_x, sum_r, sum_y, floor):
     """Clamped empirical (mean cost, reward rate, penalty rate).
 
     Each mean is clipped to at most 1; the cost mean is additionally floored
     at ``floor`` so the rate denominators stay positive even when every cost
-    sample was zero.  ``out`` optionally holds the three result buffers.
+    sample was zero.
     """
-    x_out, r_out, y_out = out
-    x_hat = np.maximum(floor, np.minimum(1.0, np.divide(sum_x, t, out=x_out), out=x_out),
-                       out=x_out)
-    r_hat = np.divide(np.minimum(1.0, np.divide(sum_r, t, out=r_out), out=r_out), x_hat,
-                      out=r_out)
-    y_hat = np.divide(np.minimum(1.0, np.divide(sum_y, t, out=y_out), out=y_out), x_hat,
-                      out=y_out)
+    x_hat = np.maximum(floor, np.minimum(1.0, sum_x / t))
+    r_hat = np.minimum(1.0, sum_r / t) / x_hat
+    y_hat = np.minimum(1.0, sum_y / t) / x_hat
     return x_hat, r_hat, y_hat
 
 
-def _index_terms(t, sum_x, sum_r, sum_y, v, alpha, floor, out=(None,) * 4):
+def _index_terms(t, sum_x, sum_r, sum_y, v, alpha, floor):
     """Per-(row, arm) terms (A, B, C, D) of the factored online index.
 
     A = -V r_hat, B = y_hat, C = V w (1 + r_hat) and D = w (1 + y_hat) with
     w = sqrt(2 alpha / t) / x_hat.  They depend only on one arm's own tallies,
     so a pull changes the terms of that (row, arm) entry alone.  An arm not
-    yet pulled (t = 0) counts as one pull, so its terms stay finite.  ``out``
-    optionally holds the four result buffers; with it, the work makes one
-    more array of their shape at a time.
+    yet pulled (t = 0) counts as one pull, so its terms stay finite.
     """
-    a, b, c, d = out
-    t = np.maximum(t, 1.0, out=d)
-    # x_hat lives in C's buffer until w is formed, and w in D's
-    x_hat, r_hat, y_hat = _empirical_rates(t, sum_x, sum_r, sum_y, floor, (c, a, b))
-    w = np.divide(_unit_radius(t, alpha, out=d), x_hat, out=d)
-    c = np.multiply(np.multiply(v, w, out=c), 1.0 + r_hat, out=c)
-    d = np.multiply(w, 1.0 + y_hat, out=d)
-    return np.multiply(-v, r_hat, out=a), y_hat, c, d
+    # a rule refreshes the entries of finished rows too, with their zero
+    # outcomes, and a row that ended inside exploration has unpulled arms
+    t = np.maximum(t, 1.0)
+    x_hat, r_hat, y_hat = _empirical_rates(t, sum_x, sum_r, sum_y, floor)
+    w = _unit_radius(t, alpha) / x_hat
+    return -v * r_hat, y_hat, v * w * (1.0 + r_hat), w * (1.0 + y_hat)
 
 
 def _combine(terms, q, log_n_prev, variant, out=None, work=None):
@@ -290,14 +282,14 @@ def param_schedule(
 class VectorPolicy(BanditPolicy):
     """A built-in policy in vector form over m independent episodes (rows).
 
-    A driver calls :meth:`start` once with its (m, K) per-arm pull and cost
-    tallies, which the policy keeps as ``pulls`` and ``cost`` and reads, then
-    per epoch :meth:`select_batch` and :meth:`observe_batch`.  The driver adds
-    each epoch's pulls to its tallies *before* it calls ``observe_batch``,
-    which receives the flat (row, arm) index of each pull; rows whose episode
-    has ended add no pull and receive zero outcomes, which leave every rule's
-    state unchanged.  ``q`` holds each row's virtual queue, which starts at
-    zero (and stays there for rules without one).
+    A driver calls :meth:`start` once with its zeroed (m, K) per-arm pull and
+    cost tallies, which the policy keeps as ``pulls`` and ``cost`` and reads,
+    then per epoch :meth:`select_batch` and :meth:`observe_batch`.  The
+    driver adds each epoch's pulls to its tallies *before* it calls
+    ``observe_batch``, which receives the flat (row, arm) index of each
+    pull; rows whose episode has ended add no pull and receive zero outcomes,
+    which leave every rule's state unchanged.  ``q`` holds each row's virtual
+    queue, which starts at zero (and stays there for rules without one).
 
     A rule names its per-row arrays that carry state from epoch to epoch
     once, in ``_rows`` (an entry may be a tuple of arrays); its (m, K) work
@@ -326,7 +318,11 @@ class VectorPolicy(BanditPolicy):
         self.start(np.zeros((1, n_arms)), np.zeros((1, n_arms)))
 
     def start(self, pulls, cost, truth: Instance | None = None) -> None:
-        """Bind the driver's (m, K) tallies and reset the per-row state.
+        """Bind the driver's (m, K) tallies and begin a fresh episode in every row.
+
+        The tallies are zero, as at an episode's first epoch, and the per-row
+        state starts where no pull has moved it: a zero queue, and the online
+        rule's index terms at their one-pull values.
 
         With ``truth`` given, ``lcb_ok`` records per row whether an
         optimistic index stayed at or below the true-mean score at every
@@ -489,12 +485,14 @@ class LyOnPolicy(VectorPolicy):
     are the driver's tallies bound by :meth:`start`.
 
     The index is kept in factored form: ``terms`` holds the (m, K) arrays
-    (A, B, C, D) of :func:`_index_terms`, built from the tallies in
-    :meth:`start` and kept equal to a rebuild from them after every call:
-    :meth:`observe_batch` recomputes only the pulled entries, which is O(m)
-    work, so only the combine step and the argmin run over all (m, K)
-    entries, and the combine step writes its result and its one temporary
-    into two work buffers.
+    (A, B, C, D) of :func:`_index_terms`, kept equal to a rebuild from the
+    tallies after every call.  :meth:`start` begins fresh episodes, on
+    zeroed tallies, so it fills each term with its one-pull value (an
+    unpulled arm reads as one pull of zero outcomes), computed once at
+    construction; :meth:`observe_batch`, the one place terms are computed,
+    recomputes only the pulled entries, which is O(m) work.  So only the
+    combine step and the argmin run over all (m, K) entries, and the combine
+    step writes its result and its one temporary into two work buffers.
     """
 
     _rows = (*VectorPolicy._rows, "sum_r", "sum_y", "terms")
@@ -523,21 +521,16 @@ class LyOnPolicy(VectorPolicy):
         if not np.isfinite([*terms, gamma]).all():
             raise ValueError(f"v = {self._v:.6g} and alpha = {self._alpha:.6g} overflow "
                              f"the online index at budget {budget:.6g}")
+        # every arm of a fresh episode reads as one pull of zero outcomes
+        self._start_terms = _index_terms(1.0, 0.0, 0.0, 0.0, self._v, self._alpha, self._floor)
         super().__init__(self._k)
 
     def start(self, pulls, cost, truth: Instance | None = None) -> None:
         super().start(pulls, cost, truth)
-        m = pulls.shape[0]
-        self.sum_r = np.zeros((m, self._k))
-        self.sum_y = np.zeros((m, self._k))
-        self.terms = self._terms(pulls, cost, self.sum_r, self.sum_y,
-                                 tuple(np.empty((m, self._k)) for _ in range(4)))
+        self.sum_r, self.sum_y = np.zeros(pulls.shape), np.zeros(pulls.shape)
+        self.terms = tuple(np.full(pulls.shape, value) for value in self._start_terms)
         if truth is not None:
             self._true_rates = _true_coefficients(truth, self._v)
-
-    def _terms(self, t, sum_x, sum_r, sum_y, out=(None,) * 4):
-        # after exploration only rows that ended inside it have unpulled arms
-        return _index_terms(t, sum_x, sum_r, sum_y, self._v, self._alpha, self._floor, out)
 
     def select_batch(self, n, live, u):
         if n < self._explore_total:
@@ -555,7 +548,7 @@ class LyOnPolicy(VectorPolicy):
         self.sum_y.reshape(-1)[flat] += y
         # the driver's tallies already hold this pull
         tallies = (self.pulls, self.cost, self.sum_r, self.sum_y)
-        fresh = self._terms(*(a.take(flat) for a in tallies))
+        fresh = _index_terms(*(a.take(flat) for a in tallies), self._v, self._alpha, self._floor)
         for term, value in zip(self.terms, fresh):
             term.put(flat, value)
         if self._cd is not None:

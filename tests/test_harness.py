@@ -27,6 +27,8 @@ from lybandit.engine import BatchResult, simulate_batch
 from lybandit.harness import pseudo_regret, violation
 from lybandit.model import derive_bounds
 
+SPEC = PolicySpec("s", "static", arm=0)
+
 
 def make_result(**kw) -> EpisodeResult:
     base = dict(
@@ -287,6 +289,49 @@ class TestRunBatch:
     def test_bad_policy_spec_rejected(self, two_arm_instance, fields):
         with pytest.raises(ValueError):
             RunConfig(two_arm_instance, (PolicySpec("s", **fields),), (10.0,), 1, 0)
+
+    @pytest.mark.parametrize(
+        "policies, budgets",
+        [
+            ([SPEC], [100.0, 200.0]),  # a list once left the frozen config unhashable
+            ((SPEC,), np.array([100.0, 200.0])),  # once numpy's ambiguous truth value
+            (np.array([SPEC], dtype=object), (100, 200.0)),
+        ],
+        ids=["lists", "budget-array", "policy-array"],
+    )
+    def test_any_sequence_is_stored_as_a_tuple(self, two_arm_instance, policies, budgets):
+        config = RunConfig(two_arm_instance, policies, budgets, 1, 0)
+        assert config.policies == (SPEC,)
+        assert config.budgets == (100.0, 200.0)
+        assert all(type(b) is float for b in config.budgets)
+        hash(config)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("budgets", 100.0),
+            ("budgets", "100"),  # once complained about '1'
+            ("budgets", b"12"),
+            ("budgets", np.array(100.0)),
+            ("budgets", np.array([[100.0, 200.0]])),
+            ("budgets", None),
+            ("policies", SPEC),  # a lone spec once raised TypeError
+            ("policies", "s"),
+            ("policies", [SPEC, "s"]),
+            ("policies", [SPEC, None]),
+            ("policies", {SPEC}),
+            ("instance", "two arms"),
+            ("instance", None),
+        ],
+        ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
+    )
+    def test_malformed_field_refused_naming_it(self, two_arm_instance, field, value):
+        args = dict(instance=two_arm_instance, policies=(SPEC,), budgets=(10.0,), runs=1,
+                    master_seed=0)
+        # the whole value is refused, not one of its characters or entries
+        shape = "be a sequence|hold PolicySpec entries|be an Instance"
+        with pytest.raises(ValueError, match=f"^{field} must ({shape}), got"):
+            RunConfig(**{**args, field: value})
 
     def test_stationary_allocation_is_cost_weighted(self, two_arm_instance):
         config = RunConfig(

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lybandit import ArmSpec, DeltaOutOfRange, Instance, Outcome, PolicySpec, StationaryPolicy
@@ -271,6 +271,45 @@ def index_value(x_hat, r_hat, y_hat, q, v, rad, variant="lcb-both"):
                        0.5, 1e-6, variant)
 
 
+def overflow_edge(accepted) -> float:
+    """The largest positive float ``accepted`` takes, for ``accepted`` true up to an edge.
+
+    Bisects the bit patterns of the positive floats, which order as the floats.
+    """
+    def value(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    low, high = 1, int(np.float64(np.finfo(float).max).view(np.int64))
+    if accepted(value(high)):
+        return value(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if accepted(value(mid)) else (low, mid)
+    return value(low)
+
+
+@st.composite
+def online_rules(draw):
+    """An accepted online rule, its arm count and arguments; V is often at its overflow edge."""
+    k = draw(st.integers(1, 60))
+    args = dict(budget=draw(st.floats(1e-6, 1e12)), alpha=draw(st.floats(1e-12, 1e12)),
+                index_variant=draw(st.sampled_from(["lcb-both", "literal-paper"])),
+                queue_enabled=draw(st.booleans()), delta=draw(st.floats(0.0, 0.79)))
+
+    def accepted(v):
+        try:
+            LyOnPolicy(k, 0.8, v=v, **args)
+        except ValueError:
+            return False
+        return True
+
+    assume(accepted(np.finfo(float).tiny))
+    edge = overflow_edge(accepted)
+    near = st.sampled_from([edge, float(np.nextafter(edge, 0.0))])
+    args["v"] = draw(near | st.floats(np.finfo(float).tiny, edge))
+    return LyOnPolicy(k, 0.8, **args), k, args
+
+
 class TestGammaIndex:
     def test_value_examples(self):
         # ten pulls with sums (5, 6, 3) and radius sqrt(2 * 2 * 0.025 / 10) = 0.1
@@ -373,6 +412,31 @@ class TestGammaIndex:
                                    pol.sum_y, params["v"], params["alpha"], floor)
             for term, want in zip(pol.terms, rebuilt):
                 assert np.array_equal(term, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=online_rules(), m=st.integers(1, 4))
+    def test_start_terms_equal_a_rebuild_from_zero_tallies(self, case, m):
+        rule, k, args = case
+        pulls, cost = np.zeros((m, k)), np.zeros((m, k))
+        rule.start(pulls, cost)
+        rebuilt = _index_terms(np.maximum(pulls, 1.0), cost, rule.sum_r, rule.sum_y,
+                               args["v"], args["alpha"], denominator_floor(args["budget"]))
+        for term, want in zip(rule.terms, rebuilt):
+            assert term.shape == (m, k) and term.tobytes() == want.tobytes()
+
+    def test_start_makes_only_its_state(self):
+        # at m = 1,024 and K = 50 start makes six (m, K) arrays, the reward
+        # and penalty sums and the four terms, and no temporary of that shape
+        m, k = 1024, 50
+        rule = LyOnPolicy(k, 0.8, 100.0, v=5.0)
+        pulls, cost = np.zeros((m, k)), np.zeros((m, k))
+        tracemalloc.start()
+        try:
+            rule.start(pulls, cost)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * m * k * 8, peak / (m * k * 8)
 
 
 class TestLyonSelect:
