@@ -364,6 +364,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    # an engine worker process that died: an OSError, but no I/O fault
+    except ChildProcessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

@@ -48,10 +48,31 @@ episode totals and the per-arm tallies, which the rule binds at the start
 and reads; an episode's pull count is the sum of its pull tallies.  Each
 pull enters the tallies at its flat (row, arm) index before the rule
 observes it at that same index.
+
+A call's runs are split across W processes.  W is the number of CPUs this
+process may use (``os.sched_getaffinity``, or ``os.cpu_count`` where that
+does not exist), but at most ``runs // _MIN_PART`` and at least 1; it is 1
+where ``os.fork`` does not exist.  Every rule is built, and so checked,
+before anything else; then ``[0, runs)`` is cut into W even, contiguous
+parts.  The calling process forks W - 1 children and runs part 0 through the
+chunk loop above while each child runs its own part through the same loop;
+each child then sends its rows of every result array back through a pipe,
+as raw bytes, and the parent reads them straight into its own results.  An
+episode reads only its own (master seed, run index) streams, so which
+process runs it, and beside which others, changes no byte: a split equals
+W = 1, which is the loop run in the calling process alone.  Every child
+leaves through ``os._exit`` and is reaped before the call returns; if the
+call fails, the children are killed first.  A child's
+exception is raised again in the parent, and a child that ends without
+sending its rows raises :class:`ChildProcessError`, naming its runs and its
+exit status.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -69,6 +90,13 @@ _TILE = 1 << 18
 # a pass drops its finished rows once its live rows fall to this share of
 # the rows it holds, so at 0.5 at most log2(_CHUNK) times per chunk
 _COMPACT = 0.5
+# least runs per worker process.  Forking, and the copy-on-write faults that
+# follow it, cost 5-7 ms per call on a 2-vCPU host, so two processes beat
+# one only on enough work: at K = 2 and B = 100 (lyon, lyoff and static
+# alone, medians of 21 alternating calls) W = 2 took 1.08-1.15 times as long
+# as W = 1 at 512 runs and 0.96-1.02 times at 768, so it breaks even at
+# about 2 x 384 runs.  At B = 20 it broke even only at about 1,536 runs
+_MIN_PART = 384
 
 
 class _Streams:
@@ -160,7 +188,13 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     """One :class:`BatchResult` per (spec, budget) pair of the non-empty list ``cells``.
 
     Every cell's rule is built once per call, which runs the cell's checks,
-    before the first chunk derives its streams.  The runs go in chunks of
+    before any process is forked or any chunk derives its streams.  The runs
+    are cut into W even, contiguous parts, one per process (see the module
+    notes for how W is chosen): the calling process runs the first and a
+    forked child each other one, and the children's rows come back as raw
+    bytes.  No byte depends on W, since each episode reads only its own
+    streams.  A child's exception is raised here; a child that dies without
+    its rows raises :class:`ChildProcessError`.  Each part goes in chunks of
     ``_CHUNK``; each chunk starts every rule (the ``track_lcb`` checks run
     there) before it draws its first block, and draws policy streams only if
     some rule uses them.  The arguments are as for :func:`simulate_batch`.
@@ -172,7 +206,7 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
         raise ValueError("cells must name at least one (spec, budget) pair")
     caps = [episode_cap(instance, budget, cap) for _, budget in cells]
     # building runs every check of a cell, so every cell is checked before
-    # the first stream is derived
+    # any process is forked or any stream is derived
     rules = [spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
              for spec, budget in cells]
     groups = _groups(cells, rules)
@@ -181,21 +215,126 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     for group, stack in zip(groups, stacks):
         for stage, i in enumerate(group):
             results[i] = _rows(stack, slice(stage * runs, (stage + 1) * runs))
-    for start in range(0, runs, _CHUNK):
-        m = min(_CHUNK, runs - start)
-        streams = _Streams(master_seed, run_start + start, m, any(r.uses_stream for r in rules))
-        need = np.zeros(m, dtype=bool)
-        passes = [_simulate_chunk(instance, rules[group[-1]], [cells[i][1] for i in group],
-                                  [caps[i] for i in group], streams, need, stack,
-                                  np.arange(len(group)) * runs + start)
-                  for group, stack in zip(groups, stacks)]
-        # a list, so that every pass goes on to its next block boundary or its end
-        while any([next(p, False) for p in passes]):
-            streams.advance(need)
-            need[:] = False
-        # released before the next chunk's streams are made
-        del streams
+
+    # runs lo .. hi - 1 of the call, chunk by chunk, in this process
+    def run_part(lo, hi):
+        for start in range(lo, hi, _CHUNK):
+            m = min(_CHUNK, hi - start)
+            streams = _Streams(master_seed, run_start + start, m,
+                               any(r.uses_stream for r in rules))
+            need = np.zeros(m, dtype=bool)
+            passes = [_simulate_chunk(instance, rules[group[-1]], [cells[i][1] for i in group],
+                                      [caps[i] for i in group], streams, need, stack,
+                                      np.arange(len(group)) * runs + start)
+                      for group, stack in zip(groups, stacks)]
+            # a list, so that every pass goes on to its next block boundary or its end
+            while any([next(p, False) for p in passes]):
+                streams.advance(need)
+                need[:] = False
+            # released before the next chunk's streams are made
+            del streams
+
+    # the arrays that hold runs lo .. hi - 1 of every result
+    def part_rows(lo, hi):
+        values = (getattr(result, f.name) for result in results for f in fields(result))
+        return [v[lo:hi] for v in values if v is not None]
+
+    workers = _workers(runs)
+    _run_parts([runs * w // workers for w in range(workers + 1)], run_part, part_rows)
     return results
+
+
+def _workers(runs) -> int:
+    """The number of processes that share a call of ``runs`` runs: see the module notes."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, runs // _MIN_PART))
+
+
+def _run_parts(bounds, run_part, part_rows) -> None:
+    """``run_part(lo, hi)`` for each part [lo, hi) of the ascending ``bounds``.
+
+    The first part runs here; each other part runs in a forked child, which
+    sends back the arrays ``part_rows(lo, hi)`` as raw bytes, and the parent
+    reads them into its own arrays of the same rows.
+    """
+    children = []
+    done = False
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # numpy's BLAS thread pool makes this process
+                    # multi-threaded, and Python 3.12 and later warn when such
+                    # a process forks.  The child makes no BLAS call, so it
+                    # never needs the pool threads that it does not have
+                    warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _child(write, run_part, part_rows, lo, hi)
+            os.close(write)
+            children.append((pid, open(read, "rb"), lo, hi))
+        run_part(bounds[0], bounds[1])
+        for pid, pipe, lo, hi in children:
+            _receive(pid, pipe, part_rows(lo, hi), lo, hi)
+        done = True
+    finally:
+        for pid, pipe, _, _ in children:
+            # _receive closes the pipe of a child it found dead and reaps it,
+            # and a reaped child's pid may already name another process
+            if pipe.closed:
+                continue
+            pipe.close()
+            if not done:
+                # imported only here: making its enums would add about 1.5 ms
+                # to every start of the CLI
+                import signal
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(write, run_part, part_rows, lo, hi):
+    """Run one part in a forked child, send its rows or its exception, and exit."""
+    code = 1
+    try:
+        with open(write, "wb") as pipe:
+            try:
+                run_part(lo, hi)
+            except BaseException as exc:
+                # every exception, an interrupt included, is raised again in
+                # the parent; it is pickled before anything is sent, so a
+                # failure to pickle it sends nothing
+                pipe.write(b"E" + pickle.dumps(exc))
+            else:
+                pipe.write(b"R")
+                for rows in part_rows(lo, hi):
+                    pipe.write(memoryview(rows).cast("B"))
+        code = 0
+    finally:
+        # never the parent's cleanup: no atexit handler, no flush of its buffers
+        os._exit(code)
+
+
+def _receive(pid, pipe, rows, lo, hi) -> None:
+    """Read a child's ``rows`` from ``pipe``; raise its exception, or its death."""
+    tag = pipe.read(1)
+    if tag == b"E":
+        raise pickle.loads(pipe.read())
+    views = [memoryview(r).cast("B") for r in rows]
+    if tag == b"R" and all(pipe.readinto(v) == v.nbytes for v in views):
+        return
+    pipe.close()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    raise ChildProcessError(f"the worker process for runs {lo}..{hi - 1} ended with "
+                            f"status {status} before sending its results")
 
 
 def _groups(cells, rules) -> list[list[int]]:

@@ -550,7 +550,7 @@ class LyOnPolicy(VectorPolicy):
         tallies = (self.pulls, self.cost, self.sum_r, self.sum_y)
         fresh = _index_terms(*(a.take(flat) for a in tallies), self._v, self._alpha, self._floor)
         for term, value in zip(self.terms, fresh):
-            term.put(flat, value)
+            term.reshape(-1)[flat] = value
         if self._cd is not None:
             self.q = _queue_step(self.q, x, y, self._cd)
 

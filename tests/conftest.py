@@ -3,17 +3,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import lybandit.engine as engine
 from lybandit import ArmSpec, Instance, solve_lfp
 from lybandit.model import derive_bounds
+
+
+# high-rate/high-penalty arm vs low-rate/low-penalty arm, c = 0.8
+TWO_ARM = Instance([ArmSpec.bernoulli(0.4, 0.8, 0.6), ArmSpec.bernoulli(0.6, 0.6, 0.3)], c=0.8)
+
+# Bernoulli, scaled-uniform and table arms together
+MIXED_KINDS = Instance(
+    [
+        ArmSpec.bernoulli(0.5, 0.9, 0.2),
+        ArmSpec.scaled_uniform(0.6, 0.5, 0.3),
+        ArmSpec.table([(0.4, 0.2, 1.0, 0.1), (0.6, 0.8, 0.3, 0.4)]),
+    ],
+    c=0.8,
+)
 
 
 @pytest.fixture(scope="session")
 def two_arm_instance() -> Instance:
     """High-rate/high-penalty arm vs low-rate/low-penalty arm, c = 0.8."""
-    return Instance(
-        [ArmSpec.bernoulli(0.4, 0.8, 0.6), ArmSpec.bernoulli(0.6, 0.6, 0.3)],
-        c=0.8,
-    )
+    return TWO_ARM
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +49,9 @@ def random_feasible_instance(rng: np.random.Generator, k_arms: int) -> Instance:
     )
     arms = [ArmSpec.bernoulli(ex[i], er[i], ey[i]) for i in range(k_arms)]
     return Instance(arms, c=min(c, 4.0))
+
+
+def force_workers(monkeypatch, workers: int) -> None:
+    """Split every ``simulate_cells`` call into ``workers`` processes, however few its runs."""
+    monkeypatch.setattr(engine, "_MIN_PART", 1)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(workers)))

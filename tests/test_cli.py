@@ -19,6 +19,8 @@ import lybandit.cli as cli
 import lybandit.engine as engine
 from lybandit.cli import load_config, main, results_header
 
+from conftest import force_workers
+
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "example_config.json"
 REFERENCE_ARMS = [
     {"x_mean": 0.4, "r_mean": 0.8, "y_mean": 0.6, "kind": "independent-bernoulli"},
@@ -142,7 +144,7 @@ class TestRunCommand:
     def test_csv_bytes_are_pinned(self, tmp_path, capsys):
         # CSV bytes stay fixed for a given seed and version.  Every policy
         # type runs on the K=2 instance; at B=700 the episodes last about
-        # 1,200-1,750 epochs, past the first 1,024-epoch stream block.
+        # 1,200-1,750 epochs, across many 128-epoch stream blocks.
         cfg = write_config(
             tmp_path,
             policies=[
@@ -245,6 +247,24 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: theoretical exploration count")
+
+    def test_dead_worker_process_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # three worker processes share the 23 runs; the one of runs 7-14 dies
+        force_workers(monkeypatch, 3)
+        def streams(self, master_seed, run_start, m, policy, _init=engine._Streams.__init__):
+            if run_start == 7:
+                os._exit(3)
+            _init(self, master_seed, run_start, m, policy)
+        monkeypatch.setattr(engine._Streams, "__init__", streams)
+        cfg = write_config(tmp_path, runs=23)
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the worker process for runs 7..14 ended with status 3 before sending "
+            "its results"]
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_delta_out_of_range_exits_2(self, tmp_path):
         cfg = write_config(

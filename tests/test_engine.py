@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 import tracemalloc
 from dataclasses import fields
 
@@ -14,7 +15,7 @@ from lybandit.engine import simulate_batch, simulate_cells
 from lybandit.model import derive_bounds, episode_env_rng, episode_policy_rng
 from lybandit.policies import LyOffPolicy, LyOnPolicy, StaticPolicy, VectorPolicy
 
-from conftest import random_feasible_instance
+from conftest import MIXED_KINDS, force_workers, random_feasible_instance
 
 SPECS = [
     PolicySpec("stationary", "stationary"),
@@ -215,17 +216,6 @@ def test_mid_chunk_batch_equals_rows_of_one_chunk(two_arm_instance, monkeypatch,
     part = simulate_batch(two_arm_instance, spec, 40.0, 10, 4, run_start=5, **kwargs)
     for f in fields(engine.BatchResult):
         assert np.array_equal(getattr(part, f.name), getattr(whole, f.name)[5:]), f.name
-
-
-# Bernoulli, scaled-uniform and table arms together
-MIXED_KINDS = Instance(
-    [
-        ArmSpec.bernoulli(0.5, 0.9, 0.2),
-        ArmSpec.scaled_uniform(0.6, 0.5, 0.3),
-        ArmSpec.table([(0.4, 0.2, 1.0, 0.1), (0.6, 0.8, 0.3, 0.4)]),
-    ],
-    c=0.8,
-)
 
 
 def assert_results_equal(got, want):
@@ -632,3 +622,77 @@ def test_shared_pass_selects_as_often_as_its_largest_budget(two_arm_instance, mo
     calls.clear()
     simulate_batch(two_arm_instance, spec, 40.0, 40, 3)
     assert shared == len(calls) > 0
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_past(monkeypatch, first, fail):
+    """Make every chunk that starts at run ``first`` or later call ``fail()``."""
+    def streams(self, master_seed, run_start, m, policy, _init=engine._Streams.__init__):
+        if run_start >= first:
+            fail()
+        _init(self, master_seed, run_start, m, policy)
+    monkeypatch.setattr(engine._Streams, "__init__", streams)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_changes_no_result(monkeypatch, workers):
+    # 23 runs in 7-run chunks divide by neither 2 nor 3 nor 7: the parts are
+    # 11 and 12 runs, or 7, 8 and 8, each of several chunks.  Every spec at
+    # two budgets, the budget-free ones sharing a pass, in every field
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    cells = [(spec, budget) for spec in SPECS for budget in (10.0, 40.0)]
+    kwargs = dict(p_default=solve_lfp(MIXED_KINDS).p_star, track_lcb=True)
+    force_workers(monkeypatch, 1)
+    whole = simulate_cells(MIXED_KINDS, cells, 23, 29, **kwargs)
+    force_workers(monkeypatch, workers)
+    split = simulate_cells(MIXED_KINDS, cells, 23, 29, **kwargs)
+    for got, want in zip(split, whole):
+        assert_results_equal(got, want)
+    assert_no_child_left()
+
+
+def test_workers_follow_the_usable_cpus_and_the_least_part(monkeypatch):
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(3)))
+    least = engine._MIN_PART
+    assert [engine._workers(runs) for runs in (1, 2 * least - 1, 2 * least, 9 * least)] == [
+        1, 1, 2, 3]
+    monkeypatch.delattr(engine.os, "fork")
+    assert engine._workers(9 * least) == 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_child_failure_is_raised_in_the_parent(two_arm_instance, monkeypatch, workers):
+    # only the children's chunks fail; the parent's part runs to its end
+    def refuse():
+        raise ValueError("a child's refusal")
+    force_workers(monkeypatch, workers)
+    fail_past(monkeypatch, 8, refuse)
+    with pytest.raises(ValueError, match="^a child's refusal$"):
+        simulate_batch(two_arm_instance, PolicySpec("lyon", "lyon"), 20.0, 23, 1)
+    assert_no_child_left()
+
+
+def test_child_that_dies_raises_child_process_error(two_arm_instance, monkeypatch):
+    force_workers(monkeypatch, 3)
+    fail_past(monkeypatch, 7, lambda: os._exit(3))
+    match = r"worker process for runs 7\.\.14 ended with status 3 before sending its results"
+    with pytest.raises(ChildProcessError, match=match):
+        simulate_batch(two_arm_instance, PolicySpec("lyon", "lyon"), 20.0, 23, 1)
+    assert_no_child_left()
+
+
+def test_parent_failure_stops_every_child(two_arm_instance, monkeypatch):
+    # the parent's own part raises while its children still run
+    force_workers(monkeypatch, 3)
+    def streams(self, master_seed, run_start, m, policy, _init=engine._Streams.__init__):
+        if run_start == 0:
+            raise MemoryError("the parent's part")
+        _init(self, master_seed, run_start, m, policy)
+    monkeypatch.setattr(engine._Streams, "__init__", streams)
+    with pytest.raises(MemoryError, match="the parent's part"):
+        simulate_batch(two_arm_instance, PolicySpec("lyon", "lyon"), 2000.0, 23, 1)
+    assert_no_child_left()
