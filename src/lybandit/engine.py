@@ -44,10 +44,9 @@ The engine does not know any policy rule.  It builds the rule from the
 runner calls through the m = 1 ``select`` / ``observe``; the engine itself
 refills the random streams, draws outcomes through the same
 :class:`~lybandit.model.Sampler` as the sequential runner, and keeps the
-episode totals and the per-arm tallies, which the rule binds at the start
-and reads; an episode's pull count is the sum of its pull tallies.  Each
-pull enters the tallies at its flat (row, arm) index before the rule
-observes it at that same index.
+episode totals.  The rule owns the per-arm pull and cost tallies, which the
+engine reads when it writes a result; an episode's pull count is the sum
+of its pull tallies.
 
 A call's runs are split across W processes.  W is the number of CPUs this
 process may use (``os.sched_getaffinity``, or ``os.cpu_count`` where that
@@ -376,16 +375,12 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, need, out, first):
     m = streams.env.shape[1]
     # the chunk's row of each row the pass holds
     held = np.arange(m)
-    # the tallies start as views of the last result and become compacted copies
-    chunk = slice(first[last], first[last] + m)
-    pulls, cost = out.pulls_per_arm[chunk], out.cost_per_arm[chunk]
-    rule.start(pulls, cost, None if out.lcb_ok is None else instance)
+    rule.start(m, None if out.lcb_ok is None else instance)
     sampler = Sampler(instance.arms)
     active = np.ones(m, dtype=bool)
     # running (cost, reward, penalty) of each row
     totals = np.zeros((m, 3))
     q_max = np.zeros(m)
-    row_base = np.arange(m) * out.pulls_per_arm.shape[1]
     # a row's stage is the first budget whose episode it has not ended; it
     # ends it, and writes its state to that budget's result, at the pull whose
     # cost passes limits[stage] (one pull may pass several).  The last
@@ -398,13 +393,14 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, need, out, first):
     # finished rows stay as they ended, so writing every held row is exact
     def write(stages, rows):
         at = first[stages] + held[rows]
+        pulls = rule.pulls[rows]
         # the tallies count whole pulls, so their sum is exact
-        out.n_pulls[at] = pulls[rows].sum(axis=1)
+        out.n_pulls[at] = pulls.sum(axis=1)
         row_totals = totals[rows]
         out.total_cost[at], out.total_reward[at], out.total_penalty[at] = row_totals.T
         out.capped[at] = ~(row_totals[:, 0] > budgets[stages])
-        out.pulls_per_arm[at] = pulls[rows]
-        out.cost_per_arm[at] = cost[rows]
+        out.pulls_per_arm[at] = pulls
+        out.cost_per_arm[at] = rule.cost[rows]
         out.q_max[at] = q_max[rows]
         out.q_final[at] = rule.q[rows]
         if out.lcb_ok is not None:
@@ -430,14 +426,7 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, need, out, first):
         # outcome changes no state
         outcome = sampler.draw(arms, env)
         outcome[~active] = 0.0
-        x, r, y = outcome.T
-
-        # each row pulls one arm: scatter at its flat (row, arm) entry; the
-        # rule reads these tallies, so they take the pull before it observes
-        flat = row_base + arms
-        pulls.reshape(-1)[flat] += active
-        cost.reshape(-1)[flat] += x
-        rule.observe_batch(flat, x, r, y)
+        rule.observe_batch(arms, active, *outcome.T)
         totals += outcome
         np.maximum(q_max, rule.q, out=q_max)
 
@@ -459,9 +448,8 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, need, out, first):
         if live <= _COMPACT * held.size:
             write(last, slice(None))
             rows = np.flatnonzero(active)
-            held, active, totals, q_max, pulls, cost, stage = (
-                a[rows] for a in (held, active, totals, q_max, pulls, cost, stage))
-            rule.keep(rows, pulls, cost)
-            row_base = row_base[:live]
+            held, active, totals, q_max, stage = (
+                a[rows] for a in (held, active, totals, q_max, stage))
+            rule.keep(rows)
 
     write(last, slice(None))

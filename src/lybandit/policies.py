@@ -30,9 +30,9 @@ Each built-in policy is written once, in vector form over m independent
 episodes (:class:`VectorPolicy`).  The lockstep engine runs it on a whole
 batch; the scalar ``select`` / ``observe`` of :class:`BanditPolicy` run the
 same code with m = 1, so both paths share every floating-point operation.
-A driver owns the per-arm pull and cost tallies; the policy binds them once
-and reads them, and the driver adds each pull to them before the policy
-observes its outcome.
+A policy owns its per-arm pull and cost tallies, with its other per-row
+state: it makes them when it starts, adds each pull to them, and only then
+observes the pull's outcome.
 """
 
 from __future__ import annotations
@@ -282,24 +282,25 @@ def param_schedule(
 class VectorPolicy(BanditPolicy):
     """A built-in policy in vector form over m independent episodes (rows).
 
-    A driver calls :meth:`start` once with its zeroed (m, K) per-arm pull and
-    cost tallies, which the policy keeps as ``pulls`` and ``cost`` and reads,
-    then per epoch :meth:`select_batch` and :meth:`observe_batch`.  The
-    driver adds each epoch's pulls to its tallies *before* it calls
-    ``observe_batch``, which receives the flat (row, arm) index of each
-    pull; rows whose episode has ended add no pull and receive zero outcomes,
-    which leave every rule's state unchanged.  ``q`` holds each row's virtual
-    queue, which starts at zero (and stays there for rules without one).
+    A driver calls :meth:`start` once with the number of rows m, then per
+    epoch :meth:`select_batch` and :meth:`observe_batch`.  The policy owns
+    the (m, K) per-arm tallies ``pulls`` and ``cost``: :meth:`start` zeroes
+    them, and ``observe_batch`` adds each row's pull to them at its flat
+    (row, arm) index before the rule's own :meth:`_observe` reads them at
+    that index.  Rows whose episode has ended add no pull and receive zero
+    outcomes, which leave every rule's state unchanged.  ``q`` holds each
+    row's virtual queue, which starts at zero (and stays there for rules
+    without one).
 
     A rule names its per-row arrays that carry state from epoch to epoch
-    once, in ``_rows`` (an entry may be a tuple of arrays); its (m, K) work
-    buffers, which every call writes before it reads them, come from
-    :meth:`_buffer`.  :meth:`keep` narrows the former to the rows still
-    running and drops the latter, so the engine can drop finished episodes
-    mid-batch.
+    once, in ``_rows`` (an entry may be a tuple of arrays), the tallies
+    included; its (m, K) work buffers, which every call writes before it
+    reads them, come from :meth:`_buffer`.  :meth:`keep` narrows the former
+    to the rows still running and drops the latter, so the engine can drop
+    finished episodes mid-batch.
 
-    The scalar :meth:`select` / :meth:`observe` are the m = 1 case over a
-    (1, K) tally pair bound at construction.  Rules with ``uses_stream``
+    The scalar :meth:`select` / :meth:`observe` are the m = 1 case, on the
+    one row that construction starts.  Rules with ``uses_stream``
     consume one policy uniform per row and epoch, drawn at m = 1 from
     ``rng`` (:meth:`select` refuses such a rule built without one);
     drivers open policy streams only for them, and other rules ignore any
@@ -310,41 +311,43 @@ class VectorPolicy(BanditPolicy):
 
     uses_stream = False
     budget_free = False
-    _rows = ("q", "lcb_ok")
+    _rows = ("q", "lcb_ok", "pulls", "cost")
 
     def __init__(self, n_arms: int, rng: np.random.Generator | None = None):
+        self._k = int(n_arms)
         self._rng = rng
         self._n = 0
-        self.start(np.zeros((1, n_arms)), np.zeros((1, n_arms)))
+        self.start(1)
 
-    def start(self, pulls, cost, truth: Instance | None = None) -> None:
-        """Bind the driver's (m, K) tallies and begin a fresh episode in every row.
+    def start(self, m: int, truth: Instance | None = None) -> None:
+        """Begin a fresh episode in each of ``m`` rows.
 
-        The tallies are zero, as at an episode's first epoch, and the per-row
-        state starts where no pull has moved it: a zero queue, and the online
-        rule's index terms at their one-pull values.
+        The (m, K) tallies are made zero, as at an episode's first epoch, and
+        the per-row state starts where no pull has moved it: a zero queue, and
+        the online rule's index terms at their one-pull values.
 
         With ``truth`` given, ``lcb_ok`` records per row whether an
         optimistic index stayed at or below the true-mean score at every
         decision (rules without such an index leave it all True); otherwise
         ``lcb_ok`` is None.
         """
-        self.pulls, self.cost = pulls, cost
-        m = pulls.shape[0]
+        self.pulls, self.cost = np.zeros((m, self._k)), np.zeros((m, self._k))
         self.q = np.zeros(m)
         self.lcb_ok = None if truth is None else np.ones(m, dtype=bool)
+        # row i's entries start at flat index i * K of every (m, K) array
+        self._base = np.arange(m) * self._k
         self._scratch = {}
 
-    def keep(self, rows, pulls, cost) -> None:
-        """Keep only the given ``rows`` of every per-row array; rebind the tallies.
+    def keep(self, rows) -> None:
+        """Keep only the given ``rows`` of every per-row array.
 
-        ``rows`` indexes the current rows in increasing order, and ``pulls``
-        and ``cost`` are the caller's tallies narrowed to them.  The arrays
-        in ``_rows`` keep those rows (as copies, so they stay contiguous);
-        the work buffers are dropped, so that narrowing never holds two
-        copies of one.
+        ``rows`` indexes the current rows in increasing order.  The arrays in
+        ``_rows`` keep those rows (as copies, so they stay contiguous); the
+        work buffers are dropped, so that narrowing never holds two copies of
+        one.
         """
-        self.pulls, self.cost = pulls, cost
+        # the kept rows are rows 0 .. len(rows) - 1 of every narrowed array
+        self._base = self._base[:len(rows)]
         self._scratch = {}
         for name in self._rows:
             value = getattr(self, name)
@@ -373,12 +376,19 @@ class VectorPolicy(BanditPolicy):
         policy uniforms (None unless ``uses_stream``).
         """
 
-    def observe_batch(self, flat, x, r, y) -> None:
-        """Record the (m,) outcomes of the pulls, already in the tallies.
+    def observe_batch(self, arms, live, x, r, y) -> None:
+        """Add each row's pull of ``arms`` to the tallies, then record its (m,) outcomes.
 
-        ``flat`` holds each row's pull as its flat index row * K + arm into
-        the (m, K) tallies, the index the driver scattered the pull at.
+        ``live`` is the (m,) mask of running episodes: an ended row adds no
+        pull, and its outcomes are zero.
         """
+        flat = self._base + arms
+        self.pulls.reshape(-1)[flat] += live
+        self.cost.reshape(-1)[flat] += x
+        self._observe(flat, x, r, y)
+
+    def _observe(self, flat, x, r, y) -> None:
+        """The rule's own update; ``flat`` holds each row's pull as row * K + arm."""
 
     @property
     def queue(self) -> float:
@@ -392,11 +402,8 @@ class VectorPolicy(BanditPolicy):
         return int(self.select_batch(self._n, _ONE_ROW, u)[0])
 
     def observe(self, arm: int, outcome: Outcome) -> None:
-        self.pulls[0, arm] += 1.0
-        self.cost[0, arm] += outcome.x
         x, r, y = (np.array([value]) for value in outcome)
-        # row 0's flat (row, arm) index is the arm itself
-        self.observe_batch(np.array([arm]), x, r, y)
+        self.observe_batch(np.array([arm]), _ONE_ROW, x, r, y)
         self._n += 1
 
 
@@ -415,15 +422,15 @@ class StationaryPolicy(VectorPolicy):
 
 
 class StaticPolicy(VectorPolicy):
-    """Always pull one fixed arm."""
+    """Always pull one fixed arm of ``n_arms``."""
 
     budget_free = True
 
-    def __init__(self, arm: int):
+    def __init__(self, arm: int, n_arms: int):
         check_int(arm, "arm", 0)
+        check_int(n_arms, f"n_arms for arm index {arm}", arm + 1)
         self._arm = int(arm)
-        # the scalar tallies only ever see this one arm
-        super().__init__(self._arm + 1)
+        super().__init__(n_arms)
 
     def select_batch(self, n, live, u):
         return np.full(live.shape[0], self._arm, dtype=np.int64)
@@ -467,7 +474,7 @@ class LyOffPolicy(VectorPolicy):
             arms[miss] = np.argmin(scores, axis=1)
         return arms
 
-    def observe_batch(self, flat, x, r, y):
+    def _observe(self, flat, x, r, y):
         self.q = _queue_step(self.q, x, y, self._cd)
 
 
@@ -481,8 +488,9 @@ class LyOnPolicy(VectorPolicy):
     neither ``c`` nor ``delta``.  The constructor checks that ``n_arms`` and
     ``exploration_pulls`` are integers >= 1, ``budget``, ``v`` and ``alpha``
     finite and positive, and, for a live queue, 0 <= ``delta`` < ``c``.
-    Per-arm reward and penalty sums are kept here; pull counts and cost sums
-    are the driver's tallies bound by :meth:`start`.
+    Per-arm reward and penalty sums are kept beside the pull and cost
+    tallies of :class:`VectorPolicy`, and all four are zeroed by
+    :meth:`start`.
 
     The index is kept in factored form: ``terms`` holds the (m, K) arrays
     (A, B, C, D) of :func:`_index_terms`, kept equal to a rebuild from the
@@ -490,9 +498,10 @@ class LyOnPolicy(VectorPolicy):
     zeroed tallies, so it fills each term with its one-pull value (an
     unpulled arm reads as one pull of zero outcomes), computed once at
     construction; :meth:`observe_batch`, the one place terms are computed,
-    recomputes only the pulled entries, which is O(m) work.  So only the
-    combine step and the argmin run over all (m, K) entries, and the combine
-    step writes its result and its one temporary into two work buffers.
+    recomputes only the pulled entries once the tallies hold the pull, which
+    is O(m) work.  So only the combine step and the argmin run over all
+    (m, K) entries, and the combine step writes its result and its one
+    temporary into two work buffers.
     """
 
     _rows = (*VectorPolicy._rows, "sum_r", "sum_y", "terms")
@@ -508,9 +517,8 @@ class LyOnPolicy(VectorPolicy):
         if index_variant not in _VARIANTS:
             raise ValueError(f"unknown index variant: {index_variant!r}")
         self._cd = _tightened(c, delta) if queue_enabled else None
-        self._k = int(n_arms)
         self._variant = index_variant
-        self._explore_total = self._k * exploration_pulls
+        self._explore_total = int(n_arms) * exploration_pulls
         # the index is largest after one pull at the cost floor with reward
         # and penalty means of 1, and grows with the queue and ln n, which an
         # epoch count below 2**63 bounds
@@ -523,12 +531,12 @@ class LyOnPolicy(VectorPolicy):
                              f"the online index at budget {budget:.6g}")
         # every arm of a fresh episode reads as one pull of zero outcomes
         self._start_terms = _index_terms(1.0, 0.0, 0.0, 0.0, self._v, self._alpha, self._floor)
-        super().__init__(self._k)
+        super().__init__(n_arms)
 
-    def start(self, pulls, cost, truth: Instance | None = None) -> None:
-        super().start(pulls, cost, truth)
-        self.sum_r, self.sum_y = np.zeros(pulls.shape), np.zeros(pulls.shape)
-        self.terms = tuple(np.full(pulls.shape, value) for value in self._start_terms)
+    def start(self, m: int, truth: Instance | None = None) -> None:
+        super().start(m, truth)
+        self.sum_r, self.sum_y = np.zeros_like(self.pulls), np.zeros_like(self.cost)
+        self.terms = tuple(np.full_like(self.pulls, value) for value in self._start_terms)
         if truth is not None:
             self._true_rates = _true_coefficients(truth, self._v)
 
@@ -543,10 +551,10 @@ class LyOnPolicy(VectorPolicy):
             self.lcb_ok &= (gamma <= psi_true + _LCB_TOL).all(axis=1) | ~live
         return np.argmin(gamma, axis=1)
 
-    def observe_batch(self, flat, x, r, y):
+    def _observe(self, flat, x, r, y):
         self.sum_r.reshape(-1)[flat] += r
         self.sum_y.reshape(-1)[flat] += y
-        # the driver's tallies already hold this pull
+        # observe_batch has added this pull to the pull and cost tallies
         tallies = (self.pulls, self.cost, self.sum_r, self.sum_y)
         fresh = _index_terms(*(a.take(flat) for a in tallies), self._v, self._alpha, self._floor)
         for term, value in zip(self.terms, fresh):
@@ -647,7 +655,7 @@ class PolicySpec:
         p = p_default if self.p is None and self.type == "stationary" else self.p
         self.check_arms(instance.n_arms, p)
         if self.type == "static":
-            return StaticPolicy(self.arm)
+            return StaticPolicy(self.arm, instance.n_arms)
         if self.type == "stationary":
             if p is None:
                 raise ValueError("stationary policy needs p or an oracle default")

@@ -285,12 +285,13 @@ def test_criterion_9_invariant_suites(two_arm_instance, two_arm_oracle,
     rng = np.random.default_rng(123)
     xy = rng.random((1_000_000, 2)).reshape(1000, 1000, 2)
     pol = LyOffPolicy(two_arm_instance, v=1.0, delta=0.05)
-    pol.start(np.zeros((1000, 2)), np.zeros((1000, 2)))
+    pol.start(1000)
     arms, zeros = np.zeros(1000, dtype=np.int64), np.zeros(1000)
+    live = np.ones(1000, dtype=bool)
     ok_fuzz = True
     for step in range(1000):
         q = pol.q.copy()
-        pol.observe_batch(arms, xy[:, step, 0], zeros, xy[:, step, 1])
+        pol.observe_batch(arms, live, xy[:, step, 0], zeros, xy[:, step, 1])
         ok_fuzz &= bool(np.all(pol.q >= 0.0) and np.all(np.abs(pol.q - q) <= 1.0 + 1e-12))
     checks["queue-fuzz(1e6)"] = ok_fuzz
 

@@ -235,9 +235,9 @@ def test_compaction_changes_no_result(two_arm_instance, monkeypatch, mixed):
     monkeypatch.setattr(engine, "_BLOCK", 16)
     monkeypatch.setattr(engine, "_CHUNK", 7)
     kept = []
-    def keep(rule, rows, pulls, cost, _keep=VectorPolicy.keep):
+    def keep(rule, rows, _keep=VectorPolicy.keep):
         kept.append(len(rows))
-        _keep(rule, rows, pulls, cost)
+        _keep(rule, rows)
     monkeypatch.setattr(VectorPolicy, "keep", keep)
     cells = [(spec, budget) for spec in SPECS for budget in (10.0, 40.0)]
     p_default = solve_lfp(instance).p_star
@@ -271,19 +271,23 @@ def unnarrowed(rule, m):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_keep_narrows_every_per_row_array(spec):
-    # 13 rows of 3 arms narrowed to 4 after a decision past exploration, so
-    # that the rule has made its work buffers: no array of the rule keeps 13
-    # rows, and the per-row state keeps the values of the rows it kept
+    # 13 rows of 3 arms narrowed to 4 after a few epochs of random pulls past
+    # exploration, so that the rule has made its work buffers and its tallies
+    # hold pulls: no array of the rule keeps 13 rows, and the per-row state
+    # keeps the values of the rows it kept
     m, rows = 13, np.array([1, 4, 5, 11])
     p_default = solve_lfp(MIXED_KINDS).p_star
     rule = spec.build(MIXED_KINDS, 40.0, None, p_default=p_default)
     rng = np.random.default_rng(3)
-    pulls, cost = rng.integers(1, 5, (m, 3)).astype(float), rng.random((m, 3))
-    rule.start(pulls, cost, MIXED_KINDS)
+    rule.start(m, MIXED_KINDS)
     rule.q = rng.random(m)
-    rule.select_batch(10, np.ones(m, dtype=bool), rng.random(m))
+    live = np.ones(m, dtype=bool)
+    for n in range(10, 14):
+        rule.select_batch(n, live, rng.random(m))
+        rule.observe_batch(rng.integers(0, 3, m), live, *rng.random((3, m)))
     before = {name: getattr(rule, name) for name in rule._rows}
-    rule.keep(rows, pulls[rows], cost[rows])
+    assert before["pulls"].sum() == 4 * m and before["cost"].any()
+    rule.keep(rows)
     assert unnarrowed(rule, m) == []
     assert rule.pulls.shape == rule.cost.shape == (4, 3)
     for name, value in before.items():
@@ -291,15 +295,15 @@ def test_keep_narrows_every_per_row_array(spec):
             assert np.array_equal(new, old[rows]), name
 
 
-def test_keep_registry_check_catches_an_unlisted_array():
+@pytest.mark.parametrize("unlisted", ["sum_y", "pulls", "cost"])
+def test_keep_registry_check_catches_an_unlisted_array(unlisted):
     class Unlisted(LyOnPolicy):
-        _rows = tuple(name for name in LyOnPolicy._rows if name != "sum_y")
+        _rows = tuple(name for name in LyOnPolicy._rows if name != unlisted)
 
     rule = Unlisted(3, 0.8, 40.0, 6.0)
-    rule.start(np.ones((13, 3)), np.ones((13, 3)))
-    rows = np.arange(4)
-    rule.keep(rows, np.ones((4, 3)), np.ones((4, 3)))
-    assert unnarrowed(rule, 13) == ["sum_y"]
+    rule.start(13)
+    rule.keep(np.arange(4))
+    assert unnarrowed(rule, 13) == [unlisted]
 
 
 def test_streams_never_wider_than_a_chunk(two_arm_instance, monkeypatch):
@@ -395,8 +399,8 @@ def test_infinite_budget_rejected(two_arm_instance, cap):
         simulate_batch(two_arm_instance, PolicySpec("s", "static", arm=0), math.inf,
                        2, 1, cap=cap)
     with pytest.raises(ValueError, match=match):
-        run_episode(two_arm_instance, StaticPolicy(0), math.inf, episode_env_rng(1, 0),
-                    cap=cap)
+        run_episode(two_arm_instance, StaticPolicy(0, two_arm_instance.n_arms), math.inf,
+                    episode_env_rng(1, 0), cap=cap)
 
 
 @pytest.mark.parametrize(

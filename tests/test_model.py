@@ -274,20 +274,20 @@ class TestRunEpisode:
     def test_half_cost_stopping_rule(self):
         # costs 0.5 each pull, B=1: S_2 = 1.0 is not > 1, S_3 = 1.5 is
         inst = constant_cost_instance(0.5)
-        res = run_episode(inst, StaticPolicy(0), 1.0, rng())
+        res = run_episode(inst, StaticPolicy(0, inst.n_arms), 1.0, rng())
         assert res.n_pulls == 3
         assert res.total_cost == pytest.approx(1.5)
 
     def test_unit_cost(self):
         inst = constant_cost_instance(1.0)
-        res = run_episode(inst, StaticPolicy(0), 5.0, rng())
+        res = run_episode(inst, StaticPolicy(0, inst.n_arms), 5.0, rng())
         assert res.n_pulls == 6
         assert res.total_cost == pytest.approx(6.0)
 
     def test_zero_cost_overrun(self):
         inst = Instance([ArmSpec.bernoulli(0.0, 0.5, 0.0)], c=0.9)
         with pytest.raises(EpisodeOverrun) as exc_info:
-            run_episode(inst, StaticPolicy(0), 2.0, rng(), cap=100)
+            run_episode(inst, StaticPolicy(0, inst.n_arms), 2.0, rng(), cap=100)
         partial = exc_info.value.result
         assert partial.capped
         assert partial.n_pulls == 100
@@ -295,18 +295,20 @@ class TestRunEpisode:
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan])
     def test_nonpositive_budget_rejected(self, budget):
+        inst = constant_cost_instance(0.5)
         with pytest.raises(ValueError, match=r"budget must be a finite number in \(0, inf\)"):
-            run_episode(constant_cost_instance(0.5), StaticPolicy(0), budget, rng())
+            run_episode(inst, StaticPolicy(0, inst.n_arms), budget, rng())
 
     @pytest.mark.parametrize("cap", [0, 2.5, True])
     def test_bad_cap_rejected(self, cap):
+        inst = constant_cost_instance(0.5)
         with pytest.raises(ValueError, match="cap must be at least 1 and an integer"):
-            run_episode(constant_cost_instance(0.5), StaticPolicy(0), 10.0, rng(), cap=cap)
+            run_episode(inst, StaticPolicy(0, inst.n_arms), 10.0, rng(), cap=cap)
 
     def test_zero_cost_needs_explicit_cap(self):
         inst = Instance([ArmSpec.bernoulli(0.0, 0.5, 0.0)], c=0.9)
         with pytest.raises(ValueError):
-            run_episode(inst, StaticPolicy(0), 2.0, rng())
+            run_episode(inst, StaticPolicy(0, inst.n_arms), 2.0, rng())
 
     def test_budget_bracketing(self, two_arm_instance):
         class Recorder(BanditPolicy):
@@ -375,7 +377,7 @@ class TestRunEpisode:
 
     def test_invalid_budget(self, two_arm_instance):
         with pytest.raises(ValueError):
-            run_episode(two_arm_instance, StaticPolicy(0), 0.0, rng())
+            run_episode(two_arm_instance, StaticPolicy(0, two_arm_instance.n_arms), 0.0, rng())
 
     @pytest.mark.parametrize("arm", [-1, 2])
     def test_arm_outside_the_instance_refused(self, two_arm_instance, arm):

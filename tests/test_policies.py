@@ -15,6 +15,7 @@ from lybandit.model import derive_bounds, episode_env_rng, run_episode
 from lybandit.policies import (
     LyOffPolicy,
     LyOnPolicy,
+    StaticPolicy,
     _combine,
     _empirical_rates,
     _envelope,
@@ -38,16 +39,18 @@ def lyon_select(stats, q, n, v, queue_enabled=True):
     """Arm the online rule picks at m = 1 after n completed pulls.
 
     ``stats`` lists per-arm (pulls, cost sum, reward sum, penalty sum); the
-    budget is large enough that the cost floor is 1e-6.  The pull and cost
-    tallies are bound as they stand; each arm's reward and penalty sums then
-    reach the rule as one observation of that arm.
+    budget is large enough that the cost floor is 1e-6.  Each arm's tallies
+    start one pull short, at its cost sum; its last pull then reaches the
+    rule as one observation of zero cost that carries the arm's reward and
+    penalty sums, so every sum stays exact.
     """
-    t, sum_x = (np.array([[s[i] for s in stats]]) for i in range(2))
+    t, sum_x = (np.array([s[i] for s in stats]) for i in range(2))
     pol = LyOnPolicy(len(stats), 0.8, 1e6, v=v, queue_enabled=queue_enabled)
-    pol.start(t, sum_x)
+    pol.start(1)
+    pol.pulls[0], pol.cost[0] = t - 1, sum_x
     for arm, (_, _, sum_r, sum_y) in enumerate(stats):
         r, y = np.array([sum_r]), np.array([sum_y])
-        pol.observe_batch(np.array([arm]), np.zeros(1), r, y)
+        pol.observe_batch(np.array([arm]), LIVE, np.zeros(1), r, y)
     pol.q[:] = q
     return int(pol.select_batch(n, LIVE, None)[0])
 
@@ -117,10 +120,10 @@ class TestOfflineScores:
 
     def test_rows_are_independent(self, two_arm_instance):
         pol = lyoff(two_arm_instance, v=10.0)
-        pol.start(np.zeros((3, 2)), np.zeros((3, 2)))
+        pol.start(3)
         pol.q[:] = [0.0, 0.3, 0.1]
-        pol.observe_batch(np.zeros(3, dtype=np.int64), np.array([1.0, 0.0, 0.0]),
-                          np.zeros(3), np.array([0.0, 1.0, 0.0]))
+        pol.observe_batch(np.zeros(3, dtype=np.int64), np.ones(3, dtype=bool),
+                          np.array([1.0, 0.0, 0.0]), np.zeros(3), np.array([0.0, 1.0, 0.0]))
         assert list(pol.q) == [0.0, pytest.approx(1.3), 0.1]
 
 
@@ -162,8 +165,8 @@ class TestOfflineEnvelope:
     @given(case=offline_rules())
     def test_envelope_arm_is_the_argmin_of_the_scores(self, case):
         rule, q = case
-        m, k = q.size, rule._y_rates.size
-        rule.start(np.zeros((m, k)), np.zeros((m, k)))
+        m = q.size
+        rule.start(m)
         rule.q[:] = q
         # a queue near the float maximum overflows q y; both sides see inf
         with np.errstate(over="ignore", invalid="ignore"):
@@ -192,7 +195,7 @@ class TestOfflineEnvelope:
         rule = LyOffPolicy(Instance(arms, c=0.8), v=12.0, delta=0.0)
         lo, hi = rule._lo, rule._hi[1:]
         inner = np.maximum(lo, 0.0) + (np.minimum(hi, 1e3) - np.maximum(lo, 0.0)) / 2
-        rule.start(np.zeros((m, k)), np.zeros((m, k)))
+        rule.start(m)
         rule.q[:] = rng.choice(inner, m)
         first, second = rule._arms[1:3]
         rule.q[0] = ((rule._neg_vr[first] - rule._neg_vr[second])
@@ -371,20 +374,22 @@ class TestGammaIndex:
     def test_refresh_matches_rebuild(self):
         # a driver's loop over random pulls; rows 0 and 1 end inside the
         # exploration phase (14 epochs), so some of their arms are never
-        # pulled, and every fifth decision is followed by two observations
+        # pulled, and every fifth decision is followed by two observations.
+        # The loop keeps its own tallies, which the rule's must equal
         rng = np.random.default_rng(30)
         m, k = 8, 7
         params = dict(v=3.0, alpha=2.0, exploration_pulls=2)
         floor = denominator_floor(50.0)
         pol = LyOnPolicy(k, 0.8, 50.0, **params)
         pulls, cost = np.zeros((m, k)), np.zeros((m, k))
-        pol.start(pulls, cost)
+        pol.start(m)
         live = np.ones(m, dtype=bool)
         rows = np.arange(m)
         checked = 0
         for n in range(200):
             live[:2] = n < 5
             pol.select_batch(n, live, None)
+            assert np.array_equal(pol.pulls, pulls) and np.array_equal(pol.cost, cost)
             rebuilt = _index_terms(np.maximum(pulls, 1.0), cost, pol.sum_r,
                                    pol.sum_y, params["v"], params["alpha"], floor)
             for term, want in zip(pol.terms, rebuilt):
@@ -395,7 +400,7 @@ class TestGammaIndex:
                 x, r, y = rng.random((3, m)) * live
                 pulls[rows, arms] += live
                 cost[rows, arms] += x
-                pol.observe_batch(rows * k + arms, x, r, y)
+                pol.observe_batch(arms, live, x, r, y)
         assert checked == 200
 
     def test_scalar_refresh_matches_rebuild(self):
@@ -416,27 +421,41 @@ class TestGammaIndex:
     @settings(max_examples=200, deadline=None)
     @given(case=online_rules(), m=st.integers(1, 4))
     def test_start_terms_equal_a_rebuild_from_zero_tallies(self, case, m):
+        # a first start, then pulls of random arms with random outcomes, then
+        # a second start: it begins fresh episodes, so every tally is zero
+        # again and every term is a rebuild from those zero tallies
         rule, k, args = case
-        pulls, cost = np.zeros((m, k)), np.zeros((m, k))
-        rule.start(pulls, cost)
-        rebuilt = _index_terms(np.maximum(pulls, 1.0), cost, rule.sum_r, rule.sum_y,
+        rng = np.random.default_rng(m)
+        live = np.ones(m, dtype=bool)
+        rule.start(m)
+        for _ in range(3):
+            rule.observe_batch(rng.integers(0, k, m), live, *rng.random((3, m)))
+        assert rule.pulls.sum() == 3 * m
+        rule.start(m)
+        tallies = (rule.pulls, rule.cost, rule.sum_r, rule.sum_y)
+        assert all(a.shape == (m, k) and not a.any() for a in tallies)
+        rebuilt = _index_terms(np.maximum(rule.pulls, 1.0), rule.cost, rule.sum_r, rule.sum_y,
                                args["v"], args["alpha"], denominator_floor(args["budget"]))
         for term, want in zip(rule.terms, rebuilt):
             assert term.shape == (m, k) and term.tobytes() == want.tobytes()
 
     def test_start_makes_only_its_state(self):
-        # at m = 1,024 and K = 50 start makes six (m, K) arrays, the reward
-        # and penalty sums and the four terms, and no temporary of that shape
+        # at m = 1,024 and K = 50 start makes the eight (m, K) arrays that the
+        # rule then holds, the four tallies and the four terms, and no
+        # temporary of that shape: the peak stays below half an array more
         m, k = 1024, 50
         rule = LyOnPolicy(k, 0.8, 100.0, v=5.0)
-        pulls, cost = np.zeros((m, k)), np.zeros((m, k))
         tracemalloc.start()
         try:
-            rule.start(pulls, cost)
+            rule.start(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.5 * m * k * 8, peak / (m * k * 8)
+        held = [a for value in vars(rule).values()
+                for a in (value if isinstance(value, tuple) else (value,))
+                if isinstance(a, np.ndarray) and a.shape == (m, k)]
+        assert len(held) == 8
+        assert peak < (len(held) + 0.5) * m * k * 8, peak / (m * k * 8)
 
 
 class TestLyonSelect:
@@ -530,6 +549,20 @@ class TestSchedules:
             LyOnPolicy(2, 0.8, 100.0, v=1.0, exploration_pulls=pulls)
 
 
+class TestStaticSelect:
+    @pytest.mark.parametrize("arm", [2, 7])
+    def test_arm_outside_the_arms_refused(self, arm):
+        # refused when built, not at the first scalar observe
+        with pytest.raises(ValueError, match=rf"^n_arms for arm index {arm} must be at least"):
+            StaticPolicy(arm, 2)
+
+    def test_tallies_span_every_arm(self):
+        pol = StaticPolicy(1, 3)
+        pol.observe(pol.select(), Outcome(0.5, 1.0, 0.0))
+        assert pol.pulls.tolist() == [[0.0, 1.0, 0.0]]
+        assert pol.cost.tolist() == [[0.0, 0.5, 0.0]]
+
+
 class TestStationarySelect:
     def test_point_mass(self):
         pol = StationaryPolicy([1.0, 0.0], np.random.default_rng(1))
@@ -540,7 +573,7 @@ class TestStationarySelect:
         for seed, p, share in ((8, [0.5, 0.5], 0.5), (9, two_arm_oracle.p_star, 9 / 23)):
             u = np.random.default_rng(seed).random(1_000_000)
             pol = StationaryPolicy(p, None)
-            pol.start(np.zeros((u.size, 2)), np.zeros((u.size, 2)))
+            pol.start(u.size)
             arms = pol.select_batch(0, np.ones(u.size, dtype=bool), u)
             assert abs((arms == 0).mean() - share) < 0.003
 

@@ -181,27 +181,40 @@ def test_specs_meet_their_instance_in_build():
                                      ".cached_property", "vars("}
 
 
-def test_engine_hands_rules_the_flat_pull_index():
-    """The engine builds each cell's rule in one place and owns the row index.
+def test_rules_own_their_tallies_and_the_flat_pull_index():
+    """The engine builds each cell's rule in one place, and the rule owns its tallies.
 
     ``engine.py`` makes exactly one ``.build(`` call, so a chunk builds every
-    cell once with no separate check pass; ``policies.py`` calls no
-    ``np.arange``, because the flat (row, arm) index of each pull comes from
-    the engine; and ``_combine`` adds the queue term through ``_score``, the
-    one drift-plus-penalty score.
+    cell once with no separate check pass.  It makes no ``.reshape(`` call
+    and hands ``keep`` only the kept rows: the rule adds each pull to its own
+    tallies and narrows them itself.  ``policies.py`` calls ``np.arange``
+    once, in ``VectorPolicy.start``, the one layout of the flat (row, arm)
+    index of each pull; and ``_combine`` adds the queue term through
+    ``_score``, the one drift-plus-penalty score.
     """
     def calls(tree):
-        return [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
     def source(module):
         return ast.parse((ROOT / "src" / "lybandit" / module).read_text(encoding="utf-8"))
 
+    def named(nodes, attr):
+        return [n for n in nodes if isinstance(n.func, ast.Attribute) and n.func.attr == attr]
+
+    def aranges(tree):
+        return [n for n in named(calls(tree), "arange")
+                if isinstance(n.func.value, ast.Name) and n.func.value.id == "np"]
+
     engine = calls(source("engine.py"))
-    assert sum(isinstance(f, ast.Attribute) and f.attr == "build" for f in engine) == 1
+    assert len(named(engine, "build")) == 1
+    assert not named(engine, "reshape")
+    assert [len(n.args) + len(n.keywords) for n in named(engine, "keep")] == [1]
     policies = source("policies.py")
-    assert not [f for f in calls(policies) if isinstance(f, ast.Attribute)
-                and f.attr == "arange" and isinstance(f.value, ast.Name)
-                and f.value.id == "np"]
+    vector = next(node for node in policies.body
+                  if isinstance(node, ast.ClassDef) and node.name == "VectorPolicy")
+    start = next(node for node in vector.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "start")
+    assert len(aranges(policies)) == len(aranges(start)) == 1
     combine = next(node for node in policies.body
                    if isinstance(node, ast.FunctionDef) and node.name == "_combine")
-    assert any(isinstance(f, ast.Name) and f.id == "_score" for f in calls(combine))
+    assert any(isinstance(n.func, ast.Name) and n.func.id == "_score" for n in calls(combine))
