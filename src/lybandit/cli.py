@@ -27,12 +27,19 @@ take the PolicySpec defaults.  A key not shown above is refused.
 "policies" and "budgets" are required, with at least one policy and
 distinct budgets; the config and the output files must be distinct files.
 Arm ids in all output (alloc columns, oracle support) are 1-based.
+
+The ``lybandit`` console script and ``python -m lybandit.cli`` both enter
+through :func:`console`, which freezes the heap built at import
+(``gc.freeze()``) before it runs :func:`main`, so the interpreter's exit
+collections skip it.  :func:`main` itself never freezes: in-process callers
+keep normal collection.  ``oracle`` never loads the engine.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import numbers
 import os
@@ -52,7 +59,7 @@ from .model import (
 from .oracle import Infeasible, OracleSolution, solve_lfp
 from .policies import DeltaOutOfRange, PolicySpec
 
-__all__ = ["ConfigError", "load_config", "main", "write_results_csv"]
+__all__ = ["ConfigError", "console", "load_config", "main", "write_results_csv"]
 
 _ARM_KINDS = (KIND_BERNOULLI, KIND_SCALED_UNIFORM)
 # optional policy fields, passed to PolicySpec as given; it owns their
@@ -373,5 +380,18 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def console() -> None:
+    """The ``lybandit`` process: :func:`main` on ``sys.argv``, then exit with its code.
+
+    Every object alive here (the interpreter's, numpy's and this package's)
+    lives until the process ends, so it moves to the permanent generation
+    first: no collection during the run, nor at exit, visits or frees it,
+    and the engine's forked workers inherit it frozen.  Only the process
+    entry freezes; :func:`main` called in process does not.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console()

@@ -15,13 +15,16 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import BatchResult, simulate_cells
 from .model import EpisodeResult, Instance, check_int, check_real, episode_cap
 from .oracle import OracleSolution, solve_lfp
 from .policies import PolicySpec
+
+if TYPE_CHECKING:
+    from .engine import BatchResult
 
 __all__ = [
     "AggregateResult",
@@ -196,6 +199,9 @@ def run_batch(config: RunConfig) -> AggregateResult:
 
     A stationary spec without its own ``p`` runs the oracle mixture.
     """
+    # imported here, so a process that only solves the oracle never loads it
+    from .engine import simulate_cells
+
     instance = config.instance
     oracle = solve_lfp(instance)
     cells = [(spec, budget) for spec in config.policies for budget in config.budgets]

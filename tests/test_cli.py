@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ast
 import copy
 import csv
+import gc
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +29,15 @@ REFERENCE_ARMS = [
     {"x_mean": 0.4, "r_mean": 0.8, "y_mean": 0.6, "kind": "independent-bernoulli"},
     {"x_mean": 0.6, "r_mean": 0.6, "y_mean": 0.3, "kind": "independent-bernoulli"},
 ]
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh ``python *args`` that imports this ``lybandit``; text output captured."""
+    src = str(Path(lybandit.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -82,17 +94,22 @@ class TestOracleCommand:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["oracle", "--config", str(tmp_path / "nope.json")]) == 1
 
-    def test_leaves_numpy_random_unloaded(self):
-        # loading numpy.random would add about 15-18 ms to the command's start-up
+    @staticmethod
+    def _oracle_leaves_unloaded(module: str):
         code = ("import sys, lybandit, lybandit.cli\n"
                 f"assert lybandit.cli.main(['oracle', '--config', {str(DEMO_CONFIG)!r}]) == 0\n"
-                "assert 'numpy.random' not in sys.modules, 'numpy.random is loaded'\n")
-        src = str(Path(lybandit.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60)
+                f"assert {module!r} not in sys.modules, '{module} is loaded'\n")
+        done = run_python("-c", code)
         assert done.returncode == 0, done.stderr
+
+    def test_leaves_numpy_random_unloaded(self):
+        # loading numpy.random would add about 15-18 ms to the command's start-up
+        self._oracle_leaves_unloaded("numpy.random")
+
+    def test_loads_no_engine(self):
+        # the engine is the simulation's; without compiled bytecode at hand,
+        # loading it would compile it in every oracle process
+        self._oracle_leaves_unloaded("lybandit.engine")
 
     # stdout bytes of ``oracle --json``: any change to the solution's floats shows
     PINNED_JSON = {
@@ -115,6 +132,74 @@ class TestOracleCommand:
             assert main(["oracle", "--config", cfg, "--json"]) == 0
             out = capsys.readouterr().out.encode()
             assert hashlib.sha256(out).hexdigest() == self.PINNED_JSON[name], name
+
+
+class TestProcessEntry:
+    """``python -m lybandit.cli`` and the console script: one entry that freezes the heap."""
+
+    def test_module_run_exits_with_the_documented_codes(self, tmp_path):
+        done = run_python("-m", "lybandit.cli", "oracle", "--config", str(DEMO_CONFIG), "--json")
+        assert done.returncode == 0, done.stderr
+        digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+        assert digest == TestOracleCommand.PINNED_JSON["demo"]
+        infeasible = write_config(tmp_path, "infeasible.json", instance={
+            "arms": [{"x_mean": 0.4, "r_mean": 0.5, "y_mean": 0.6}], "c": 0.5})
+        schema = write_config(tmp_path, "schema.json", instance={"arms": REFERENCE_ARMS})
+        for cfg, code, word in ((infeasible, 2, "infeasible: "), (schema, 1, "error: ")):
+            done = run_python("-m", "lybandit.cli", "oracle", "--config", cfg)
+            assert done.returncode == code, done.stderr
+            assert done.stdout == ""
+            lines = done.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(word), done.stderr
+
+    def test_module_run_freezes_the_heap(self):
+        # runpy runs the module as __main__ without importing lybandit.cli first,
+        # as ``python -m`` does; the atexit printer runs after SystemExit
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+                f"sys.argv = ['lybandit', 'oracle', '--config', {str(DEMO_CONFIG)!r}]\n"
+                "runpy.run_module('lybandit.cli', run_name='__main__')\n")
+        done = run_python("-c", code)
+        assert done.returncode == 0, done.stderr
+        word, count = done.stdout.splitlines()[-1].split()
+        assert word == "frozen" and int(count) > 0, done.stdout
+
+    def test_only_the_entry_freezes(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path)
+        frozen = gc.get_freeze_count()
+        assert main(["oracle", "--config", cfg]) == 0
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+        assert gc.get_freeze_count() == frozen
+        # the entry itself, with a stand-in for gc.freeze so this process stays unfrozen
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+        with pytest.raises(SystemExit) as exit_:
+            cli.console()
+        assert exit_.value.code == 0
+        assert calls == ["freeze", "main"]
+        assert gc.get_freeze_count() == frozen
+
+    def test_console_script_is_the_module_entry(self):
+        root = Path(__file__).resolve().parent.parent
+        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        script = re.fullmatch(r'lybandit = "(.*)"', scripts.strip()).group(1)
+        tree = ast.parse((root / "src" / "lybandit" / "cli.py").read_text(encoding="utf-8"))
+        guard = next(node for node in tree.body if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "__name__ == '__main__'")
+        [entry] = [ast.unparse(node) for node in guard.body]
+        assert entry == "console()"
+        assert script == f"lybandit.cli:{entry[:-2]}"
+        # gc.freeze is called in that one function, and nowhere else in the package
+        callers = []
+        for path in sorted((root / "src" / "lybandit").glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(func, ast.FunctionDef):
+                    callers += [f"{path.stem}.{func.name}" for node in ast.walk(func)
+                                if isinstance(node, ast.Call)
+                                and ast.unparse(node.func) == "gc.freeze"]
+        assert callers == ["cli.console"]
 
 
 class TestRunCommand:
