@@ -11,8 +11,8 @@ bitwise identical to the sequential per-episode runner; tests assert this.
 block by block.  Every (policy, budget) cell's rule is built once per call;
 each chunk starts it.  Every pass of a rule goes to a block boundary of the
 chunk's streams (a ``_Streams``), the first epoch included, which then draw
-that block once for the episodes that any pass still runs, so every block is
-drawn when the passes reach it; every pass writes its rows into its results.
+that block once for every run of the chunk, so every block is drawn when the
+passes reach it; every pass writes its rows into its results.
 A rule makes one pass per cell, except a ``budget_free`` one (``static`` and
 ``stationary``): it is built the same at every budget, and its episode
 reads the budget only to stop, so the episode at a budget is an exact
@@ -27,8 +27,8 @@ draws nothing itself.  A block is epoch-major: a
 1,024-run chunk's environment block is (128, 1,024, 3), 3 MiB, and its
 policy block (128, 1,024), 1 MiB, so each epoch's uniforms are one
 contiguous slab that every pass reads.  Rows are drawn through a tile of
-about 256 KiB per stream, and a run that every pass has ended draws fewer
-than 128 epochs past its end.
+about 256 KiB per stream, every row each block, so a run that every pass has
+ended still draws to the end of the last block that a pass reaches.
 
 A pass stops computing the episodes it has finished: once half the rows it
 holds have ended, it writes them to its largest budget's result and keeps
@@ -72,11 +72,12 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import Instance, Sampler, check_int, episode_cap, episode_rngs
+from .model import Instance, Sampler, as_tuple, check_int, episode_cap, episode_rngs
 from .policies import PolicySpec
 
 __all__ = ["BatchResult", "simulate_batch", "simulate_cells"]
@@ -123,19 +124,14 @@ class _Streams:
                 self._streams.append((episode_rngs(master_seed, run_start, m, stream),
                                       block, tile))
 
-    def advance(self, running: np.ndarray) -> None:
-        """Draw each ``running`` row's next block, block 0 at first, over its current one.
-
-        The other rows of a tile that holds a running row get stale values.
-        """
+    def advance(self) -> None:
+        """Draw every row's next block, block 0 at first, over its current one."""
         for gens, block, tile in self._streams:
-            for start in range(0, running.size, len(tile)):
-                rows = np.flatnonzero(running[start:start + len(tile)])
-                if rows.size:
-                    for e in rows.tolist():
-                        gens[start + e].random(out=tile[e])
-                    part = block[:, start:start + len(tile)]
-                    part[...] = tile[:part.shape[1]].swapaxes(0, 1)
+            for start in range(0, len(gens), len(tile)):
+                rows = gens[start:start + len(tile)]
+                for gen, row in zip(rows, tile):
+                    gen.random(out=row)
+                block[:, start:start + len(rows)] = tile[:len(rows)].swapaxes(0, 1)
 
 
 @dataclass
@@ -184,7 +180,11 @@ def simulate_batch(instance: Instance, spec: PolicySpec, budget: float, runs: in
 
 def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
                    p_default=None, bounds=None, track_lcb=False) -> list[BatchResult]:
-    """One :class:`BatchResult` per (spec, budget) pair of the non-empty list ``cells``.
+    """One :class:`BatchResult` per (spec, budget) pair of the non-empty sequence ``cells``.
+
+    An ``instance`` that is not an :class:`~lybandit.model.Instance`, or
+    ``cells`` that are not such a sequence of :class:`PolicySpec` and budget
+    pairs, raise one ValueError naming the argument.
 
     Every cell's rule is built once per call, which runs the cell's checks,
     before any process is forked or any chunk derives its streams.  The runs
@@ -201,13 +201,18 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     check_int(runs, "runs", 1)
     check_int(master_seed, "master_seed", 0)
     check_int(run_start, "run_start", 0)
+    cells = as_tuple(cells, "cells")
     if not cells:
         raise ValueError("cells must name at least one (spec, budget) pair")
+    for cell in cells:
+        if not (isinstance(cell, Sequence) and len(cell) == 2 and isinstance(cell[0], PolicySpec)):
+            raise ValueError(f"cells must hold (PolicySpec, budget) pairs, got {cell!r}")
     caps = [episode_cap(instance, budget, cap) for _, budget in cells]
     # building runs every check of a cell, so every cell is checked before
     # any process is forked or any stream is derived
     rules = [spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
              for spec, budget in cells]
+    policy = any(rule.uses_stream for rule in rules)
     groups = _groups(cells, rules)
     stacks = [_stack(len(group) * runs, instance.n_arms, track_lcb) for group in groups]
     results = [None] * len(cells)
@@ -218,18 +223,14 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     # runs lo .. hi - 1 of the call, chunk by chunk, in this process
     def run_part(lo, hi):
         for start in range(lo, hi, _CHUNK):
-            m = min(_CHUNK, hi - start)
-            streams = _Streams(master_seed, run_start + start, m,
-                               any(r.uses_stream for r in rules))
-            need = np.zeros(m, dtype=bool)
+            streams = _Streams(master_seed, run_start + start, min(_CHUNK, hi - start), policy)
             passes = [_simulate_chunk(instance, rules[group[-1]], [cells[i][1] for i in group],
-                                      [caps[i] for i in group], streams, need, stack,
+                                      [caps[i] for i in group], streams, stack,
                                       np.arange(len(group)) * runs + start)
                       for group, stack in zip(groups, stacks)]
             # a list, so that every pass goes on to its next block boundary or its end
             while any([next(p, False) for p in passes]):
-                streams.advance(need)
-                need[:] = False
+                streams.advance()
             # released before the next chunk's streams are made
             del streams
 
@@ -360,15 +361,14 @@ def _stack(rows, k, track_lcb) -> BatchResult:
     )
 
 
-def _simulate_chunk(instance, rule, budgets, caps, streams, need, out, first):
+def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
     """One pass of ``rule``, started here, over the runs of ``streams``, at each of ``budgets``.
 
     The ``budgets`` ascend, and ``caps`` are their resolved epoch caps.
     ``out`` holds each budget's result in that order, and ``first`` the row
     of ``out`` that takes the chunk's row 0 for each budget.  A generator:
-    at each block boundary, epoch 0 included, it marks in ``need`` the rows of
-    the chunk that it still runs and yields True, and it goes on once
-    ``streams`` hold that block.
+    at each block boundary, epoch 0 included, it yields True, and it goes on
+    once ``streams`` hold that block for every row of the chunk.
     """
     last, budget = len(budgets) - 1, budgets[-1]
     budgets = np.array(budgets)
@@ -409,7 +409,6 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, need, out, first):
     for epoch in range(caps[-1]):
         off = epoch % _BLOCK
         if off == 0:
-            need[held[active]] = True
             yield True
         env = streams.env[off]
         # rules that draw no policy uniform ignore u
@@ -420,10 +419,8 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, need, out, first):
 
         # selection sees only outcomes of earlier epochs
         arms = rule.select_batch(epoch, active, u)
-        # finished rows read stale uniforms (a skipped row's old block, or
-        # another row's values left in the tile it was drawn through) or
-        # another pass's live ones; their outcome is zeroed, and a zero
-        # outcome changes no state
+        # finished rows read their own streams' next uniforms; their outcome
+        # is zeroed, and a zero outcome changes no state
         outcome = sampler.draw(arms, env)
         outcome[~active] = 0.0
         rule.observe_batch(arms, active, *outcome.T)

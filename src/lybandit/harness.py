@@ -13,13 +13,12 @@ given master seed.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import EpisodeResult, Instance, check_int, check_real, episode_cap
+from .model import EpisodeResult, Instance, as_tuple, check_int, check_real, episode_cap
 from .oracle import OracleSolution, solve_lfp
 from .policies import PolicySpec
 
@@ -55,14 +54,6 @@ def violation(result: EpisodeResult | BatchResult, c: float, budget: float):
     return result.total_penalty / budget - c
 
 
-def _as_tuple(value, name: str) -> tuple:
-    """``value``, a sequence other than a string or a 1-D array, as a tuple."""
-    if (isinstance(value, Sequence) and not isinstance(value, (str, bytes))
-            or isinstance(value, np.ndarray) and value.ndim == 1):
-        return tuple(value)
-    raise ValueError(f"{name} must be a sequence, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment grid: policies x budgets, many runs each.
@@ -81,11 +72,9 @@ class RunConfig:
     cap: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.instance, Instance):
-            raise ValueError(f"instance must be an Instance, got {self.instance!r}")
         check_int(self.runs, "runs", 1)
         check_int(self.master_seed, "seed", 0)
-        budgets = _as_tuple(self.budgets, "budgets")
+        budgets = as_tuple(self.budgets, "budgets")
         if not budgets:
             raise ValueError("at least one budget is required")
         # B > 1 keeps ln(B) of the budget schedules positive
@@ -95,7 +84,7 @@ class RunConfig:
             episode_cap(self.instance, budget, self.cap)
         if len(set(budgets)) != len(budgets):
             raise ValueError("budgets must be distinct")
-        policies = _as_tuple(self.policies, "policies")
+        policies = as_tuple(self.policies, "policies")
         if not policies:
             raise ValueError("at least one policy is required")
         for spec in policies:

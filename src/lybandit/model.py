@@ -6,7 +6,7 @@ first epoch whose cumulative cost strictly exceeds the budget.  The reward and
 penalty of that final, budget-crossing pull are both collected.
 
 :func:`check_int` and :func:`check_real` are the package's one rule for
-integer and real-valued inputs.
+integer and real-valued inputs, and :func:`as_tuple` for sequences.
 """
 
 from __future__ import annotations
@@ -61,6 +61,14 @@ def check_int(value, name: str, least: int) -> None:
     """Raise one ValueError unless ``value`` is an integer (not a bool) >= ``least``."""
     if not (_is_int(value) and value >= least):
         raise ValueError(f"{name} must be at least {least} and an integer, got {value!r}")
+
+
+def as_tuple(value, name: str) -> tuple:
+    """``value``, a sequence other than a string or a 1-D array, as a tuple."""
+    if (isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+            or isinstance(value, np.ndarray) and value.ndim == 1):
+        return tuple(value)
+    raise ValueError(f"{name} must be a sequence, got {value!r}")
 
 
 def check_real(value, name: str, low: float, high: float = math.inf,
@@ -490,8 +498,12 @@ def episode_cap(instance: Instance, budget: float, cap: int | None) -> int:
     """Epoch limit of an episode with a finite budget B > 0.
 
     ``cap`` when given, else ten times a high-probability bound on the
-    episode length, ``10 * ceil(2 B / mu_min)``, which must be finite.
+    episode length, ``10 * ceil(2 B / mu_min)``, which must be finite.  Every
+    driver calls it before it reads ``instance``, so it refuses one that is not
+    an :class:`Instance`.
     """
+    if not isinstance(instance, Instance):
+        raise ValueError(f"instance must be an Instance, got {instance!r}")
     # an infinite budget is never exceeded: every episode would run to the cap
     budget = check_real(budget, "budget", 0.0, open_low=True)
     if cap is None:

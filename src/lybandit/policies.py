@@ -459,9 +459,13 @@ class LyOffPolicy(VectorPolicy):
         self._lo, self._hi, self._arms = _envelope(self._neg_vr, self._y_rates)
         super().__init__(instance.n_arms)
 
+    def _scores_at(self, q) -> np.ndarray:
+        """(len(q), K) score of each arm at each of the queues ``q``."""
+        return _score(self._neg_vr, q[:, None], self._y_rates)
+
     def scores(self) -> np.ndarray:
-        """(m, K) score of each arm at each row's queue; the next call overwrites it."""
-        return _score(self._neg_vr, self.q[:, None], self._y_rates, self._buffer("scores"))
+        """(m, K) score of each arm at each row's queue."""
+        return self._scores_at(self.q)
 
     def select_batch(self, n, live, u):
         q = self.q
@@ -470,8 +474,7 @@ class LyOffPolicy(VectorPolicy):
         arms = self._arms[j]
         miss = np.flatnonzero(q >= self._hi[j])
         if miss.size:
-            scores = _score(self._neg_vr, q[miss, None], self._y_rates)
-            arms[miss] = np.argmin(scores, axis=1)
+            arms[miss] = np.argmin(self._scores_at(q[miss]), axis=1)
         return arms
 
     def _observe(self, flat, x, r, y):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,9 @@ def force_workers(monkeypatch, workers: int) -> None:
     """Split every ``simulate_cells`` call into ``workers`` processes, however few its runs."""
     monkeypatch.setattr(engine, "_MIN_PART", 1)
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(workers)))
+
+
+def assert_no_child_left() -> None:
+    """Assert that this process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

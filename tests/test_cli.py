@@ -22,7 +22,7 @@ import lybandit.cli as cli
 import lybandit.engine as engine
 from lybandit.cli import load_config, main, results_header
 
-from conftest import force_workers
+from conftest import assert_no_child_left, force_workers
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "example_config.json"
 REFERENCE_ARMS = [
@@ -348,8 +348,7 @@ class TestRunCommand:
             "error: the worker process for runs 7..14 ended with status 3 before sending "
             "its results"]
         assert not out.exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert_no_child_left()
 
     def test_delta_out_of_range_exits_2(self, tmp_path):
         cfg = write_config(

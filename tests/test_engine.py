@@ -15,7 +15,7 @@ from lybandit.engine import simulate_batch, simulate_cells
 from lybandit.model import derive_bounds, episode_env_rng, episode_policy_rng
 from lybandit.policies import LyOffPolicy, LyOnPolicy, StaticPolicy, VectorPolicy
 
-from conftest import MIXED_KINDS, force_workers, random_feasible_instance
+from conftest import MIXED_KINDS, assert_no_child_left, force_workers, random_feasible_instance
 
 SPECS = [
     PolicySpec("stationary", "stationary"),
@@ -62,7 +62,7 @@ def test_lockstep_equals_sequential(two_arm_instance, spec):
 def test_lockstep_equals_sequential_across_blocks(two_arm_instance, monkeypatch):
     # 16-epoch blocks: episodes of about 65-100 epochs refill several times
     # past the shared block 0, from the generators that drew it, while rows
-    # that ended earlier stop refilling
+    # that ended earlier draw blocks that they ignore
     monkeypatch.setattr(engine, "_BLOCK", 16)
     for spec in SPECS:
         assert_batch_matches_sequential(two_arm_instance, spec, 40.0, 12, 77)
@@ -324,22 +324,18 @@ def test_streams_never_wider_than_a_chunk(two_arm_instance, monkeypatch):
 
 def test_stream_blocks_are_epoch_major_and_each_row_its_own_stream(monkeypatch):
     # 16-epoch blocks drawn through tiles of 2 env rows and 7 policy rows, so
-    # 23 runs end in a partial tile of each stream; the second advance skips
-    # whole tiles (rows 4-7) and part of others
+    # 23 runs end in a partial tile of each stream
     monkeypatch.setattr(engine, "_BLOCK", 16)
     monkeypatch.setattr(engine, "_TILE", 1_000)
     seed, run_start, m = 91, 40, 23
     streams = engine._Streams(seed, run_start, m, policy=True)
-    # a new _Streams draws nothing; the first advance draws block 0
-    streams.advance(np.ones(m, dtype=bool))
     envs = [episode_env_rng(seed, run_start + e) for e in range(m)]
     pols = [episode_policy_rng(seed, run_start + e) for e in range(m)]
-    running = np.ones(m, dtype=bool)
-    for cut in (None, lambda e: e % 3 == 1, lambda e: 4 <= e < 8):
-        if cut is not None:
-            running &= [not cut(e) for e in range(m)]
-            streams.advance(running)
-        for e in np.flatnonzero(running):
+    # a new _Streams draws nothing; each advance draws every row's next
+    # block, block 0 first
+    for _ in range(3):
+        streams.advance()
+        for e in range(m):
             assert np.array_equal(streams.env[:, e], envs[e].random((16, 3))), e
             assert np.array_equal(streams.policy[:, e], pols[e].random(16)), e
         assert all(streams.env[t].flags.c_contiguous and streams.policy[t].flags.c_contiguous
@@ -447,6 +443,33 @@ def test_empty_cell_list_rejected_before_any_stream(two_arm_instance, monkeypatc
     assert derived == []
 
 
+SPEC = PolicySpec("s", "static", arm=0)
+
+
+@pytest.mark.parametrize("instance, cells, words", [
+    ("x", lambda: [(SPEC, 10.0)], "instance must be an Instance, got 'x'"),
+    (None, lambda: [("x", 10.0)], r"cells must hold \(PolicySpec, budget\) pairs, got \('x'"),
+    (None, lambda: [SPEC], r"cells must hold \(PolicySpec, budget\) pairs, got PolicySpec"),
+    (None, lambda: [(SPEC,)], r"cells must hold \(PolicySpec, budget\) pairs, got \(PolicySpec"),
+    (None, lambda: [(SPEC, 10.0, 1)], r"cells must hold \(PolicySpec, budget\) pairs"),
+    (None, lambda: ((SPEC, b) for b in (10.0,)), "cells must be a sequence, got <generator"),
+    (None, lambda: "ab", "cells must be a sequence, got 'ab'"),
+], ids=["instance", "spec-name", "bare-spec", "one-tuple", "triple", "generator", "string"])
+def test_bad_cells_or_instance_refused_before_any_build(two_arm_instance, monkeypatch,
+                                                        instance, cells, words):
+    # these once raised AttributeError, TypeError or a bare unpacking error
+    def refuse(*args, **kwargs):
+        pytest.fail("a rule was built or a stream derived")
+    monkeypatch.setattr(PolicySpec, "build", refuse)
+    monkeypatch.setattr(engine, "episode_rngs", refuse)
+    instance = two_arm_instance if instance is None else instance
+    with pytest.raises(ValueError, match=f"^{words}"):
+        simulate_cells(instance, cells(), 5, 1)
+    if instance == "x":
+        with pytest.raises(ValueError, match=f"^{words}"):
+            simulate_batch(instance, SPEC, 10.0, 5, 1)
+
+
 def test_each_cell_built_once(two_arm_instance, monkeypatch):
     # 23 runs in chunks of 7 are 4 chunks, and each chunk only starts the
     # rules; a separate check pass once made it 15 builds for 3 cells, and a
@@ -475,9 +498,9 @@ def test_track_lcb_refusal_draws_no_block(monkeypatch, x_mean, v0, words):
     instance = Instance([ArmSpec.bernoulli(x_mean, 0.5, 0.1),
                          ArmSpec.bernoulli(0.5, 0.5, 0.1)], c=0.8)
     advanced = []
-    def advance(streams, running, _advance=engine._Streams.advance):
-        advanced.append(np.count_nonzero(running))
-        _advance(streams, running)
+    def advance(streams, _advance=engine._Streams.advance):
+        advanced.append(streams)
+        _advance(streams)
     monkeypatch.setattr(engine._Streams, "advance", advance)
     cells = [(PolicySpec("s", "static", arm=1), 50.0), (PolicySpec("l", "lyon", v0=v0), 50.0)]
     with pytest.raises(ValueError, match=words):
@@ -626,11 +649,6 @@ def test_shared_pass_selects_as_often_as_its_largest_budget(two_arm_instance, mo
     calls.clear()
     simulate_batch(two_arm_instance, spec, 40.0, 40, 3)
     assert shared == len(calls) > 0
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def fail_past(monkeypatch, first, fail):

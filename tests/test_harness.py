@@ -116,7 +116,7 @@ class TestRunBatch:
         # the grid shares each 7-run chunk's streams among its nine cells; a
         # one-cell batch draws its own.  With 16-epoch blocks the cells cross
         # block boundaries at different epochs, and every later block is drawn
-        # once for the rows that any cell still runs
+        # once for every row of the chunk
         instance = two_arm_instance
         sol, bounds = solve_lfp(instance), derive_bounds(instance)
         monkeypatch.setattr(engine, "_CHUNK", 7)
