@@ -52,23 +52,25 @@ A call's runs are split across W processes.  W is the number of CPUs this
 process may use (``os.sched_getaffinity``, or ``os.cpu_count`` where that
 does not exist), but at most ``runs // _MIN_PART`` and at least 1; it is 1
 where ``os.fork`` does not exist.  Every rule is built, and so checked,
-before anything else; then ``[0, runs)`` is cut into W even, contiguous
-parts.  The calling process forks W - 1 children and runs part 0 through the
-chunk loop above while each child runs its own part through the same loop;
-each child then sends its rows of every result array back through a pipe,
-as raw bytes, and the parent reads them straight into its own results.  An
-episode reads only its own (master seed, run index) streams, so which
-process runs it, and beside which others, changes no byte: a split equals
-W = 1, which is the loop run in the calling process alone.  Every child
-leaves through ``os._exit`` and is reaped before the call returns; if the
-call fails, the children are killed first.  A child's
-exception is raised again in the parent, and a child that ends without
-sending its rows raises :class:`ChildProcessError`, naming its runs and its
-exit status.
+before anything else, and every result array is made in anonymous shared
+memory; then ``[0, runs)`` is cut into W even, contiguous parts.  The
+calling process forks W - 1 children and runs part 0 through the chunk loop
+above while each child runs its own part through the same loop, and every
+process writes its rows of the results in place, so nothing is copied
+back.  An episode reads only its own (master seed, run index) streams, so
+which process runs it, and beside which others, changes no byte: a split
+equals W = 1, which is the loop run in the calling process alone.  Every
+child leaves through ``os._exit`` and is reaped before the call returns; if
+the call fails, the children still running are killed first.  A child's
+pipe carries only its exception, which is raised again in the parent; a
+child that ends with a nonzero status and no exception raises
+:class:`ChildProcessError`, naming its runs and its exit status.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import pickle
 import warnings
@@ -77,7 +79,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import Instance, Sampler, as_tuple, check_int, episode_cap, episode_rngs
+from .model import (Bounds, Instance, Sampler, as_tuple, check_int, check_simplex, episode_cap,
+                    episode_rngs)
 from .policies import PolicySpec
 
 __all__ = ["BatchResult", "simulate_batch", "simulate_cells"]
@@ -182,18 +185,22 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
                    p_default=None, bounds=None, track_lcb=False) -> list[BatchResult]:
     """One :class:`BatchResult` per (spec, budget) pair of the non-empty sequence ``cells``.
 
-    An ``instance`` that is not an :class:`~lybandit.model.Instance`, or
+    An ``instance`` that is not an :class:`~lybandit.model.Instance`,
     ``cells`` that are not such a sequence of :class:`PolicySpec` and budget
-    pairs, raise one ValueError naming the argument.
+    pairs, a ``track_lcb`` that is not a bool, ``bounds`` that are neither
+    None nor a :class:`~lybandit.model.Bounds`, and a given ``p_default``
+    that is not a probability vector over the instance's arms, read or not,
+    each raise one ValueError naming the argument.
 
     Every cell's rule is built once per call, which runs the cell's checks,
-    before any process is forked or any chunk derives its streams.  The runs
-    are cut into W even, contiguous parts, one per process (see the module
-    notes for how W is chosen): the calling process runs the first and a
-    forked child each other one, and the children's rows come back as raw
-    bytes.  No byte depends on W, since each episode reads only its own
-    streams.  A child's exception is raised here; a child that dies without
-    its rows raises :class:`ChildProcessError`.  Each part goes in chunks of
+    before any process is forked or any chunk derives its streams.  The
+    results live in shared memory, and the runs are cut into W even,
+    contiguous parts, one per process (see the module notes for how W is
+    chosen): the calling process runs the first and a forked child each other
+    one, and every process writes its own rows in place.  No byte depends on
+    W, since each episode reads only its own streams.  A child's exception is
+    raised here; a child that dies without one raises
+    :class:`ChildProcessError`.  Each part goes in chunks of
     ``_CHUNK``; each chunk starts every rule (the ``track_lcb`` checks run
     there) before it draws its first block, and draws policy streams only if
     some rule uses them.  The arguments are as for :func:`simulate_batch`.
@@ -208,6 +215,15 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
         if not (isinstance(cell, Sequence) and len(cell) == 2 and isinstance(cell[0], PolicySpec)):
             raise ValueError(f"cells must hold (PolicySpec, budget) pairs, got {cell!r}")
     caps = [episode_cap(instance, budget, cap) for _, budget in cells]
+    if not isinstance(track_lcb, (bool, np.bool_)):
+        raise ValueError(f"track_lcb must be a bool, got {track_lcb!r}")
+    if not (bounds is None or isinstance(bounds, Bounds)):
+        raise ValueError(f"bounds must be None or a Bounds, got {bounds!r}")
+    try:
+        if p_default is not None and len(check_simplex(p_default)) != instance.n_arms:
+            raise ValueError(f"p has {len(p_default)} entries for {instance.n_arms} arms")
+    except ValueError as exc:
+        raise ValueError(f"p_default: {exc}") from None
     # building runs every check of a cell, so every cell is checked before
     # any process is forked or any stream is derived
     rules = [spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
@@ -234,13 +250,8 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
             # released before the next chunk's streams are made
             del streams
 
-    # the arrays that hold runs lo .. hi - 1 of every result
-    def part_rows(lo, hi):
-        values = (getattr(result, f.name) for result in results for f in fields(result))
-        return [v[lo:hi] for v in values if v is not None]
-
     workers = _workers(runs)
-    _run_parts([runs * w // workers for w in range(workers + 1)], run_part, part_rows)
+    _run_parts([runs * w // workers for w in range(workers + 1)], run_part)
     return results
 
 
@@ -252,15 +263,14 @@ def _workers(runs) -> int:
     return max(1, min(cpus or 1, runs // _MIN_PART))
 
 
-def _run_parts(bounds, run_part, part_rows) -> None:
+def _run_parts(bounds, run_part) -> None:
     """``run_part(lo, hi)`` for each part [lo, hi) of the ascending ``bounds``.
 
     The first part runs here; each other part runs in a forked child, which
-    sends back the arrays ``part_rows(lo, hi)`` as raw bytes, and the parent
-    reads them into its own arrays of the same rows.
+    writes its rows into the results in place, since they live in shared
+    memory.  The pipe from each child carries only its exception.
     """
     children = []
-    done = False
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             read, write = os.pipe()
@@ -279,30 +289,27 @@ def _run_parts(bounds, run_part, part_rows) -> None:
                 raise
             if pid == 0:
                 os.close(read)
-                _child(write, run_part, part_rows, lo, hi)
+                _child(write, run_part, lo, hi)
             os.close(write)
             children.append((pid, open(read, "rb"), lo, hi))
         run_part(bounds[0], bounds[1])
-        for pid, pipe, lo, hi in children:
-            _receive(pid, pipe, part_rows(lo, hi), lo, hi)
-        done = True
+        for child in children:
+            _receive(*child)
     finally:
         for pid, pipe, _, _ in children:
-            # _receive closes the pipe of a child it found dead and reaps it,
-            # and a reaped child's pid may already name another process
-            if pipe.closed:
-                continue
-            pipe.close()
-            if not done:
+            # _receive closes the pipe of a child before it reaps it, and a
+            # reaped child's pid may already name another process
+            if not pipe.closed:
+                pipe.close()
                 # imported only here: making its enums would add about 1.5 ms
                 # to every start of the CLI
                 import signal
                 os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+                os.waitpid(pid, 0)
 
 
-def _child(write, run_part, part_rows, lo, hi):
-    """Run one part in a forked child, send its rows or its exception, and exit."""
+def _child(write, run_part, lo, hi):
+    """Run one part in a forked child, send its exception if it fails, and exit."""
     code = 1
     try:
         with open(write, "wb") as pipe:
@@ -312,29 +319,23 @@ def _child(write, run_part, part_rows, lo, hi):
                 # every exception, an interrupt included, is raised again in
                 # the parent; it is pickled before anything is sent, so a
                 # failure to pickle it sends nothing
-                pipe.write(b"E" + pickle.dumps(exc))
-            else:
-                pipe.write(b"R")
-                for rows in part_rows(lo, hi):
-                    pipe.write(memoryview(rows).cast("B"))
+                pipe.write(pickle.dumps(exc))
         code = 0
     finally:
         # never the parent's cleanup: no atexit handler, no flush of its buffers
         os._exit(code)
 
 
-def _receive(pid, pipe, rows, lo, hi) -> None:
-    """Read a child's ``rows`` from ``pipe``; raise its exception, or its death."""
-    tag = pipe.read(1)
-    if tag == b"E":
-        raise pickle.loads(pipe.read())
-    views = [memoryview(r).cast("B") for r in rows]
-    if tag == b"R" and all(pipe.readinto(v) == v.nbytes for v in views):
-        return
+def _receive(pid, pipe, lo, hi) -> None:
+    """Read a child's pipe to its end and reap it; raise its exception, or its death."""
+    sent = pipe.read()
     pipe.close()
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    raise ChildProcessError(f"the worker process for runs {lo}..{hi - 1} ended with "
-                            f"status {status} before sending its results")
+    if sent:
+        raise pickle.loads(sent)
+    if status:
+        raise ChildProcessError(f"the worker process for runs {lo}..{hi - 1} ended with "
+                                f"status {status} before sending its results")
 
 
 def _groups(cells, rules) -> list[list[int]]:
@@ -350,14 +351,23 @@ def _groups(cells, rules) -> list[list[int]]:
     return [sorted(group, key=lambda i: cells[i][1]) for group in groups.values()]
 
 
+def _shared(shape, dtype=np.float64) -> np.ndarray:
+    """A zeroed array in anonymous shared memory, which forked children write in place."""
+    dtype = np.dtype(dtype)
+    return np.ndarray(shape, dtype, mmap.mmap(-1, dtype.itemsize * math.prod(shape)))
+
+
 def _stack(rows, k, track_lcb) -> BatchResult:
-    """A zeroed result of ``rows`` episodes: a pass's results, one after the other."""
+    """A shared result of ``rows`` episodes: a pass's results, one after the other.
+
+    Every row is written by its pass, so no field needs a starting value.
+    """
     return BatchResult(
-        n_pulls=np.zeros(rows, dtype=np.int64),
-        **{name: np.zeros(rows) for name in ("total_cost", "total_reward", "total_penalty",
-                                             "q_final", "q_max")},
-        pulls_per_arm=np.zeros((rows, k)), cost_per_arm=np.zeros((rows, k)),
-        capped=np.ones(rows, dtype=bool), lcb_ok=np.ones(rows, dtype=bool) if track_lcb else None,
+        n_pulls=_shared((rows,), np.int64),
+        **{name: _shared((rows,)) for name in ("total_cost", "total_reward", "total_penalty",
+                                               "q_final", "q_max")},
+        pulls_per_arm=_shared((rows, k)), cost_per_arm=_shared((rows, k)),
+        capped=_shared((rows,), bool), lcb_ok=_shared((rows,), bool) if track_lcb else None,
     )
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import tracemalloc
 from dataclasses import fields
 
@@ -470,6 +471,31 @@ def test_bad_cells_or_instance_refused_before_any_build(two_arm_instance, monkey
             simulate_batch(instance, SPEC, 10.0, 5, 1)
 
 
+@pytest.mark.parametrize("spec, kwargs, words", [
+    (SPEC, dict(track_lcb="no"), "track_lcb must be a bool, got 'no'"),
+    (SPEC, dict(track_lcb=np.array([True, False])), r"track_lcb must be a bool, got array"),
+    (PolicySpec("l", "lyon"), dict(bounds="x"), "bounds must be None or a Bounds, got 'x'"),
+    (SPEC, dict(p_default="ab"), "p_default: p must be a one-dimensional probability vector"),
+    (SPEC, dict(p_default=[0.5, 0.7]), "p_default: probabilities must sum to 1, got 1.2"),
+    (SPEC, dict(p_default=[1.0]), "p_default: p has 1 entries for 2 arms"),
+    (PolicySpec("s", "stationary"), dict(p_default=np.array([0.5, 0.7])),
+     "p_default: probabilities must sum to 1"),
+], ids=["track-lcb-string", "track-lcb-array", "bounds", "p-default-string",
+        "p-default-sum", "p-default-unread-short", "p-default-read-sum"])
+def test_bad_options_refused_before_any_build(two_arm_instance, monkeypatch, spec, kwargs, words):
+    # a string track_lcb once ran and tracked the bound, an array raised
+    # numpy's own error, and a bad bounds or p_default ran without a word
+    # unless some rule read it
+    def refuse(*args, **kwargs):
+        pytest.fail("a rule was built or a stream derived")
+    monkeypatch.setattr(PolicySpec, "build", refuse)
+    monkeypatch.setattr(engine, "episode_rngs", refuse)
+    with pytest.raises(ValueError, match=f"^{words}"):
+        simulate_cells(two_arm_instance, [(spec, 10.0)], 4, 1, **kwargs)
+    with pytest.raises(ValueError, match=f"^{words}"):
+        simulate_batch(two_arm_instance, spec, 10.0, 4, 1, **kwargs)
+
+
 def test_each_cell_built_once(two_arm_instance, monkeypatch):
     # 23 runs in chunks of 7 are 4 chunks, and each chunk only starts the
     # rules; a separate check pass once made it 15 builds for 3 cells, and a
@@ -675,6 +701,66 @@ def test_split_changes_no_result(monkeypatch, workers):
     for got, want in zip(split, whole):
         assert_results_equal(got, want)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_every_result_row_is_written(monkeypatch, workers):
+    # the shared result arrays start at zero, so each pass must write every
+    # row of its results: arrays that start as 0xA5 bytes instead must give
+    # the same bytes.  Every spec at three budgets, the cap binding at the
+    # larger two, the LCB record included
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    cells = [(spec, budget) for spec in SPECS for budget in (5.0, 10.0, 40.0)]
+    kwargs = dict(cap=25, p_default=solve_lfp(MIXED_KINDS).p_star, track_lcb=True)
+    force_workers(monkeypatch, workers)
+    want = simulate_cells(MIXED_KINDS, cells, 23, 31, **kwargs)
+
+    def filled(shape, dtype=np.float64, _shared=engine._shared):
+        array = _shared(shape, dtype)
+        array.view(np.uint8)[...] = 0xA5
+        return array
+    monkeypatch.setattr(engine, "_shared", filled)
+    got = simulate_cells(MIXED_KINDS, cells, 23, 31, **kwargs)
+    capped = np.concatenate([r.capped for r in want])
+    assert capped.any() and not capped.all()
+    for g, w in zip(got, want):
+        for f in fields(engine.BatchResult):
+            assert getattr(g, f.name).tobytes() == getattr(w, f.name).tobytes(), f.name
+    assert_no_child_left()
+
+
+def test_results_are_ordinary_arrays(monkeypatch):
+    # a split call's results are views of shared memory that the children
+    # wrote; each cell's arrays still behave as its own arrays
+    force_workers(monkeypatch, 3)
+    cells = [(spec, budget) for spec in (*BUDGET_FREE, SPECS[3]) for budget in (5.0, 20.0)]
+    k, runs = MIXED_KINDS.n_arms, 23
+    results = simulate_cells(MIXED_KINDS, cells, runs, 7,
+                             p_default=solve_lfp(MIXED_KINDS).p_star, track_lcb=True)
+    shapes = {"pulls_per_arm": (runs, k), "cost_per_arm": (runs, k)}
+    dtypes = {"n_pulls": np.int64, "capped": np.bool_, "lcb_ok": np.bool_}
+    copies = []
+    for result in results:
+        for f in fields(result):
+            array = getattr(result, f.name)
+            assert array.flags.writeable, f.name
+            assert array.shape == shapes.get(f.name, (runs,)), f.name
+            assert array.dtype == dtypes.get(f.name, np.float64), f.name
+        assert_results_equal(pickle.loads(pickle.dumps(result)), result)
+        copies.append({f.name: getattr(result, f.name).copy() for f in fields(result)})
+    assert_no_child_left()
+    # the first cell's writes stay in its own rows
+    first = results[0]
+    for f in fields(first):
+        getattr(first, f.name)[...] = 1
+    for result, copy in zip(results[1:], copies[1:]):
+        for name, array in copy.items():
+            assert np.array_equal(getattr(result, name), array), name
+    # and a cell outlives the call's other results
+    last = results[-1]
+    del results, first, result
+    for name, array in copies[-1].items():
+        assert np.array_equal(getattr(last, name), array), name
 
 
 def test_workers_follow_the_usable_cpus_and_the_least_part(monkeypatch):
