@@ -8,10 +8,12 @@ lockstep (one shared epoch counter, vectorized across runs) produces results
 bitwise identical to the sequential per-episode runner; tests assert this.
 
 :func:`simulate_cells` walks the run indices in chunks and each chunk
-block by block.  Every (policy, budget) cell's rule is built once per call;
-each chunk starts it.  Every pass of a rule goes to a block boundary of the
-chunk's streams (a ``_Streams``), the first epoch included, which then draw
-that block once for every run of the chunk, so every block is drawn when the
+block by block.  A process runs its part of up to ``_CHUNK`` runs as one
+chunk, so each pass runs once per process.  Every (policy, budget) cell's
+rule is built once per call; each pass starts it once the chunk has drawn
+block 0.  Every pass of a rule goes to a block boundary of the chunk's
+streams (a ``_Streams``), the first epoch included, which then draw that
+block once for every run of the chunk, so every block is drawn when the
 passes reach it; every pass writes its rows into its results.
 A rule makes one pass per cell, except a ``budget_free`` one (``static`` and
 ``stationary``): it is built the same at every budget, and its episode
@@ -23,12 +25,14 @@ into a smaller budget's result at the pull that ends that budget's episode
 so the copy is that episode bit for bit.
 A ``_Streams`` derives each run's generators once, for all its blocks, in
 one vectorized pass per stream (:func:`~lybandit.model.episode_rngs`), and
-draws nothing itself.  A block is epoch-major: a
-1,024-run chunk's environment block is (128, 1,024, 3), 3 MiB, and its
-policy block (128, 1,024), 1 MiB, so each epoch's uniforms are one
-contiguous slab that every pass reads.  Rows are drawn through a tile of
-about 256 KiB per stream, every row each block, so a run that every pass has
-ended still draws to the end of the last block that a pass reaches.
+draws nothing itself.  A block holds at most ``_ROW_EPOCHS`` row-epochs and
+``_BLOCK`` epochs: 128 epochs for a chunk of up to 1,024 runs, 85 at 1,536
+runs and 64 at 2,048.  It is epoch-major: a 1,024-run chunk's environment
+block is (128, 1,024, 3), 3 MiB, and its policy block (128, 1,024), 1 MiB,
+so each epoch's uniforms are one contiguous slab that every pass reads.
+Rows are drawn through a tile of about 256 KiB per stream, every row each
+block, so a run that every pass has ended still draws to the end of the
+last block that a pass reaches.
 
 A pass stops computing the episodes it has finished: once half the rows it
 holds have ended, it writes them to its largest budget's result and keeps
@@ -85,9 +89,15 @@ from .policies import PolicySpec
 
 __all__ = ["BatchResult", "simulate_batch", "simulate_cells"]
 
+# epochs per stream block, at most
 _BLOCK = 128
-# runs per chunk: bounds the (_BLOCK, runs, 3) uniform block its passes share
-_CHUNK = 1024
+# row-epochs per stream block, at most: _BLOCK epochs up to 1,024 runs, and
+# fewer for a wider chunk, so a block of both streams is at most 4 MiB
+_ROW_EPOCHS = 128 * 1024
+# runs per chunk: a part of up to this many runs is one chunk, so each of its
+# passes runs once.  At K = 10 an epoch over 512 rows costs over half as much
+# as one over 1,024, so two narrower passes cost more than one wide one
+_CHUNK = 2048
 # bytes of the row-major tile through which each stream's block is drawn
 _TILE = 1 << 18
 # a pass drops its finished rows once its live rows fall to this share of
@@ -105,18 +115,20 @@ _MIN_PART = 384
 class _Streams:
     """The current block of the streams of runs ``run_start .. run_start + m - 1``.
 
-    ``env`` (``_BLOCK``, m, 3) and ``policy`` (``_BLOCK``, m; None unless the
-    ``policy`` flag is set) hold each row's current block, which
-    :meth:`advance` draws: a row's first ``advance`` draws its block 0, each
-    later one its next block.  They are epoch-major, so each epoch's uniforms
-    are one contiguous slab.  Each row's generators are derived once, here,
-    in one vectorized pass per stream, and kept for every block; nothing is
-    drawn here.
+    ``env`` (E, m, 3) and ``policy`` (E, m; None unless the ``policy`` flag
+    is set) hold each row's current block of E epochs, ``_BLOCK`` or, for a
+    chunk wider than ``_ROW_EPOCHS // _BLOCK`` rows, ``_ROW_EPOCHS // m``,
+    which :meth:`advance` draws: a row's first ``advance`` draws its block 0,
+    each later one its next block.  They are epoch-major, so each epoch's
+    uniforms are one contiguous slab.  Each row's generators are derived
+    once, here, in one vectorized pass per stream, and kept for every block;
+    nothing is drawn here.
     """
 
     def __init__(self, master_seed: int, run_start: int, m: int, policy: bool):
-        self.env = np.empty((_BLOCK, m, 3))
-        self.policy = np.empty((_BLOCK, m)) if policy else None
+        epochs = min(_BLOCK, _ROW_EPOCHS // m)
+        self.env = np.empty((epochs, m, 3))
+        self.policy = np.empty((epochs, m)) if policy else None
         self._streams = []
         for stream, block in enumerate((self.env, self.policy)):
             if block is not None:
@@ -200,10 +212,13 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     one, and every process writes its own rows in place.  No byte depends on
     W, since each episode reads only its own streams.  A child's exception is
     raised here; a child that dies without one raises
-    :class:`ChildProcessError`.  Each part goes in chunks of
-    ``_CHUNK``; each chunk starts every rule (the ``track_lcb`` checks run
-    there) before it draws its first block, and draws policy streams only if
-    some rule uses them.  The arguments are as for :func:`simulate_batch`.
+    :class:`ChildProcessError`.  Each part goes in chunks of up to
+    ``_CHUNK`` runs, so a part of that many is one chunk.  With ``track_lcb``,
+    every rule is started once on the true means before the fork, so that
+    their checks refuse before any block is drawn; a chunk draws its first
+    block, and then each pass starts its rule.  A chunk draws policy
+    streams only if some rule uses them.  The arguments are as for
+    :func:`simulate_batch`.
     """
     check_int(runs, "runs", 1)
     check_int(master_seed, "master_seed", 0)
@@ -220,14 +235,19 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     if not (bounds is None or isinstance(bounds, Bounds)):
         raise ValueError(f"bounds must be None or a Bounds, got {bounds!r}")
     try:
-        if p_default is not None and len(check_simplex(p_default)) != instance.n_arms:
-            raise ValueError(f"p has {len(p_default)} entries for {instance.n_arms} arms")
+        if p_default is not None:
+            check_simplex(p_default, instance.n_arms)
     except ValueError as exc:
         raise ValueError(f"p_default: {exc}") from None
     # building runs every check of a cell, so every cell is checked before
     # any process is forked or any stream is derived
     rules = [spec.build(instance, budget, None, p_default=p_default, bounds=bounds)
              for spec, budget in cells]
+    if track_lcb:
+        # starting a rule with the truth checks the true means that it tracks
+        # against; a pass starts its rule only once block 0 is drawn
+        for rule in rules:
+            rule.start(1, instance)
     policy = any(rule.uses_stream for rule in rules)
     groups = _groups(cells, rules)
     stacks = [_stack(len(group) * runs, instance.n_arms, track_lcb) for group in groups]
@@ -378,11 +398,16 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
     ``out`` holds each budget's result in that order, and ``first`` the row
     of ``out`` that takes the chunk's row 0 for each budget.  A generator:
     at each block boundary, epoch 0 included, it yields True, and it goes on
-    once ``streams`` hold that block for every row of the chunk.
+    once ``streams`` hold that block for every row of the chunk.  It starts
+    the rule after its first yield, once block 0 is drawn.
     """
+    # the rule starts once block 0 is drawn, so no pass holds its state then,
+    # and a pass whose episodes end within block 0 has dropped most of its
+    # state before the next pass starts its rule
+    yield True
     last, budget = len(budgets) - 1, budgets[-1]
     budgets = np.array(budgets)
-    m = streams.env.shape[1]
+    size, m = streams.env.shape[:2]
     # the chunk's row of each row the pass holds
     held = np.arange(m)
     rule.start(m, None if out.lcb_ok is None else instance)
@@ -417,8 +442,8 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
             out.lcb_ok[at] = rule.lcb_ok[rows]
 
     for epoch in range(caps[-1]):
-        off = epoch % _BLOCK
-        if off == 0:
+        off = epoch % size
+        if epoch and not off:
             yield True
         env = streams.env[off]
         # rules that draw no policy uniform ignore u

@@ -88,14 +88,19 @@ def check_real(value, name: str, low: float, high: float = math.inf,
     raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
 
 
-def check_simplex(p) -> np.ndarray:
-    """Validate and return ``p`` as a probability vector summing to 1 within 1e-9."""
+def check_simplex(p, n_arms: int | None = None) -> np.ndarray:
+    """Validate and return ``p`` as a probability vector summing to 1 within 1e-9.
+
+    With ``n_arms`` given, ``p`` must also be a mixture over that many arms.
+    """
     # as objects, a ragged nest is a vector of sequences, not numpy's own error
     if np.ndim(np.asarray(p, dtype=object)) != 1 or len(p) < 1 or any(map(np.ndim, p)):
         raise ValueError("p must be a one-dimensional probability vector")
     p = np.array([check_real(v, "probability", 0.0) for v in p])
     if not abs(float(p.sum()) - 1.0) <= _SIMPLEX_TOL:
         raise ValueError(f"probabilities must sum to 1, got {float(p.sum())!r}")
+    if n_arms is not None and len(p) != n_arms:
+        raise ValueError(f"p has {len(p)} entries for {n_arms} arms")
     return p
 
 

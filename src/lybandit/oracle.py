@@ -43,8 +43,6 @@ class Infeasible(ValueError):
 
 
 def _mixture_rates(p: np.ndarray, instance: Instance) -> tuple[float, float]:
-    if len(p) != instance.n_arms:
-        raise ValueError(f"p has {len(p)} entries for {instance.n_arms} arms")
     ex, er, ey = instance.rate_means()
     denom = float(p @ ex)
     return float(p @ er) / denom, float(p @ ey) / denom
@@ -52,12 +50,12 @@ def _mixture_rates(p: np.ndarray, instance: Instance) -> tuple[float, float]:
 
 def reward_rate(p, instance: Instance) -> float:
     """Mixture-mean reward divided by mixture-mean cost."""
-    return _mixture_rates(check_simplex(p), instance)[0]
+    return _mixture_rates(check_simplex(p, instance.n_arms), instance)[0]
 
 
 def penalty_rate(p, instance: Instance) -> float:
     """Mixture-mean penalty divided by mixture-mean cost."""
-    return _mixture_rates(check_simplex(p), instance)[1]
+    return _mixture_rates(check_simplex(p, instance.n_arms), instance)[1]
 
 
 @dataclass(frozen=True)

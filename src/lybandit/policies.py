@@ -629,17 +629,19 @@ class PolicySpec:
             raise ValueError(f"unknown index variant: {self.index_variant!r}")
 
     def check_arms(self, n_arms: int, p=None) -> None:
-        """Raise ValueError unless the static arm and ``p`` (else the spec's) fit ``n_arms``."""
+        """Raise ValueError unless the static arm fits ``n_arms`` and ``p`` (else the spec's) is a
+        mixture over that many arms."""
         p = self.p if p is None else p
         if self.type == "static" and not 0 <= self.arm < n_arms:
             raise ValueError(
                 f"policy {self.name!r}: static arm index {self.arm} is out of "
                 f"range for {n_arms} arms"
             )
-        if p is not None and len(p) != n_arms:
-            raise ValueError(
-                f"policy {self.name!r}: p has {len(p)} entries for {n_arms} arms"
-            )
+        if p is not None:
+            try:
+                check_simplex(p, n_arms)
+            except ValueError as exc:
+                raise ValueError(f"policy {self.name!r}: {exc}") from None
 
     def build(
         self,

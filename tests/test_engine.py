@@ -220,11 +220,31 @@ def test_mid_chunk_batch_equals_rows_of_one_chunk(two_arm_instance, monkeypatch,
 
 
 def assert_results_equal(got, want):
+    """Every field of ``got`` has the dtype, shape and bytes of ``want``'s.
+
+    Bytes, since ``np.array_equal`` reads any nonzero bool byte as True.
+    """
     for f in fields(engine.BatchResult):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert (a is None) == (b is None), f.name
         if a is not None:
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+def test_results_equal_compares_bytes():
+    # a bool byte of 0xA5 reads as True to np.array_equal
+    want = engine.BatchResult(*(np.zeros(3) for _ in range(8)), np.ones(3, bool))
+    got = engine.BatchResult(*(np.zeros(3) for _ in range(8)), np.ones(3, bool))
+    assert_results_equal(got, want)
+    got.capped.view(np.uint8)[...] = 0xA5
+    assert np.array_equal(got.capped, want.capped)
+    with pytest.raises(AssertionError, match="capped"):
+        assert_results_equal(got, want)
+    for name, other in (("n_pulls", np.zeros(3, np.int64)), ("q_max", np.zeros((3, 1)))):
+        got = engine.BatchResult(*(np.zeros(3) for _ in range(8)), np.ones(3, bool))
+        setattr(got, name, other)
+        with pytest.raises(AssertionError, match=name):
+            assert_results_equal(got, want)
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["two-arm", "mixed-kinds"])
@@ -321,6 +341,55 @@ def test_streams_never_wider_than_a_chunk(two_arm_instance, monkeypatch):
                            10.0, 20, 1, run_start=3)
     assert widths == [(3, 8), (11, 8), (19, 4)]
     assert batch.runs == 20
+
+
+@pytest.mark.parametrize("m", [1, 1024, 1536, 2048])
+def test_stream_block_is_bounded_by_row_epochs(m):
+    # 128 epochs up to 1,024 runs, fewer beyond, never over 128 x 1,024
+    # row-epochs: 85 epochs at 1,536 runs and 64 at 2,048
+    streams = engine._Streams(5, 0, m, policy=True)
+    epochs = streams.env.shape[0]
+    assert streams.env.shape == (epochs, m, 3) and streams.policy.shape == (epochs, m)
+    assert epochs * m <= 128 * 1024
+    assert epochs == (128 if m <= 1024 else 128 * 1024 // m)
+
+
+def test_a_part_of_up_to_a_chunk_starts_each_rule_once(two_arm_instance, monkeypatch):
+    # 1,536 runs at W = 1 are one chunk, not a 1,024-run chunk and a 512-run
+    # one: every pass starts its rule once, over all of them
+    force_workers(monkeypatch, 1)
+    starts = []
+    def start(rule, m, truth=None, _start=VectorPolicy.start):
+        starts.append((id(rule), m))
+        _start(rule, m, truth)
+    monkeypatch.setattr(VectorPolicy, "start", start)
+    cells = [(spec, budget) for spec in SPECS for budget in (5.0, 10.0)]
+    simulate_cells(two_arm_instance, cells, 1536, 3, p_default=solve_lfp(two_arm_instance).p_star)
+    # the rules start at m = 1 when they are built; a budget-free spec's two
+    # cells share one pass
+    passes = [(rule, m) for rule, m in starts if m > 1]
+    assert len(passes) == len(SPECS) * 2 - 2
+    assert len({rule for rule, _ in passes}) == len(passes)
+    assert all(m == 1536 for _, m in passes)
+
+
+def test_row_epoch_bound_changes_no_result(two_arm_instance, monkeypatch):
+    # a bound of 69 row-epochs gives the 23-run chunk 3-epoch blocks, so every
+    # episode crosses many block boundaries; every field of every cell, the
+    # LCB record included, equals the default geometry's
+    cells = [(spec, budget) for spec in SPECS for budget in (10.0, 40.0)]
+    kwargs = dict(p_default=solve_lfp(two_arm_instance).p_star, track_lcb=True)
+    want = simulate_cells(two_arm_instance, cells, 23, 11, **kwargs)
+    monkeypatch.setattr(engine, "_ROW_EPOCHS", 69)
+    blocks = []
+    def advance(streams, _advance=engine._Streams.advance):
+        blocks.append(streams.env.shape[:2])
+        _advance(streams)
+    monkeypatch.setattr(engine._Streams, "advance", advance)
+    got = simulate_cells(two_arm_instance, cells, 23, 11, **kwargs)
+    assert len(blocks) > 20 and set(blocks) == {(3, 23)}
+    for g, w in zip(got, want):
+        assert_results_equal(g, w)
 
 
 def test_stream_blocks_are_epoch_major_and_each_row_its_own_stream(monkeypatch):
@@ -623,7 +692,8 @@ def test_shared_pass_equals_per_budget_cells(monkeypatch, cap):
 
 
 def test_shared_pass_equals_per_budget_cells_over_chunks():
-    # 2,100 runs are two full chunks and a partial one
+    # 2,100 runs: a 2,048-run chunk and a 52-run one at W = 1, or one chunk
+    # per process
     assert_shared_pass_equals_per_budget(MIXED_KINDS, BUDGET_FREE, None, 2100, 0)
 
 

@@ -38,6 +38,10 @@ class TestRates:
             check_simplex([0.5, 0.4])
         with pytest.raises(ValueError):
             check_simplex([-0.1, 1.1])
+        # with an arm count, the one home of the mixture-arity rule
+        assert check_simplex([0.5, 0.5], 2).tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError, match=r"^p has 2 entries for 3 arms$"):
+            check_simplex([0.5, 0.5], 3)
 
     @pytest.mark.parametrize("call", [reward_rate, penalty_rate,
                                       lambda p, inst: wald_interval(p, inst, 50.0)],

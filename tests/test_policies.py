@@ -700,7 +700,8 @@ class TestPolicyObjects:
     def test_build_refuses_an_oracle_mixture_that_does_not_fit(self, two_arm_instance,
                                                                p_default):
         spec = PolicySpec("s", "stationary")
-        with pytest.raises(ValueError, match=f"p has {len(p_default)} entries for 2 arms"):
+        with pytest.raises(ValueError,
+                           match=f"^policy 's': p has {len(p_default)} entries for 2 arms$"):
             spec.build(two_arm_instance, 10.0, None, p_default=np.array(p_default))
         # a spec's own p is the mixture; the default is then not read
         own = PolicySpec("s", "stationary", p=(0.5, 0.5))
