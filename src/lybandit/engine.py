@@ -8,8 +8,11 @@ lockstep (one shared epoch counter, vectorized across runs) produces results
 bitwise identical to the sequential per-episode runner; tests assert this.
 
 :func:`simulate_cells` walks the run indices in chunks and each chunk
-block by block.  A process runs its part of up to ``_CHUNK`` runs as one
-chunk, so each pass runs once per process.  Every (policy, budget) cell's
+block by block.  A chunk is up to ``_CHUNK`` runs, and at most
+``_ROW_ARMS`` row-arms but never under ``_CHUNK // 2`` runs, since each
+pass's rule holds (m, K) arrays: 2,048 runs up to K = 10 and 1,024 from
+K = 20.  A process runs a part of up to that many runs as one chunk, so
+each pass runs once per process.  Every (policy, budget) cell's
 rule is built once per call; each pass starts it once the chunk has drawn
 block 0.  Every pass of a rule goes to a block boundary of the chunk's
 streams (a ``_Streams``), the first epoch included, which then draw that
@@ -94,10 +97,15 @@ _BLOCK = 128
 # row-epochs per stream block, at most: _BLOCK epochs up to 1,024 runs, and
 # fewer for a wider chunk, so a block of both streams is at most 4 MiB
 _ROW_EPOCHS = 128 * 1024
-# runs per chunk: a part of up to this many runs is one chunk, so each of its
-# passes runs once.  At K = 10 an epoch over 512 rows costs over half as much
-# as one over 1,024, so two narrower passes cost more than one wide one
+# runs per chunk, at most: a part of up to a chunk's width is one chunk, so
+# each of its passes runs once.  At K = 10 an epoch over 512 rows costs over
+# half as much as one over 1,024, so two narrower passes cost more than one
+# wide one
 _CHUNK = 2048
+# row-arms per chunk, at most, unless that is under _CHUNK // 2 runs: each
+# pass's rule holds (m, K) arrays, so a chunk is _CHUNK runs up to K = 10 and
+# _CHUNK // 2 from K = 20
+_ROW_ARMS = 20 * 1024
 # bytes of the row-major tile through which each stream's block is drawn
 _TILE = 1 << 18
 # a pass drops its finished rows once its live rows fall to this share of
@@ -213,7 +221,8 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
     W, since each episode reads only its own streams.  A child's exception is
     raised here; a child that dies without one raises
     :class:`ChildProcessError`.  Each part goes in chunks of up to
-    ``_CHUNK`` runs, so a part of that many is one chunk.  With ``track_lcb``,
+    ``_CHUNK`` runs, fewer at more than 10 arms (see the module notes), so a
+    part of up to a chunk's width is one chunk.  With ``track_lcb``,
     every rule is started once on the true means before the fork, so that
     their checks refuse before any block is drawn; a chunk draws its first
     block, and then each pass starts its rule.  A chunk draws policy
@@ -258,8 +267,9 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
 
     # runs lo .. hi - 1 of the call, chunk by chunk, in this process
     def run_part(lo, hi):
-        for start in range(lo, hi, _CHUNK):
-            streams = _Streams(master_seed, run_start + start, min(_CHUNK, hi - start), policy)
+        width = min(_CHUNK, max(_CHUNK // 2, _ROW_ARMS // instance.n_arms))
+        for start in range(lo, hi, width):
+            streams = _Streams(master_seed, run_start + start, min(width, hi - start), policy)
             passes = [_simulate_chunk(instance, rules[group[-1]], [cells[i][1] for i in group],
                                       [caps[i] for i in group], streams, stack,
                                       np.arange(len(group)) * runs + start)

@@ -354,6 +354,24 @@ def test_stream_block_is_bounded_by_row_epochs(m):
     assert epochs == (128 if m <= 1024 else 128 * 1024 // m)
 
 
+@pytest.mark.parametrize("k, widths", [(2, [2048, 52]), (10, [2048, 52]), (16, [1280, 820]),
+                                       (20, [1024, 1024, 52]), (50, [1024, 1024, 52])])
+def test_chunk_holds_at_most_row_arms_but_half_a_chunk(k, widths, monkeypatch):
+    # 2,048 runs up to K = 10, 20,480 row-arms between, 1,024 runs from K = 20
+    force_workers(monkeypatch, 1)
+    seen = []
+
+    class Recorded(engine._Streams):
+        def __init__(self, master_seed, run_start, m, policy):
+            seen.append(m)
+            super().__init__(master_seed, run_start, m, policy)
+
+    monkeypatch.setattr(engine, "_Streams", Recorded)
+    instance = Instance([ArmSpec.bernoulli(0.5, 0.5, 0.1)] * k, c=0.8)
+    simulate_batch(instance, PolicySpec("s", "static", arm=0), 1.0, 2100, 1)
+    assert seen == widths
+
+
 def test_a_part_of_up_to_a_chunk_starts_each_rule_once(two_arm_instance, monkeypatch):
     # 1,536 runs at W = 1 are one chunk, not a 1,024-run chunk and a 512-run
     # one: every pass starts its rule once, over all of them
@@ -691,9 +709,9 @@ def test_shared_pass_equals_per_budget_cells(monkeypatch, cap):
         assert not static[5.0].capped.any() and static[40.0].capped.any()
 
 
-def test_shared_pass_equals_per_budget_cells_over_chunks():
-    # 2,100 runs: a 2,048-run chunk and a 52-run one at W = 1, or one chunk
-    # per process
+def test_shared_pass_equals_per_budget_cells_over_chunks(monkeypatch):
+    # 2,100 runs in one process: a full 2,048-run chunk and a 52-run one
+    force_workers(monkeypatch, 1)
     assert_shared_pass_equals_per_budget(MIXED_KINDS, BUDGET_FREE, None, 2100, 0)
 
 
