@@ -35,7 +35,9 @@ block is (128, 1,024, 3), 3 MiB, and its policy block (128, 1,024), 1 MiB,
 so each epoch's uniforms are one contiguous slab that every pass reads.
 Rows are drawn through a tile of about 256 KiB per stream, every row each
 block, so a run that every pass has ended still draws to the end of the
-last block that a pass reaches.
+last block that a pass reaches.  An ended row's outcome is drawn from the
+:class:`~lybandit.model.Sampler`'s zero arm, whose outcome is +0.0 in every
+coordinate whatever its uniforms, so it changes no state.
 
 A pass stops computing the episodes it has finished: once half the rows it
 holds have ended, it writes them to its largest budget's result and keeps
@@ -421,7 +423,7 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
     # the chunk's row of each row the pass holds
     held = np.arange(m)
     rule.start(m, None if out.lcb_ok is None else instance)
-    sampler = Sampler(instance.arms)
+    sampler, zero_arm = Sampler(instance.arms), instance.n_arms
     active = np.ones(m, dtype=bool)
     # running (cost, reward, penalty) of each row
     totals = np.zeros((m, 3))
@@ -464,10 +466,9 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
 
         # selection sees only outcomes of earlier epochs
         arms = rule.select_batch(epoch, active, u)
-        # finished rows read their own streams' next uniforms; their outcome
-        # is zeroed, and a zero outcome changes no state
-        outcome = sampler.draw(arms, env)
-        outcome[~active] = 0.0
+        # finished rows read their own streams' next uniforms but draw from
+        # the sampler's zero arm, and a zero outcome changes no state
+        outcome = sampler.draw(np.where(active, arms, zero_arm), env)
         rule.observe_batch(arms, active, *outcome.T)
         totals += outcome
         np.maximum(q_max, rule.q, out=q_max)

@@ -208,11 +208,17 @@ class Sampler:
     scaled-uniform ones ``lo + width * u``, and a table arm picks the atom
     that ``u[i, 0]`` selects from its cumulative probabilities.  Every arm
     kind consumes the whole row, so a replayed stream stays aligned.
+
+    Arm index K, one past the last arm, is a zero arm: row K of the tables
+    has mean 0, so its outcome is +0.0 in every coordinate whatever the
+    uniforms, in the vectorized pass of either parametric kind and in the
+    per-arm path, where it is drawn as a Bernoulli arm.  A driver draws the
+    rows of ended episodes from it, so it needs no pass to zero them.
     """
 
     def __init__(self, arms: Sequence[ArmSpec]):
         self.arms = tuple(arms)
-        self._means = np.array([arm.means for arm in self.arms], dtype=np.float64)
+        self._means = np.array([*(arm.means for arm in self.arms), (0.0, 0.0, 0.0)])
         self._lo = np.maximum(0.0, 2.0 * self._means - 1.0)
         self._width = np.minimum(1.0, 2.0 * self._means) - self._lo
         self._tables = {
@@ -224,19 +230,24 @@ class Sampler:
         kinds = {arm.kind for arm in self.arms}
         # one vectorized pass when every arm shares a parametric kind
         self._kind = kinds.pop() if len(kinds) == 1 and not self._tables else None
+        # the kind each arm is drawn as in the per-arm path, the zero arm's last
+        self._kinds = (*(arm.kind for arm in self.arms), KIND_BERNOULLI)
         # the kept (m, 3) result and scratch buffers of draw
         self._out = self._tmp = np.empty((0, 3))
 
     def draw(self, pulled: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """(m, 3) outcomes of arms ``pulled`` from (m, 3) uniforms; the next call overwrites it."""
+        """(m, 3) outcomes of arms ``pulled`` (the zero arm K included) from (m, 3) uniforms.
+
+        The next call overwrites the result.
+        """
         if len(self._out) != len(pulled):
             self._out, self._tmp = np.empty((2, len(pulled), 3))
         if self._kind is not None:
             return self._fill(self._kind, pulled, u, self._out, self._tmp)
-        for k, arm in enumerate(self.arms):
+        for k, kind in enumerate(self._kinds):
             mask = pulled == k
             if mask.any():
-                self._out[mask] = self._fill(arm.kind, pulled[mask], u[mask])
+                self._out[mask] = self._fill(kind, pulled[mask], u[mask])
         return self._out
 
     def sample(self, arm: int, rng: np.random.Generator) -> Outcome:

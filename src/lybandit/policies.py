@@ -23,8 +23,11 @@ The online index is computed in factored form,
 
 where A..D depend only on arm k's own tallies.  A pull changes one arm's
 terms, so the online rule recomputes A..D at the entries pulled in an epoch
-as it observes them (O(m) work over m episodes) and spends its full-width
-passes on combining them with the queue and the epoch count.
+as it observes them, from the tally entries the pull updated (O(m) work
+over m episodes), and spends its full-width passes on combining them with
+the queue and the epoch count.  It copies each row's queue into its index
+buffer first, so that no product with the queue broadcasts a column.  A
+queue pinned at zero reads only A and C, and its rule holds no B or D.
 
 Each built-in policy is written once, in vector form over m independent
 episodes (:class:`VectorPolicy`).  The lockstep engine runs it on a whole
@@ -163,11 +166,11 @@ def _empirical_rates(t, sum_x, sum_r, sum_y, floor):
 
     Each mean is clipped to at most 1; the cost mean is additionally floored
     at ``floor`` so the rate denominators stay positive even when every cost
-    sample was zero.
+    sample was zero.  A ``sum_y`` of None gives a penalty rate of None.
     """
     x_hat = np.maximum(floor, np.minimum(1.0, sum_x / t))
     r_hat = np.minimum(1.0, sum_r / t) / x_hat
-    y_hat = np.minimum(1.0, sum_y / t) / x_hat
+    y_hat = None if sum_y is None else np.minimum(1.0, sum_y / t) / x_hat
     return x_hat, r_hat, y_hat
 
 
@@ -177,14 +180,17 @@ def _index_terms(t, sum_x, sum_r, sum_y, v, alpha, floor):
     A = -V r_hat, B = y_hat, C = V w (1 + r_hat) and D = w (1 + y_hat) with
     w = sqrt(2 alpha / t) / x_hat.  They depend only on one arm's own tallies,
     so a pull changes the terms of that (row, arm) entry alone.  An arm not
-    yet pulled (t = 0) counts as one pull, so its terms stay finite.
+    yet pulled (t = 0) counts as one pull, so its terms stay finite.  A
+    ``sum_y`` of None gives (A, C) alone, the terms a queue pinned at zero
+    reads.
     """
     # a rule refreshes the entries of finished rows too, with their zero
     # outcomes, and a row that ended inside exploration has unpulled arms
     t = np.maximum(t, 1.0)
     x_hat, r_hat, y_hat = _empirical_rates(t, sum_x, sum_r, sum_y, floor)
     w = _unit_radius(t, alpha) / x_hat
-    return -v * r_hat, y_hat, v * w * (1.0 + r_hat), w * (1.0 + y_hat)
+    a, c = -v * r_hat, v * w * (1.0 + r_hat)
+    return (a, c) if y_hat is None else (a, y_hat, c, w * (1.0 + y_hat))
 
 
 def _combine(terms, q, log_n_prev, variant, out=None, work=None):
@@ -192,18 +198,34 @@ def _combine(terms, q, log_n_prev, variant, out=None, work=None):
 
     The queue-side term is subtracted (``lcb-both``, a true lower confidence
     bound) or added (``literal-paper``).  ``q=None`` stands for a queue
-    pinned at zero and gives A - sqrt(ln n) C, the same argmin as q = 0.
-    ``out`` and ``work`` are optional buffers of the result's shape.
+    pinned at zero: ``terms`` are then (A, C), and give A - sqrt(ln n) C,
+    the same argmin as q = 0.  ``out`` and ``work`` are optional buffers of
+    the result's shape, and ``q`` may be ``out`` itself, filled with each
+    row's queue: q D is taken into ``work`` before q B overwrites ``out``.
     """
-    a, b, c, d = terms
     s = math.sqrt(log_n_prev)
     if q is None:
-        gamma = np.multiply(c, -s, out=out)
-        return np.add(gamma, a, out=out)
+        a, c = terms
+        return np.add(np.multiply(c, -s, out=out), a, out=out)
+    a, b, c, d = terms
     unc = np.multiply(q, d, out=work)
     unc = (np.add if variant == VARIANT_LCB_BOTH else np.subtract)(c, unc, out=work)
     unc = np.multiply(unc, s, out=work)
     return np.subtract(_score(a, q, b, out), unc, out=out)
+
+
+def _tally(a, flat, value):
+    """Add ``value`` to the (m, K) array ``a`` at the flat (row, arm) entries ``flat``.
+
+    Returns the updated entries: one gather, one add and one scatter, where
+    ``a[flat] += value`` then ``a.take(flat)`` would gather twice.  ``flat``
+    holds one entry per row, so no entry is added to twice.
+    """
+    a = a.reshape(-1)
+    entries = a.take(flat)
+    entries += value
+    a[flat] = entries
+    return entries
 
 
 def denominator_floor(budget: float) -> float:
@@ -286,9 +308,9 @@ class VectorPolicy(BanditPolicy):
     epoch :meth:`select_batch` and :meth:`observe_batch`.  The policy owns
     the (m, K) per-arm tallies ``pulls`` and ``cost``: :meth:`start` zeroes
     them, and ``observe_batch`` adds each row's pull to them at its flat
-    (row, arm) index before the rule's own :meth:`_observe` reads them at
-    that index.  Rows whose episode has ended add no pull and receive zero
-    outcomes, which leave every rule's state unchanged.  ``q`` holds each
+    (row, arm) index and hands the updated entries to the rule's own
+    :meth:`_observe`.  Rows whose episode has ended add no pull and receive
+    zero outcomes, which leave every rule's state unchanged.  ``q`` holds each
     row's virtual queue, which starts at zero (and stays there for rules
     without one).
 
@@ -380,15 +402,20 @@ class VectorPolicy(BanditPolicy):
         """Add each row's pull of ``arms`` to the tallies, then record its (m,) outcomes.
 
         ``live`` is the (m,) mask of running episodes: an ended row adds no
-        pull, and its outcomes are zero.
+        pull, and its outcomes are zero.  Each tally is updated with one
+        gather, one add and one scatter (:func:`_tally`), and its updated
+        entries go to :meth:`_observe`.
         """
         flat = self._base + arms
-        self.pulls.reshape(-1)[flat] += live
-        self.cost.reshape(-1)[flat] += x
-        self._observe(flat, x, r, y)
+        self._observe(flat, _tally(self.pulls, flat, live), _tally(self.cost, flat, x), x, r, y)
 
-    def _observe(self, flat, x, r, y) -> None:
-        """The rule's own update; ``flat`` holds each row's pull as row * K + arm."""
+    def _observe(self, flat, t, sum_x, x, r, y) -> None:
+        """The rule's own update.
+
+        ``flat`` holds each row's pull as row * K + arm, and ``t`` and
+        ``sum_x`` the pulled entries of the pull and cost tallies, this pull
+        included.
+        """
 
     @property
     def queue(self) -> float:
@@ -477,7 +504,7 @@ class LyOffPolicy(VectorPolicy):
             arms[miss] = np.argmin(self._scores_at(q[miss]), axis=1)
         return arms
 
-    def _observe(self, flat, x, r, y):
+    def _observe(self, flat, t, sum_x, x, r, y):
         self.q = _queue_step(self.q, x, y, self._cd)
 
 
@@ -491,9 +518,9 @@ class LyOnPolicy(VectorPolicy):
     neither ``c`` nor ``delta``.  The constructor checks that ``n_arms`` and
     ``exploration_pulls`` are integers >= 1, ``budget``, ``v`` and ``alpha``
     finite and positive, and, for a live queue, 0 <= ``delta`` < ``c``.
-    Per-arm reward and penalty sums are kept beside the pull and cost
-    tallies of :class:`VectorPolicy`, and all four are zeroed by
-    :meth:`start`.
+    Per-arm reward and penalty sums ``sum_r`` and ``sum_y`` are kept beside
+    the pull and cost tallies of :class:`VectorPolicy`, and all four are
+    zeroed by :meth:`start`.
 
     The index is kept in factored form: ``terms`` holds the (m, K) arrays
     (A, B, C, D) of :func:`_index_terms`, kept equal to a rebuild from the
@@ -501,10 +528,15 @@ class LyOnPolicy(VectorPolicy):
     zeroed tallies, so it fills each term with its one-pull value (an
     unpulled arm reads as one pull of zero outcomes), computed once at
     construction; :meth:`observe_batch`, the one place terms are computed,
-    recomputes only the pulled entries once the tallies hold the pull, which
+    recomputes only the pulled entries from the updated tally entries, which
     is O(m) work.  So only the combine step and the argmin run over all
-    (m, K) entries, and the combine step writes its result and its one
-    temporary into two work buffers.
+    (m, K) entries.  With a live queue, :meth:`select_batch` copies each
+    row's queue into its row of the ``index`` buffer, so that the combine
+    step multiplies by it elementwise and broadcasts no column, and takes
+    its one temporary into a ``work`` buffer.  A pinned queue reads only
+    A - sqrt(ln n) C: the rule holds the tallies ``pulls``, ``cost`` and
+    ``sum_r`` and the terms (A, C) alone, ``sum_y`` is None, and the combine
+    step needs only ``index``.
     """
 
     _rows = (*VectorPolicy._rows, "sum_r", "sum_y", "terms")
@@ -524,21 +556,25 @@ class LyOnPolicy(VectorPolicy):
         self._explore_total = int(n_arms) * exploration_pulls
         # the index is largest after one pull at the cost floor with reward
         # and penalty means of 1, and grows with the queue and ln n, which an
-        # epoch count below 2**63 bounds
+        # epoch count below 2**63 bounds; all four terms are checked, though a
+        # pinned queue combines only (A, C)
         n = 2.0**63
         with np.errstate(over="ignore", invalid="ignore"):
             terms = _index_terms(1.0, 0.0, 1.0, 1.0, self._v, self._alpha, self._floor)
-            gamma = _combine(terms, None if self._cd is None else n, math.log(n), self._variant)
+            q = None if self._cd is None else n
+            gamma = _combine(terms[::2] if q is None else terms, q, math.log(n), self._variant)
         if not np.isfinite([*terms, gamma]).all():
             raise ValueError(f"v = {self._v:.6g} and alpha = {self._alpha:.6g} overflow "
                              f"the online index at budget {budget:.6g}")
         # every arm of a fresh episode reads as one pull of zero outcomes
-        self._start_terms = _index_terms(1.0, 0.0, 0.0, 0.0, self._v, self._alpha, self._floor)
+        self._start_terms = _index_terms(1.0, 0.0, 0.0, None if self._cd is None else 0.0,
+                                         self._v, self._alpha, self._floor)
         super().__init__(n_arms)
 
     def start(self, m: int, truth: Instance | None = None) -> None:
         super().start(m, truth)
-        self.sum_r, self.sum_y = np.zeros_like(self.pulls), np.zeros_like(self.cost)
+        self.sum_r = np.zeros_like(self.pulls)
+        self.sum_y = None if self._cd is None else np.zeros_like(self.pulls)
         self.terms = tuple(np.full_like(self.pulls, value) for value in self._start_terms)
         if truth is not None:
             self._true_rates = _true_coefficients(truth, self._v)
@@ -546,20 +582,22 @@ class LyOnPolicy(VectorPolicy):
     def select_batch(self, n, live, u):
         if n < self._explore_total:
             return np.full(live.shape[0], n % self._k, dtype=np.int64)
-        q_col = None if self._cd is None else self.q[:, None]
-        gamma = _combine(self.terms, q_col, math.log(n), self._variant,
-                         self._buffer("index"), self._buffer("work"))
+        index, q, work = self._buffer("index"), None, None
+        if self._cd is not None:
+            # each row's queue fills its row of the buffer, so that neither
+            # queue product of the combine step broadcasts a column
+            q, work = index, self._buffer("work")
+            q[...] = self.q[:, None]
+        gamma = _combine(self.terms, q, math.log(n), self._variant, index, work)
         if self.lcb_ok is not None:
             psi_true = _score(self._true_rates[0], self.q[:, None], self._true_rates[1])
             self.lcb_ok &= (gamma <= psi_true + _LCB_TOL).all(axis=1) | ~live
         return np.argmin(gamma, axis=1)
 
-    def _observe(self, flat, x, r, y):
-        self.sum_r.reshape(-1)[flat] += r
-        self.sum_y.reshape(-1)[flat] += y
-        # observe_batch has added this pull to the pull and cost tallies
-        tallies = (self.pulls, self.cost, self.sum_r, self.sum_y)
-        fresh = _index_terms(*(a.take(flat) for a in tallies), self._v, self._alpha, self._floor)
+    def _observe(self, flat, t, sum_x, x, r, y):
+        sum_y = None if self.sum_y is None else _tally(self.sum_y, flat, y)
+        fresh = _index_terms(t, sum_x, _tally(self.sum_r, flat, r), sum_y,
+                             self._v, self._alpha, self._floor)
         for term, value in zip(self.terms, fresh):
             term.reshape(-1)[flat] = value
         if self._cd is not None:

@@ -295,7 +295,8 @@ def test_keep_narrows_every_per_row_array(spec):
     # 13 rows of 3 arms narrowed to 4 after a few epochs of random pulls past
     # exploration, so that the rule has made its work buffers and its tallies
     # hold pulls: no array of the rule keeps 13 rows, and the per-row state
-    # keeps the values of the rows it kept
+    # keeps the values of the rows it kept.  A pinned queue holds no penalty
+    # sum, and only the terms (A, C)
     m, rows = 13, np.array([1, 4, 5, 11])
     p_default = solve_lfp(MIXED_KINDS).p_star
     rule = spec.build(MIXED_KINDS, 40.0, None, p_default=p_default)
@@ -308,20 +309,27 @@ def test_keep_narrows_every_per_row_array(spec):
         rule.observe_batch(rng.integers(0, 3, m), live, *rng.random((3, m)))
     before = {name: getattr(rule, name) for name in rule._rows}
     assert before["pulls"].sum() == 4 * m and before["cost"].any()
+    if spec.type == "ucb_bwi":
+        assert before.pop("sum_y") is None and len(before["terms"]) == 2
     rule.keep(rows)
     assert unnarrowed(rule, m) == []
     assert rule.pulls.shape == rule.cost.shape == (4, 3)
+    if spec.type == "ucb_bwi":
+        assert rule.sum_y is None
     for name, value in before.items():
         for old, new in zip(as_arrays(value), as_arrays(getattr(rule, name))):
             assert np.array_equal(new, old[rows]), name
 
 
-@pytest.mark.parametrize("unlisted", ["sum_y", "pulls", "cost"])
-def test_keep_registry_check_catches_an_unlisted_array(unlisted):
+@pytest.mark.parametrize("unlisted, queue_enabled", [
+    ("sum_y", True), ("pulls", True), ("cost", True), ("sum_r", False),
+], ids=["sum_y", "pulls", "cost", "pinned-sum_r"])
+def test_keep_registry_check_catches_an_unlisted_array(unlisted, queue_enabled):
+    # a pinned queue holds no sum_y, and the check still sees its sum_r
     class Unlisted(LyOnPolicy):
         _rows = tuple(name for name in LyOnPolicy._rows if name != unlisted)
 
-    rule = Unlisted(3, 0.8, 40.0, 6.0)
+    rule = Unlisted(3, 0.8, 40.0, 6.0, queue_enabled=queue_enabled)
     rule.start(13)
     rule.keep(np.arange(4))
     assert unnarrowed(rule, 13) == [unlisted]

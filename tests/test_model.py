@@ -127,6 +127,30 @@ class TestArmSampling:
                 assert v is last
             last = v
 
+    @pytest.mark.parametrize("arms", [
+        [ArmSpec.bernoulli(0.4, 0.8, 0.6), ArmSpec.bernoulli(1.0, 1.0, 1.0)],
+        [ArmSpec.scaled_uniform(0.3, 0.7, 0.5), ArmSpec.scaled_uniform(1.0, 0.0, 0.5)],
+        [ArmSpec.table([(0.25, 0.1, 1.0, 0.0), (0.75, 0.9, 0.2, 0.5)])],
+        [ArmSpec.bernoulli(0.4, 0.8, 0.6), ArmSpec.scaled_uniform(0.3, 0.7, 0.5),
+         ArmSpec.table([(0.25, 0.1, 1.0, 0.0), (0.75, 0.9, 0.2, 0.5)])],
+    ], ids=["bernoulli", "scaled-uniform", "joint-table", "mixed"])
+    def test_zero_arm_draws_positive_zeros(self, arms):
+        # arm index K is the zero arm that ended rows are drawn from: +0.0 by
+        # bytes (-0.0 == 0.0 would pass a value check) at any uniform, 0 and
+        # the largest below 1 included, alone or among real arms, which it
+        # leaves as they are
+        k, m = len(arms), 64
+        r = rng(43)
+        u = r.random((m, 3))
+        u[0], u[1] = 0.0, np.nextafter(1.0, 0.0)
+        sampler = Sampler(arms)
+        for pulled in (np.full(m, k), r.integers(k + 1, size=m)):
+            pulled[:2] = k
+            v = sampler.draw(pulled, u)
+            zero = pulled == k
+            assert v[zero].tobytes() == bytes(8 * 3 * np.count_nonzero(zero))
+            assert np.array_equal(v[~zero], Sampler(arms).draw(pulled[~zero], u[~zero]))
+
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             ArmSpec.bernoulli(1.2, 0.5, 0.5)

@@ -375,33 +375,36 @@ class TestGammaIndex:
         # a driver's loop over random pulls; rows 0 and 1 end inside the
         # exploration phase (14 epochs), so some of their arms are never
         # pulled, and every fifth decision is followed by two observations.
-        # The loop keeps its own tallies, which the rule's must equal
-        rng = np.random.default_rng(30)
+        # The loop keeps its own tallies, which the rule's must equal.  A
+        # pinned queue refreshes its terms (A, C) alone
         m, k = 8, 7
         params = dict(v=3.0, alpha=2.0, exploration_pulls=2)
         floor = denominator_floor(50.0)
-        pol = LyOnPolicy(k, 0.8, 50.0, **params)
-        pulls, cost = np.zeros((m, k)), np.zeros((m, k))
-        pol.start(m)
-        live = np.ones(m, dtype=bool)
         rows = np.arange(m)
-        checked = 0
-        for n in range(200):
-            live[:2] = n < 5
-            pol.select_batch(n, live, None)
-            assert np.array_equal(pol.pulls, pulls) and np.array_equal(pol.cost, cost)
-            rebuilt = _index_terms(np.maximum(pulls, 1.0), cost, pol.sum_r,
-                                   pol.sum_y, params["v"], params["alpha"], floor)
-            for term, want in zip(pol.terms, rebuilt):
-                assert np.array_equal(term, want)
-            checked += 1
-            for _ in range(2 if n % 5 == 0 else 1):
-                arms = rng.integers(0, k, m)
-                x, r, y = rng.random((3, m)) * live
-                pulls[rows, arms] += live
-                cost[rows, arms] += x
-                pol.observe_batch(arms, live, x, r, y)
-        assert checked == 200
+        for queue_enabled in (True, False):
+            rng = np.random.default_rng(30)
+            pol = LyOnPolicy(k, 0.8, 50.0, **params, queue_enabled=queue_enabled)
+            pulls, cost = np.zeros((m, k)), np.zeros((m, k))
+            pol.start(m)
+            live = np.ones(m, dtype=bool)
+            checked = 0
+            for n in range(200):
+                live[:2] = n < 5
+                pol.select_batch(n, live, None)
+                assert np.array_equal(pol.pulls, pulls) and np.array_equal(pol.cost, cost)
+                rebuilt = _index_terms(np.maximum(pulls, 1.0), cost, pol.sum_r,
+                                       pol.sum_y, params["v"], params["alpha"], floor)
+                assert len(pol.terms) == len(rebuilt) == (4 if queue_enabled else 2)
+                for term, want in zip(pol.terms, rebuilt):
+                    assert np.array_equal(term, want)
+                checked += 1
+                for _ in range(2 if n % 5 == 0 else 1):
+                    arms = rng.integers(0, k, m)
+                    x, r, y = rng.random((3, m)) * live
+                    pulls[rows, arms] += live
+                    cost[rows, arms] += x
+                    pol.observe_batch(arms, live, x, r, y)
+            assert checked == 200
 
     def test_scalar_refresh_matches_rebuild(self):
         # at m = 1 the wrapper's own tallies must hold each pull before the
@@ -423,8 +426,10 @@ class TestGammaIndex:
     def test_start_terms_equal_a_rebuild_from_zero_tallies(self, case, m):
         # a first start, then pulls of random arms with random outcomes, then
         # a second start: it begins fresh episodes, so every tally is zero
-        # again and every term is a rebuild from those zero tallies
+        # again and every term is a rebuild from those zero tallies.  A pinned
+        # queue holds no penalty sum, and its terms are (A, C) alone
         rule, k, args = case
+        pinned = not args["queue_enabled"]
         rng = np.random.default_rng(m)
         live = np.ones(m, dtype=bool)
         rule.start(m)
@@ -432,30 +437,69 @@ class TestGammaIndex:
             rule.observe_batch(rng.integers(0, k, m), live, *rng.random((3, m)))
         assert rule.pulls.sum() == 3 * m
         rule.start(m)
-        tallies = (rule.pulls, rule.cost, rule.sum_r, rule.sum_y)
+        tallies = (rule.pulls, rule.cost, rule.sum_r, *(() if pinned else (rule.sum_y,)))
         assert all(a.shape == (m, k) and not a.any() for a in tallies)
+        assert (rule.sum_y is None) == pinned
         rebuilt = _index_terms(np.maximum(rule.pulls, 1.0), rule.cost, rule.sum_r, rule.sum_y,
                                args["v"], args["alpha"], denominator_floor(args["budget"]))
+        assert len(rule.terms) == len(rebuilt) == (2 if pinned else 4)
         for term, want in zip(rule.terms, rebuilt):
             assert term.shape == (m, k) and term.tobytes() == want.tobytes()
 
     def test_start_makes_only_its_state(self):
-        # at m = 1,024 and K = 50 start makes the eight (m, K) arrays that the
-        # rule then holds, the four tallies and the four terms, and no
-        # temporary of that shape: the peak stays below half an array more
+        # at m = 1,024 and K = 50 start makes the (m, K) arrays that the rule
+        # then holds, and no temporary of that shape: the peak stays below
+        # half an array more.  A live queue holds eight, the four tallies and
+        # the four terms; a pinned one five, the pull, cost and reward tallies
+        # and the terms A and C
         m, k = 1024, 50
-        rule = LyOnPolicy(k, 0.8, 100.0, v=5.0)
-        tracemalloc.start()
-        try:
-            rule.start(m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        held = [a for value in vars(rule).values()
-                for a in (value if isinstance(value, tuple) else (value,))
-                if isinstance(a, np.ndarray) and a.shape == (m, k)]
-        assert len(held) == 8
-        assert peak < (len(held) + 0.5) * m * k * 8, peak / (m * k * 8)
+        for queue_enabled, arrays in ((True, 8), (False, 5)):
+            rule = LyOnPolicy(k, 0.8, 100.0, v=5.0, queue_enabled=queue_enabled)
+            tracemalloc.start()
+            try:
+                rule.start(m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = [a for value in vars(rule).values()
+                    for a in (value if isinstance(value, tuple) else (value,))
+                    if isinstance(a, np.ndarray) and a.shape == (m, k)]
+            assert len(held) == arrays, queue_enabled
+            assert peak < (len(held) + 0.5) * m * k * 8, (queue_enabled, peak / (m * k * 8))
+
+    @pytest.mark.parametrize("variant", ["lcb-both", "literal-paper"])
+    @pytest.mark.parametrize("k", [1, 2, 10, 50])
+    def test_combine_on_the_queue_in_its_buffer_equals_the_broadcast_form(self, k, variant):
+        # the live rule copies each row's queue into its index buffer and
+        # combines on it in place: bit for bit the combine on a broadcast
+        # queue column, rows with a zero queue included, both directly and
+        # as the buffer the rule's select leaves
+        m = 9
+        rng = np.random.default_rng(k)
+        rule = LyOnPolicy(k, 0.8, 50.0, v=3.0, index_variant=variant)
+        rule.start(m)
+        live = np.ones(m, dtype=bool)
+        for n in range(3 * k):
+            rule.observe_batch(rng.integers(0, k, m), live, *rng.random((3, m)))
+        rule.q = rng.uniform(0.0, 30.0, m)
+        rule.q[::3] = 0.0
+        log_n = math.log(3 * k)
+        want = _combine(rule.terms, rule.q[:, None], log_n, variant)
+        buffer = np.empty((m, k))
+        buffer[...] = rule.q[:, None]
+        got = _combine(rule.terms, buffer, log_n, variant, buffer, np.empty((m, k)))
+        assert got is buffer and got.tobytes() == want.tobytes()
+        arms = rule.select_batch(3 * k, live, None)
+        assert rule._scratch["index"].tobytes() == want.tobytes()
+        assert np.array_equal(arms, np.argmin(want, axis=1))
+
+    @pytest.mark.parametrize("queue_enabled, buffers", [(True, ["index", "work"]),
+                                                        (False, ["index"])])
+    def test_select_makes_only_the_buffers_its_combine_reads(self, queue_enabled, buffers):
+        rule = LyOnPolicy(4, 0.8, 50.0, v=3.0, queue_enabled=queue_enabled)
+        rule.start(6)
+        rule.select_batch(10, np.ones(6, dtype=bool), None)
+        assert sorted(rule._scratch) == buffers
 
 
 class TestLyonSelect:
