@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gc
 import json
 import numbers
@@ -364,19 +365,18 @@ def main(argv=None) -> int:
     except (Infeasible, SlaterViolation, DeltaOutOfRange) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    # a config error, or any other input the library refuses during the run
-    except ValueError as exc:
+    # a config error, any other input the library refuses during the run, or
+    # an engine worker process that died: an OSError, but no I/O fault
+    except (ValueError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    # an engine worker process that died: an OSError, but no I/O fault
-    except ChildProcessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
+        # the engine's shared mmap and its fork report exhausted memory as ENOMEM
+        kind = "error: out of memory" if exc.errno == errno.ENOMEM else "io error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 1
 
 

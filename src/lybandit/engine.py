@@ -17,7 +17,9 @@ rule is built once per call; each pass starts it once the chunk has drawn
 block 0.  Every pass of a rule goes to a block boundary of the chunk's
 streams (a ``_Streams``), the first epoch included, which then draw that
 block once for every run of the chunk, so every block is drawn when the
-passes reach it; every pass writes its rows into its results.
+passes reach it.  A call's results are one stack of ``len(cells) * runs``
+rows, cell i's being rows ``i * runs`` to ``(i + 1) * runs - 1``, and every
+pass writes its rows of its cells into it.
 A rule makes one pass per cell, except a ``budget_free`` one (``static`` and
 ``stationary``): it is built the same at every budget, and its episode
 reads the budget only to stop, so the episode at a budget is an exact
@@ -61,8 +63,8 @@ A call's runs are split across W processes.  W is the number of CPUs this
 process may use (``os.sched_getaffinity``, or ``os.cpu_count`` where that
 does not exist), but at most ``runs // _MIN_PART`` and at least 1; it is 1
 where ``os.fork`` does not exist.  Every rule is built, and so checked,
-before anything else, and every result array is made in anonymous shared
-memory; then ``[0, runs)`` is cut into W even, contiguous parts.  The
+before anything else, and the result stack's arrays are made in anonymous
+shared memory; then ``[0, runs)`` is cut into W even, contiguous parts.  The
 calling process forks W - 1 children and runs part 0 through the chunk loop
 above while each child runs its own part through the same loop, and every
 process writes its rows of the results in place, so nothing is copied
@@ -216,7 +218,8 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
 
     Every cell's rule is built once per call, which runs the cell's checks,
     before any process is forked or any chunk derives its streams.  The
-    results live in shared memory, and the runs are cut into W even,
+    results are one stack in shared memory, cell i's result being its rows
+    ``i * runs`` to ``(i + 1) * runs - 1``, and the runs are cut into W even,
     contiguous parts, one per process (see the module notes for how W is
     chosen): the calling process runs the first and a forked child each other
     one, and every process writes its own rows in place.  No byte depends on
@@ -261,11 +264,7 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
             rule.start(1, instance)
     policy = any(rule.uses_stream for rule in rules)
     groups = _groups(cells, rules)
-    stacks = [_stack(len(group) * runs, instance.n_arms, track_lcb) for group in groups]
-    results = [None] * len(cells)
-    for group, stack in zip(groups, stacks):
-        for stage, i in enumerate(group):
-            results[i] = _rows(stack, slice(stage * runs, (stage + 1) * runs))
+    stack = _stack(len(cells) * runs, instance.n_arms, track_lcb)
 
     # runs lo .. hi - 1 of the call, chunk by chunk, in this process
     def run_part(lo, hi):
@@ -274,8 +273,8 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
             streams = _Streams(master_seed, run_start + start, min(width, hi - start), policy)
             passes = [_simulate_chunk(instance, rules[group[-1]], [cells[i][1] for i in group],
                                       [caps[i] for i in group], streams, stack,
-                                      np.arange(len(group)) * runs + start)
-                      for group, stack in zip(groups, stacks)]
+                                      np.array(group) * runs + start)
+                      for group in groups]
             # a list, so that every pass goes on to its next block boundary or its end
             while any([next(p, False) for p in passes]):
                 streams.advance()
@@ -284,7 +283,7 @@ def simulate_cells(instance, cells, runs, master_seed, run_start=0, *, cap=None,
 
     workers = _workers(runs)
     _run_parts([runs * w // workers for w in range(workers + 1)], run_part)
-    return results
+    return [_rows(stack, slice(i * runs, (i + 1) * runs)) for i in range(len(cells))]
 
 
 def _workers(runs) -> int:
@@ -390,9 +389,10 @@ def _shared(shape, dtype=np.float64) -> np.ndarray:
 
 
 def _stack(rows, k, track_lcb) -> BatchResult:
-    """A shared result of ``rows`` episodes: a pass's results, one after the other.
+    """A shared result of ``rows`` episodes: a call's cells' results, one after the other.
 
-    Every row is written by its pass, so no field needs a starting value.
+    Every row is written by the pass of its cell, so no field needs a
+    starting value.
     """
     return BatchResult(
         n_pulls=_shared((rows,), np.int64),
@@ -407,8 +407,8 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
     """One pass of ``rule``, started here, over the runs of ``streams``, at each of ``budgets``.
 
     The ``budgets`` ascend, and ``caps`` are their resolved epoch caps.
-    ``out`` holds each budget's result in that order, and ``first`` the row
-    of ``out`` that takes the chunk's row 0 for each budget.  A generator:
+    ``out`` is the call's result stack, and ``first`` the row of ``out``
+    that takes the chunk's row 0 for each budget, in that order.  A generator:
     at each block boundary, epoch 0 included, it yields True, and it goes on
     once ``streams`` hold that block for every row of the chunk.  It starts
     the rule after its first yield, once block 0 is drawn.
@@ -435,7 +435,6 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
     # stage's falls to -inf at its cap, where every row still in it passes it
     stage = np.zeros(m, dtype=np.intp)
     limits = np.array([*budgets[:-1], np.inf])
-    cap_ends = set(caps[:-1])
 
     # finished rows stay as they ended, so writing every held row is exact
     def write(stages, rows):
@@ -476,7 +475,7 @@ def _simulate_chunk(instance, rule, budgets, caps, streams, out, first):
         spent = totals[:, 0]
         active &= ~(spent > budget)
         if last:
-            if epoch + 1 in cap_ends:
+            if epoch + 1 in caps:
                 limits[:last][np.equal(caps[:-1], epoch + 1)] = -np.inf
             rows = np.flatnonzero(spent > limits[stage])
             while rows.size:

@@ -322,7 +322,9 @@ class VectorPolicy(BanditPolicy):
     finished episodes mid-batch.
 
     The scalar :meth:`select` / :meth:`observe` are the m = 1 case, on the
-    one row that construction starts.  Rules with ``uses_stream``
+    one row that construction starts; :meth:`select` reads its epoch from
+    the tallies (the sum of the row's pulls), so :meth:`start` restarts it
+    at epoch 0.  Rules with ``uses_stream``
     consume one policy uniform per row and epoch, drawn at m = 1 from
     ``rng`` (:meth:`select` refuses such a rule built without one);
     drivers open policy streams only for them, and other rules ignore any
@@ -338,7 +340,6 @@ class VectorPolicy(BanditPolicy):
     def __init__(self, n_arms: int, rng: np.random.Generator | None = None):
         self._k = int(n_arms)
         self._rng = rng
-        self._n = 0
         self.start(1)
 
     def start(self, m: int, truth: Instance | None = None) -> None:
@@ -426,12 +427,12 @@ class VectorPolicy(BanditPolicy):
             raise ValueError(f"{type(self).__name__} draws each pull from a policy stream, "
                              "and it was built without one (policy_rng=None)")
         u = self._rng.random(1) if self.uses_stream else None
-        return int(self.select_batch(self._n, _ONE_ROW, u)[0])
+        # the tallies count whole pulls, so their sum is the exact epoch
+        return int(self.select_batch(int(self.pulls.sum()), _ONE_ROW, u)[0])
 
     def observe(self, arm: int, outcome: Outcome) -> None:
         x, r, y = (np.array([value]) for value in outcome)
         self.observe_batch(np.array([arm]), _ONE_ROW, x, r, y)
-        self._n += 1
 
 
 class StationaryPolicy(VectorPolicy):

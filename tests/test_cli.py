@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import copy
 import csv
+import errno
 import gc
 import hashlib
 import json
@@ -585,6 +586,25 @@ class TestSchemaValidation:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["error: out of memory: Unable to allocate 7.28 TiB for an array"]
+
+    @pytest.mark.parametrize("refused", ["mmap", "fork"])
+    def test_enomem_is_one_out_of_memory_line(self, tmp_path, capsys, monkeypatch, refused):
+        # the engine's shared result memory and its worker processes report
+        # exhausted memory as an OSError with errno ENOMEM, not a MemoryError
+        error = OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+        def exhausted(*args):
+            raise error
+        if refused == "mmap":
+            monkeypatch.setattr(engine.mmap, "mmap", exhausted)
+        else:
+            force_workers(monkeypatch, 2)
+            monkeypatch.setattr(engine.os, "fork", exhausted)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: out of memory: {error}"]
+        assert not out.exists()
+        assert_no_child_left()
 
 
 # a small valid document; every field the property test below breaks is set

@@ -859,6 +859,29 @@ def test_results_are_ordinary_arrays(monkeypatch):
         assert np.array_equal(getattr(last, name), array), name
 
 
+def test_a_call_maps_one_result_stack(two_arm_instance, monkeypatch):
+    # four cells in three passes (the static cells share one): one shared
+    # array per result field for the whole call, each 4 x runs rows, and
+    # every cell's field a view of that field's array
+    made = []
+    def counted(shape, dtype=np.float64, _shared=engine._shared):
+        made.append(_shared(shape, dtype))
+        return made[-1]
+    monkeypatch.setattr(engine, "_shared", counted)
+    cells = [(spec, budget) for spec in (PolicySpec("l", "lyon"),
+                                         PolicySpec("s", "static", arm=1))
+             for budget in (20.0, 40.0)]
+    runs = 6
+    results = simulate_cells(two_arm_instance, cells, runs, 5)
+    names = [f.name for f in fields(engine.BatchResult) if getattr(results[0], f.name) is not None]
+    assert len(made) == len(names) == 9
+    assert all(array.shape[0] == 4 * runs for array in made)
+    for name in names:
+        owners = {j for result in results for j, array in enumerate(made)
+                  if np.shares_memory(getattr(result, name), array)}
+        assert len(owners) == 1, name
+
+
 def test_workers_follow_the_usable_cpus_and_the_least_part(monkeypatch):
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(3)))
     least = engine._MIN_PART

@@ -421,6 +421,23 @@ class TestGammaIndex:
             for term, want in zip(pol.terms, rebuilt):
                 assert np.array_equal(term, want)
 
+    def test_scalar_restart_begins_again_at_epoch_zero(self):
+        # select reads its epoch from the tallies, so after start(1) a rule
+        # that has made 7 pulls chooses as a fresh one, exploration included
+        def choices(rule, pulls):
+            arms = []
+            for t in range(pulls):
+                arms.append(rule.select())
+                rule.observe(arms[-1], Outcome(0.2 + 0.1 * arms[-1], 0.5, 0.3 * (t % 2)))
+            return arms
+
+        def built():
+            return LyOnPolicy(3, 0.8, 50.0, v=3.0, exploration_pulls=2)
+        rule = built()
+        choices(rule, 7)
+        rule.start(1)
+        assert choices(rule, 9) == choices(built(), 9)
+
     @settings(max_examples=200, deadline=None)
     @given(case=online_rules(), m=st.integers(1, 4))
     def test_start_terms_equal_a_rebuild_from_zero_tallies(self, case, m):
